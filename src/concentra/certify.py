@@ -60,9 +60,7 @@ def _verdict(worst: float, tol: float) -> str:
 
 
 def _support_distances(mu: DiscreteMeasure) -> np.ndarray:
-    space = mu.resolved_space()
-    pts = mu.support
-    return np.array([[space.distance(a, b) for b in pts] for a in pts])
+    return mu.resolved_space().pairwise(mu.support, mu.support)
 
 
 def lipschitz_polytope_vertices(dist: np.ndarray) -> list[np.ndarray]:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .constants import ts_weak_alpha
 from .entropy import chain_rule_decompose, relative_entropy_gaussian
@@ -102,7 +102,7 @@ def _gaussian_bound(
     q: GaussianKernelModel, p: GaussianKernelModel, n: int, s: float, resolution: int
 ) -> CouplingBound:
     same_kernel = abs(q.theta - p.theta) < 1e-15 and abs(q.sigma2 - p.sigma2) < 1e-15
-    z = norm.ppf((np.arange(resolution) + 0.5) / resolution)
+    z = ndtri((np.arange(resolution) + 0.5) / resolution)
     if same_kernel and abs(q.init_var - p.init_var) < 1e-15:
         # monotone couplings keep the pairwise gap deterministic: it starts
         # at the initial mean gap and contracts by theta each step
@@ -255,3 +255,14 @@ class _LabelLine:
 
     def distance(self, i, j):
         return abs(self.labels[int(i)] - self.labels[int(j)])
+
+    def pairwise(self, xs, ys) -> np.ndarray:
+        lab = np.asarray(self.labels)
+        i, j = np.asarray(xs).astype(np.intp), np.asarray(ys).astype(np.intp)
+        return np.abs(lab[i][:, None] - lab[j][None, :])
+
+    def __eq__(self, other):
+        return isinstance(other, _LabelLine) and self.labels == other.labels
+
+    def __hash__(self):
+        return hash(self.labels)

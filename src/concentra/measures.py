@@ -34,6 +34,10 @@ class RealLine:
     def distance(self, x, y) -> float:
         return abs(float(x) - float(y))
 
+    def pairwise(self, xs, ys) -> np.ndarray:
+        x, y = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        return np.abs(x[:, None] - y[None, :])
+
     def __repr__(self):  # pragma: no cover
         return "RealLine()"
 
@@ -47,14 +51,15 @@ class RealLine:
 REAL_LINE = RealLine()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteMetricSpace:
     """Labeled points with a dense symmetric distance matrix.
 
     Points are referred to by integer index; ``labels`` is kept for IO.
     The matrix must be symmetric with a zero diagonal and satisfy the
     triangle inequality within ``METRIC_ATOL`` (checked exhaustively up to
-    512 points, on sampled centers beyond that).
+    512 points, on sampled centers beyond that). Two spaces are equal when
+    their labels and distance matrices are.
     """
 
     labels: tuple
@@ -91,6 +96,15 @@ class FiniteMetricSpace:
     def distance(self, i, j) -> float:
         return float(self.dist[int(i), int(j)])
 
+    def pairwise(self, xs, ys) -> np.ndarray:
+        i, j = np.asarray(xs).astype(np.intp), np.asarray(ys).astype(np.intp)
+        return self.dist[np.ix_(i, j)]
+
+    def __eq__(self, other):
+        if not isinstance(other, FiniteMetricSpace):
+            return NotImplemented
+        return self.labels == other.labels and np.array_equal(self.dist, other.dist)
+
     def index(self, label) -> int:
         return self.labels.index(label)
 
@@ -115,6 +129,27 @@ class ProductSpace:
 
     def distance(self, x, y) -> float:
         return product_distance(x, y, self.order, base=self.base)
+
+    def pairwise(self, xs, ys) -> np.ndarray:
+        """Distance matrix between two lists of equal-length tuples."""
+        x, y = _factor_columns(xs), _factor_columns(ys)
+        if x.shape[1] != y.shape[1]:
+            raise InputError(f"tuple length mismatch: {x.shape[1]} vs {y.shape[1]}")
+        total = np.zeros((x.shape[0], y.shape[0]))
+        for k in range(x.shape[1]):
+            total += self.base.pairwise(x[:, k], y[:, k]) ** self.order
+        return total ** (1.0 / self.order)
+
+
+def _factor_columns(points) -> np.ndarray:
+    """Stack tuple points as rows of a 2-D array, one column per factor."""
+    try:
+        arr = np.asarray(points)
+    except ValueError:
+        arr = None
+    if arr is None or arr.ndim != 2:
+        raise InputError("product-space points must be tuples of one common length")
+    return arr
 
 
 def product_distance(x: Sequence, y: Sequence, s: float, base=REAL_LINE) -> float:
@@ -236,7 +271,5 @@ def empirical_measure(samples: Sequence, space=None) -> DiscreteMeasure:
 
 def moment_order_s(mu: DiscreteMeasure, x0, s: float) -> float:
     """s-th moment of the distance to ``x0``: sum_i w_i d(x0, y_i)**s."""
-    space = mu.resolved_space()
-    return float(
-        sum(w * space.distance(x0, p) ** s for p, w in zip(mu.support, mu.weights))
-    )
+    d = mu.resolved_space().pairwise([x0], mu.support)[0]
+    return float(np.dot(mu.weights, d**s))

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 from scipy.integrate import quad
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .constants import ou_kappa
 from .errors import InputError
@@ -252,7 +252,7 @@ def _gaussian_1d_ws(m1, v1, m2, v2, s):
     if abs(v1 - v2) < 1e-15:
         return abs(m1 - m2)  # translation coupling, optimal for every s
     a, b = m1 - m2, math.sqrt(v1) - math.sqrt(v2)
-    val, _ = quad(lambda u: abs(a + b * norm.ppf(u)) ** s, 0.0, 1.0, limit=200)
+    val, _ = quad(lambda u: abs(a + b * ndtri(u)) ** s, 0.0, 1.0, limit=200)
     return val ** (1.0 / s)
 
 

@@ -1,9 +1,14 @@
 """Exact Wasserstein distances.
 
 Four routes are provided: the transportation LP on finite supports, the
-quantile formula on the real line, the closed form for W2 between
-Gaussians, and the Kantorovich-Rubinstein dual LP for W1. All routes are
-exact up to LP solver tolerance; there is no entropic approximation.
+monotone (quantile) coupling on the real line, the closed form for W2
+between Gaussians, and the Kantorovich-Rubinstein dual LP for W1. On the
+real line with s >= 1 the cost |x - y|**s is convex in x - y, so the
+north-west-corner plan along the sorted supports is an optimal coupling
+(Peyre & Cuturi, *Computational Optimal Transport*, 2019, section 2.6);
+``wasserstein_exact`` returns that plan there and solves the LP elsewhere.
+All routes are exact up to floating-point rounding and LP solver
+tolerance; there is no entropic approximation.
 """
 from __future__ import annotations
 
@@ -16,7 +21,7 @@ from scipy.linalg import eigh
 from scipy.optimize import linprog
 
 from .errors import InputError, SolverError
-from .measures import DiscreteMeasure, GaussianMeasure, _point_key
+from .measures import DiscreteMeasure, GaussianMeasure, RealLine, _point_key
 
 PLAN_ATOL = 1e-10
 
@@ -52,25 +57,14 @@ class TransportPlan:
 def _resolve_space(mu: DiscreteMeasure, nu: DiscreteMeasure, space):
     if space is not None:
         return space
-    a, b = mu.resolved_space(), nu.resolved_space()
-    if mu.space is not None and nu.space is not None and mu.space is not nu.space:
-        same = (
-            type(mu.space) is type(nu.space)
-            and getattr(mu.space, "labels", None) == getattr(nu.space, "labels", None)
-            and np.array_equal(
-                getattr(mu.space, "dist", np.empty(0)), getattr(nu.space, "dist", np.empty(0))
-            )
-        )
-        if not same:
-            raise InputError("measures live on different metric spaces")
-    return a if mu.space is not None else b
+    if mu.space is not None and nu.space is not None and mu.space != nu.space:
+        raise InputError("measures live on different metric spaces")
+    return mu.resolved_space() if mu.space is not None else nu.resolved_space()
 
 
 def cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, s: float, space=None) -> np.ndarray:
     space = _resolve_space(mu, nu, space)
-    return np.array(
-        [[space.distance(x, y) ** s for y in nu.support] for x in mu.support]
-    )
+    return space.pairwise(mu.support, nu.support) ** s
 
 
 _COLGEN_THRESHOLD = 40_000
@@ -115,30 +109,30 @@ def _solve_restricted(cost, w_row, w_col, idx_i, idx_j):
     return res.x, u, v
 
 
+def _northwest_corner(w_row: np.ndarray, w_col: np.ndarray):
+    """North-west-corner plan filling rows and columns in the given order.
+
+    Returns ``(i, j, mass)``: ``mass[k]`` moves from row ``i[k]`` to column
+    ``j[k]``. The breakpoints of both cumulative weight vectors are merged;
+    each piece goes to the first row and column whose cumulative weight
+    reaches its right end, so zero-weight atoms receive nothing.
+    """
+    cum_row, cum_col = np.cumsum(w_row), np.cumsum(w_col)
+    ends = np.union1d(cum_row, cum_col)
+    mass = np.diff(ends, prepend=0.0)
+    # the two totals may differ in the last bits; the excess goes to the last atom
+    i = np.minimum(np.searchsorted(cum_row, ends), w_row.size - 1)
+    j = np.minimum(np.searchsorted(cum_col, ends), w_col.size - 1)
+    return i, j, mass
+
+
 def _northwest_band(w_row, w_col, width=2):
     """Column index set: the north-west-corner plan plus a diagonal band."""
-    nr, nc = w_row.size, w_col.size
-    pairs = set()
-    i = j = 0
-    ri, rj = float(w_row[0]), float(w_col[0])
-    while True:
-        for dj in range(-width, width + 1):
-            if 0 <= j + dj < nc:
-                pairs.add((i, j + dj))
-        step = min(ri, rj)
-        ri -= step
-        rj -= step
-        if ri <= 1e-17:
-            i += 1
-            if i == nr:
-                break
-            ri = float(w_row[i])
-        if rj <= 1e-17:
-            j += 1
-            if j == nc:
-                break
-            rj = float(w_col[j])
-    return pairs
+    i, j, _ = _northwest_corner(w_row, w_col)
+    band = j[:, None] + np.arange(-width, width + 1)[None, :]
+    rows = np.broadcast_to(i[:, None], band.shape)
+    keep = (band >= 0) & (band < w_col.size)
+    return set(zip(rows[keep].tolist(), band[keep].tolist()))
 
 
 def solve_transport_lp(cost: np.ndarray, w_row: np.ndarray, w_col: np.ndarray):
@@ -185,54 +179,53 @@ def solve_transport_lp(cost: np.ndarray, w_row: np.ndarray, w_col: np.ndarray):
     raise SolverError("column generation did not converge")
 
 
+def _monotone_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure):
+    """The monotone coupling of two real-line measures.
+
+    Returns the supports as float arrays and ``(rows, cols, mass)`` with
+    indices in input order.
+    """
+    x = np.asarray(mu.support, dtype=float)
+    y = np.asarray(nu.support, dtype=float)
+    ix, iy = np.argsort(x, kind="stable"), np.argsort(y, kind="stable")
+    i, j, mass = _northwest_corner(mu.weights[ix], nu.weights[iy])
+    return x, y, ix[i], iy[j], mass
+
+
 def wasserstein_exact(
     mu: DiscreteMeasure, nu: DiscreteMeasure, s: float, space=None
 ) -> tuple[float, TransportPlan]:
-    """W_s between discrete measures by exact linear programming.
+    """W_s between discrete measures with an optimal plan.
 
-    Returns the distance (min cost to the power 1/s) and an optimal plan.
+    On the real line the plan is the monotone coupling of the sorted
+    supports, which is optimal for every s >= 1 (see the module
+    docstring); on any other space it is an exact LP solution. Returns the
+    distance (min cost to the power 1/s) and the dense plan, whose cost is
+    ``fsum(plan * cost)``.
     """
     if not (1.0 <= s <= 2.0):
         raise InputError("order s must lie in [1, 2]")
-    cost = cost_matrix(mu, nu, s, space)
-    raw, plan = solve_transport_lp(cost, mu.weights, nu.weights)
+    space = _resolve_space(mu, nu, space)
+    if isinstance(space, RealLine):
+        x, y, rows, cols, mass = _monotone_coupling(mu, nu)
+        plan = np.zeros((len(mu), len(nu)))
+        np.add.at(plan, (rows, cols), mass)
+        # fsum is exact, so the nonzero cells alone give fsum(plan * cost)
+        r, c = np.nonzero(plan)
+        raw = math.fsum(plan[r, c] * np.abs(x[r] - y[c]) ** s)
+    else:
+        cost = cost_matrix(mu, nu, s, space)
+        raw, plan = solve_transport_lp(cost, mu.weights, nu.weights)
     plan_obj = TransportPlan(mu, nu, plan, raw, s)
     return float(max(raw, 0.0) ** (1.0 / s)), plan_obj
-
-
-def _quantile_segments(mu: DiscreteMeasure, nu: DiscreteMeasure):
-    """Merge the two weight partitions of [0, 1] along sorted supports."""
-    xi = np.argsort([float(p) for p in mu.support], kind="stable")
-    yi = np.argsort([float(p) for p in nu.support], kind="stable")
-    xs = [float(mu.support[i]) for i in xi]
-    ys = [float(nu.support[i]) for i in yi]
-    wx = [float(mu.weights[i]) for i in xi]
-    wy = [float(nu.weights[i]) for i in yi]
-    i = j = 0
-    rx, ry = wx[0], wy[0]
-    while True:
-        step = min(rx, ry)
-        yield xs[i], ys[j], step
-        rx -= step
-        ry -= step
-        # advance whichever partition is exhausted; on ties advance both
-        if rx <= 1e-17:
-            i += 1
-            if i == len(xs):
-                return
-            rx = wx[i]
-        if ry <= 1e-17:
-            j += 1
-            if j == len(ys):
-                return
-            ry = wy[j]
 
 
 def wasserstein_1d(mu: DiscreteMeasure, nu: DiscreteMeasure, s: float) -> float:
     """W_s on the real line via the exact quantile-coupling formula."""
     if not (1.0 <= s <= 2.0):
         raise InputError("order s must lie in [1, 2]")
-    total = math.fsum(abs(x - y) ** s * w for x, y, w in _quantile_segments(mu, nu))
+    x, y, rows, cols, mass = _monotone_coupling(mu, nu)
+    total = math.fsum(mass * np.abs(x[rows] - y[cols]) ** s)
     return float(max(total, 0.0) ** (1.0 / s))
 
 
@@ -274,21 +267,17 @@ def kantorovich_dual_w1(
         c[seen[_point_key(p)]] += w
     for p, w in zip(nu.support, nu.weights):
         c[seen[_point_key(p)]] -= w
-    rows, cols, data, b_ub = [], [], [], []
-    r = 0
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            rows += [r, r]
-            cols += [i, j]
-            data += [1.0, -1.0]
-            b_ub.append(space.distance(points[i], points[j]))
-            r += 1
-    a_ub = sparse.csr_matrix((data, (rows, cols)), shape=(r, n))
+    # one row f_i - f_j <= d(x_i, x_j) per ordered pair i != j
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    r = i.size
+    a_ub = sparse.csr_matrix(
+        (np.tile([1.0, -1.0], r), (np.repeat(np.arange(r), 2), np.column_stack([i, j]).ravel())),
+        shape=(r, n),
+    )
+    b_ub = space.pairwise(points, points)[i, j]
     bounds = [(0.0, 0.0)] + [(None, None)] * (n - 1)
     res = linprog(
-        -c, A_ub=a_ub, b_ub=np.array(b_ub), bounds=bounds, method="highs",
+        -c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs",
         options={
             "primal_feasibility_tolerance": 1e-10,
             "dual_feasibility_tolerance": 1e-10,

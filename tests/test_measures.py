@@ -11,6 +11,7 @@ from concentra import (
     REAL_LINE,
     empirical_measure,
 )
+from concentra.coupling import _LabelLine
 from concentra.measures import moment_order_s, product_distance
 
 
@@ -101,3 +102,45 @@ def test_empirical_tv_converges():
     mu = empirical_measure([float(v) for v in draws])
     target = DiscreteMeasure((0.0, 1.0, 2.0), probs)
     assert mu.total_variation(target) < 0.02
+
+
+def _metric(rng, n):
+    """Euclidean distances between random points of the plane."""
+    pts = rng.normal(size=(n, 2))
+    d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
+    return (d + d.T) / 2.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["real", "finite", "label", "product-real", "product-finite"]),
+    st.sampled_from([1.0, 1.5, 2.0]),
+    st.integers(min_value=0, max_value=10_000),
+)
+def test_pairwise_matches_scalar_distance(kind, order, seed):
+    rng = np.random.default_rng(seed)
+    n, m, k = (int(v) for v in rng.integers(1, 8, size=3))
+    finite = FiniteMetricSpace(tuple(range(6)), _metric(rng, 6))
+    if kind == "real":
+        space, xs, ys = REAL_LINE, list(rng.normal(size=n)), list(rng.normal(size=m))
+    elif kind in ("finite", "label"):
+        space = finite if kind == "finite" else _LabelLine(rng.normal(size=6))
+        xs, ys = list(rng.integers(0, 6, size=n)), list(rng.integers(0, 6, size=m))
+    elif kind == "product-real":
+        space = ProductSpace(REAL_LINE, k, order)
+        xs = [tuple(p) for p in rng.normal(size=(n, k))]
+        ys = [tuple(p) for p in rng.normal(size=(m, k))]
+    else:
+        space = ProductSpace(finite, k, order)
+        xs = [tuple(int(v) for v in p) for p in rng.integers(0, 6, size=(n, k))]
+        ys = [tuple(int(v) for v in p) for p in rng.integers(0, 6, size=(m, k))]
+    scalar = np.array([[space.distance(x, y) for y in ys] for x in xs])
+    np.testing.assert_allclose(space.pairwise(xs, ys), scalar, rtol=1e-12, atol=1e-15)
+
+
+def test_product_pairwise_rejects_length_mismatch():
+    sp = ProductSpace(REAL_LINE, 2, 1.0)
+    with pytest.raises(InputError):
+        sp.pairwise([(0.0, 1.0)], [(0.0, 1.0, 2.0)])
+    with pytest.raises(InputError):
+        sp.pairwise([(0.0, 1.0), (0.0,)], [(0.0, 1.0)])

@@ -1,16 +1,20 @@
-import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
+from scipy.optimize import linprog
 
 from concentra import (
+    REAL_LINE,
     DiscreteMeasure,
     FiniteMetricSpace,
     GaussianMeasure,
     InputError,
+    ProductSpace,
     kantorovich_dual_w1,
+    solve_transport_lp,
     wasserstein_1d,
     wasserstein_exact,
     wasserstein_gaussian_w2,
@@ -59,16 +63,71 @@ def _random_metric(rng, n):
     return w
 
 
+def _broadcast_cost(mu, nu, s):
+    x, y = np.array(mu.support, dtype=float), np.array(nu.support, dtype=float)
+    return np.abs(x[:, None] - y[None, :]) ** s
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_quantile_formula_matches_lp(seed):
+    """Both real-line routes agree with the LP on a broadcast cost matrix."""
     rng = np.random.default_rng(seed)
     n, m = rng.integers(2, 7), rng.integers(2, 7)
     mu = DiscreteMeasure(tuple(rng.normal(size=n)), rng.dirichlet(np.ones(n)))
     nu = DiscreteMeasure(tuple(rng.normal(size=m)), rng.dirichlet(np.ones(m)))
     for s in (1.0, 1.5, 2.0):
-        lp = wasserstein_exact(mu, nu, s)[0]
-        qd = wasserstein_1d(mu, nu, s)
-        assert qd == pytest.approx(lp, abs=1e-8)
+        raw, _ = solve_transport_lp(_broadcast_cost(mu, nu, s), mu.weights, nu.weights)
+        lp = max(raw, 0.0) ** (1.0 / s)
+        assert wasserstein_1d(mu, nu, s) == pytest.approx(lp, abs=1e-8)
+        assert wasserstein_exact(mu, nu, s)[0] == pytest.approx(lp, abs=1e-8)
+
+
+def _weights_with_zeros(rng, n, zeros):
+    w = rng.dirichlet(np.ones(n))
+    w[rng.choice(n, min(zeros, n - 1), replace=False)] = 0.0
+    return w / w.sum()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=50),
+    st.integers(min_value=1, max_value=50),
+    st.sampled_from([1.0, 1.5, 2.0]),
+    st.integers(min_value=0, max_value=5),
+    st.integers(min_value=0, max_value=10_000),
+)
+def test_real_line_plan_is_lp_optimal(n, m, s, zeros, seed):
+    """The monotone plan is feasible and attains the LP optimum."""
+    rng = np.random.default_rng(seed)
+    # unsorted supports on a shared grid, so the two measures share atoms
+    grid = np.linspace(-3.0, 3.0, 121)
+    mu = DiscreteMeasure(tuple(rng.choice(grid, n, replace=False)), _weights_with_zeros(rng, n, zeros))
+    nu = DiscreteMeasure(tuple(rng.choice(grid, m, replace=False)), _weights_with_zeros(rng, m, zeros))
+    cost = _broadcast_cost(mu, nu, s)
+    value, plan = wasserstein_exact(mu, nu, s)
+    plan.validate(cost)
+    lp, _ = solve_transport_lp(cost, mu.weights, nu.weights)
+    assert plan.cost == pytest.approx(lp, abs=1e-9)
+    assert value == pytest.approx(max(plan.cost, 0.0) ** (1.0 / s), rel=1e-12)
+
+
+def test_column_generation_matches_full_lp():
+    """Above the column-generation threshold the optimum equals a dense LP's."""
+    rng = np.random.default_rng(3)
+    n, m = 210, 200
+    p, q = rng.normal(size=(n, 2)), rng.normal(size=(m, 2))
+    mu = DiscreteMeasure(tuple(map(tuple, p)), _weights_with_zeros(rng, n, 3))
+    nu = DiscreteMeasure(tuple(map(tuple, q)), _weights_with_zeros(rng, m, 2))
+    cost = np.abs(p[:, None, :] - q[None, :, :]).sum(axis=-1)
+    _, plan = wasserstein_exact(mu, nu, 1.0)
+    plan.validate(cost)
+    a_eq = sparse.vstack(
+        [sparse.kron(sparse.eye(n), np.ones((1, m))), sparse.kron(np.ones((1, n)), sparse.eye(m))]
+    )
+    b_eq = np.concatenate([mu.weights, nu.weights])
+    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    assert res.success
+    assert plan.cost == pytest.approx(res.fun, abs=1e-9)
 
 
 @settings(max_examples=60, deadline=None)
@@ -155,6 +214,22 @@ def test_mismatched_spaces_rejected():
         wasserstein_exact(mu, nu, 1.0)
 
 
+def test_product_spaces_of_different_order_rejected():
+    pts = ((0.0, 0.0), (1.0, 1.0))
+    a = DiscreteMeasure(pts, np.array([0.5, 0.5]), space=ProductSpace(REAL_LINE, 2, 1.0))
+    b = DiscreteMeasure(pts, np.array([1.0, 0.0]), space=ProductSpace(REAL_LINE, 2, 2.0))
+    for mu, nu in ((a, b), (b, a)):
+        with pytest.raises(InputError):
+            wasserstein_exact(mu, nu, 1.0)
+    # equal spaces built separately are the same space
+    c = DiscreteMeasure(pts, np.array([1.0, 0.0]), space=ProductSpace(REAL_LINE, 2, 1.0))
+    assert wasserstein_exact(a, c, 1.0)[0] == pytest.approx(1.0, abs=1e-10)
+    d = np.array([[0.0, 1.0], [1.0, 0.0]])
+    mu = DiscreteMeasure((0, 1), np.array([0.5, 0.5]), space=FiniteMetricSpace((0, 1), d))
+    nu = DiscreteMeasure((0, 1), np.array([1.0, 0.0]), space=FiniteMetricSpace((0, 1), d.copy()))
+    assert wasserstein_exact(mu, nu, 1.0)[0] == pytest.approx(0.5, abs=1e-10)
+
+
 def test_exhaustive_three_point_plans():
     """Oracle: enumerate vertex couplings of a 3x3 instance on a grid."""
     rng = np.random.default_rng(11)
@@ -165,19 +240,25 @@ def test_exhaustive_three_point_plans():
     d = np.abs(np.subtract.outer(xs, xs))
     best = math.inf
     grid = np.linspace(0, 1, 41)
-    for p00, p01, p10, p11 in itertools.product(grid, repeat=4):
-        plan = np.array(
+    # all (p01, p10, p11) for one p00 at a time
+    p01, p10, p11 = (v.ravel() for v in np.meshgrid(grid, grid, grid, indexing="ij"))
+    for p00 in grid:
+        plans = np.stack(
             [
-                [p00, p01, a[0] - p00 - p01],
-                [p10, p11, a[1] - p10 - p11],
-                [
-                    b[0] - p00 - p10,
-                    b[1] - p01 - p11,
-                    a[2] - (b[0] - p00 - p10) - (b[1] - p01 - p11),
-                ],
-            ]
+                np.full_like(p01, p00),
+                p01,
+                a[0] - p00 - p01,
+                p10,
+                p11,
+                a[1] - p10 - p11,
+                b[0] - p00 - p10,
+                b[1] - p01 - p11,
+                a[2] - (b[0] - p00 - p10) - (b[1] - p01 - p11),
+            ],
+            axis=1,
         )
-        if np.all(plan >= -1e-12):
-            best = min(best, float((plan * d).sum()))
+        feasible = np.all(plans >= -1e-12, axis=1)
+        if feasible.any():
+            best = min(best, float((plans[feasible] * d.ravel()).sum(axis=1).min()))
     lp = wasserstein_exact(mu, nu, 1.0)[0]
     assert lp <= best + 1e-9
