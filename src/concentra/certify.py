@@ -6,12 +6,21 @@ member of the generated test family violates the inequality at the given
 constant. Certificates therefore record the family size and a witness
 that re-evaluates to the reported worst slack, so every verdict can be
 replayed.
+
+The GC and T_s families are scored as arrays, with the same members,
+t-grid and family sizes as a member-by-member loop: the Lipschitz family
+is a matrix with one test function per row, and T_s perturbations are
+weight rows on the support of mu. Evaluation runs in blocks of about
+``_BLOCK`` floats, so working memory stays proportional to the family
+size times the support size. The scalar slacks ``gc_slack``,
+``transport_slack`` and ``lsi_slack`` are the reference that ``replay``
+evaluates.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -19,8 +28,8 @@ from scipy.special import logsumexp
 
 from .entropy import relative_entropy_discrete
 from .errors import InputError
-from .measures import DiscreteMeasure, REAL_LINE
-from .transport import wasserstein_1d, wasserstein_exact
+from .measures import DiscreteMeasure, RealLine, _point_key
+from .transport import solve_transport_lp, wasserstein_1d, wasserstein_exact
 
 GC = "GC"
 TS = "T_s"
@@ -28,6 +37,7 @@ LSI = "LSI"
 
 SLACK_TOL = 1e-9
 REPLAY_TOL = 1e-9
+_BLOCK = 1 << 14  # floats per temporary array of a batched evaluation
 
 
 @dataclass(frozen=True)
@@ -63,66 +73,58 @@ def _support_distances(mu: DiscreteMeasure) -> np.ndarray:
     return mu.resolved_space().pairwise(mu.support, mu.support)
 
 
+def _blocks(count: int, per_item: int) -> list[slice]:
+    """Consecutive slices of range(count), each covering about _BLOCK floats
+    when every item takes ``per_item`` of them."""
+    step = max(1, _BLOCK // max(per_item, 1))
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
+
+
 def lipschitz_polytope_vertices(dist: np.ndarray) -> list[np.ndarray]:
     """All extreme 1-Lipschitz functions on a small metric space, up to an
     additive constant (anchored at point 0).
 
     A vertex is determined by a spanning tree of tight constraints
-    f_i - f_j = +/- d_ij; every tree/sign assignment is solved by
-    traversal and kept when it satisfies all remaining constraints.
+    f_i - f_j = +/- d_ij. An (n-1)-edge subset is a spanning tree exactly
+    when its incidence matrix without the column of point 0 is
+    nonsingular, and the inverse of that matrix is integral (incidence
+    matrices are totally unimodular). Every tree is solved at once for
+    each sign pattern, and a solution is kept when it satisfies all
+    remaining constraints.
     """
     n = dist.shape[0]
     if n > 6:
         raise InputError("vertex enumeration is limited to 6 points")
     if n == 1:
         return [np.zeros(1)]
-    edges = list(itertools.combinations(range(n), 2))
-    out = {}
-    for tree in itertools.combinations(edges, n - 1):
-        parent = list(range(n))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        ok = True
-        for i, j in tree:
-            ri, rj = find(i), find(j)
-            if ri == rj:
-                ok = False
-                break
-            parent[ri] = rj
-        if not ok:
-            continue
-        adj = {i: [] for i in range(n)}
-        for idx, (i, j) in enumerate(tree):
-            adj[i].append((j, idx))
-            adj[j].append((i, idx))
-        for signs in itertools.product((1.0, -1.0), repeat=n - 1):
-            f = np.full(n, np.nan)
-            f[0] = 0.0
-            stack = [0]
-            while stack:
-                u = stack.pop()
-                for v, idx in adj[u]:
-                    if not np.isnan(f[v]):
-                        continue
-                    i, j = tree[idx]
-                    delta = signs[idx] * dist[i, j]  # f_i - f_j = delta
-                    f[v] = f[u] + delta if v == i else f[u] - delta
-                    stack.append(v)
-            gaps = np.abs(f[:, None] - f[None, :])
-            if np.max(gaps - dist) <= 1e-12:
-                out[tuple(np.round(f, 12))] = f
-    return list(out.values())
+    ei, ej = np.triu_indices(n, 1)
+    subsets = np.array(list(itertools.combinations(range(ei.size), n - 1)))
+    incidence = np.zeros((len(subsets), n - 1, n))
+    sub, edge = np.indices(subsets.shape)
+    incidence[sub, edge, ei[subsets]] = 1.0
+    incidence[sub, edge, ej[subsets]] = -1.0
+    incidence = incidence[:, :, 1:]
+    trees = np.abs(np.linalg.det(incidence)) > 0.5
+    paths = np.rint(np.linalg.inv(incidence[trees]))
+    lengths = dist[ei, ej][subsets[trees]]
+    bound = np.minimum(dist, dist.T)[ei, ej]
+    found = []
+    # one sign pattern at a time: all tree x sign candidates together would
+    # be 41,472 rows at n = 6
+    for signs in itertools.product((1.0, -1.0), repeat=n - 1):
+        f = np.zeros((len(paths), n))
+        f[:, 1:] = np.einsum("tij,tj->ti", paths, lengths * np.array(signs))
+        ok = np.all(np.abs(f[:, ei] - f[:, ej]) - bound <= 1e-12, axis=1)
+        found.append(f[ok])
+    verts = np.concatenate(found)
+    _, first = np.unique(np.round(verts, 12), axis=0, return_index=True)
+    return list(verts[np.sort(first)])
 
 
 def lipschitz_family(
     mu: DiscreteMeasure, family_size: int = 64, seed: int = 0
-) -> list[np.ndarray]:
-    """1-Lipschitz test functions evaluated on the support of ``mu``.
+) -> np.ndarray:
+    """1-Lipschitz test functions on the support of ``mu``, one per row.
 
     Distance functions to each support point, seeded McShane extensions
     min_j (v_j + d(x, x_j)), and (on supports of at most 6 points) every
@@ -130,15 +132,13 @@ def lipschitz_family(
     """
     dist = _support_distances(mu)
     n = dist.shape[0]
-    family = [dist[:, j].copy() for j in range(n)]
     diam = float(dist.max()) or 1.0
-    rng = np.random.default_rng(seed)
-    for _ in range(family_size):
-        v = rng.uniform(0.0, diam, size=n)
-        family.append(np.min(v[None, :] + dist, axis=1))
-    if n <= 6:
-        family.extend(lipschitz_polytope_vertices(dist))
-    return family
+    v = np.random.default_rng(seed).uniform(0.0, diam, size=(family_size, n))
+    mcshane = np.empty((family_size, n))
+    for b in _blocks(family_size, n * n):
+        mcshane[b] = np.min(v[b, None, :] + dist[None, :, :], axis=2)
+    vertices = lipschitz_polytope_vertices(dist) if n <= 6 else []
+    return np.vstack([dist.T, mcshane, *vertices])
 
 
 def default_t_grid() -> np.ndarray:
@@ -163,58 +163,133 @@ def check_gc(
     family_size: int = 64,
     seed: int = 0,
 ) -> Certificate:
-    """Certify or falsify the sub-Gaussian MGF bound at constant kappa."""
+    """Certify or falsify the sub-Gaussian MGF bound at constant kappa.
+
+    The slack ``gc_slack`` of every test function at every t is computed
+    at once, a block of t values per ``logsumexp``.
+    """
     if kappa <= 0:
         raise InputError("kappa must be positive")
     t_grid = default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
+    if t_grid.size == 0:
+        raise InputError("empty t grid")
     family = lipschitz_family(mu, family_size, seed)
-    worst = -math.inf
-    witness = {}
-    count = 0
-    for fi, f in enumerate(family):
-        zero = gc_slack(mu, kappa, f, 0.0)
-        assert abs(zero) < 1e-12, "GC slack must vanish at t = 0"
-        for t in t_grid:
-            count += 1
-            s = gc_slack(mu, kappa, f, float(t))
-            if s > worst:
-                worst = s
-                witness = {"f_values": [float(v) for v in f], "t": float(t), "family_index": fi}
+    mask = mu.weights > 0
+    logw = np.log(mu.weights[mask])
+    assert abs(logsumexp(logw)) < 1e-12, "GC slack must vanish at t = 0"
+    values = family[:, mask]
+    means = family @ mu.weights
+    slack = np.empty((len(family), t_grid.size))
+    for b in _blocks(t_grid.size, values.size):
+        t = t_grid[b, None]
+        lse = logsumexp(logw + t[:, :, None] * values, axis=2)
+        slack[:, b] = (lse - t * means - kappa * t**2 / 2.0).T
+    # the first maximum in (member, t) order
+    fi, ti = np.unravel_index(np.argmax(slack), slack.shape)
+    worst = float(slack[fi, ti])
     return Certificate(
         inequality=GC,
         constant=float(kappa),
         order_s=None,
-        worst_slack=float(worst),
-        witness=witness,
+        worst_slack=worst,
+        witness={"f_values": [float(v) for v in family[fi]], "t": float(t_grid[ti]), "family_index": int(fi)},
         verdict=_verdict(worst, SLACK_TOL),
-        search_size=count,
+        search_size=slack.size,
         family=f"dist+mcshane[{family_size}]" + ("+vertices" if len(mu) <= 6 else ""),
     )
 
 
-def tilt_family(
-    mu: DiscreteMeasure,
-    seed: int = 0,
-    family_size: int = 24,
-    t_grid: Sequence[float] | None = None,
-) -> list[DiscreteMeasure]:
-    """Default perturbations: exponential tilts e^{tF} mu of the Lipschitz
-    family, plus seeded random reweightings."""
-    t_grid = default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
-    t_grid = [t for t in t_grid if t != 0.0 and abs(t) <= 2.0]
+def _tilt_rows(mu: DiscreteMeasure, seed: int) -> np.ndarray:
+    """Default perturbations as weight rows on the support of ``mu``: mu
+    itself, the exponential tilts e^{tF} mu of a Lipschitz family for
+    0 < |t| <= 2 on the default t-grid, then 24 seeded Dirichlet
+    reweightings."""
+    t = default_t_grid()
+    t = t[(t != 0.0) & (np.abs(t) <= 2.0)]
     family = lipschitz_family(mu, family_size=8, seed=seed)
-    out = [mu]
-    w = mu.weights
-    for f in family:
-        for t in t_grid:
-            logits = np.log(np.where(w > 0, w, 1e-300)) + t * f
-            weights = np.exp(logits - logsumexp(logits))
-            out.append(DiscreteMeasure(mu.support, weights / weights.sum(), space=mu.space))
-    rng = np.random.default_rng(seed + 1)
-    for _ in range(family_size):
-        weights = rng.dirichlet(np.ones(len(mu)))
-        out.append(DiscreteMeasure(mu.support, weights, space=mu.space))
-    return out
+    n, w = len(mu), mu.weights
+    tilts = len(family) * t.size
+    rows = np.empty((1 + tilts + 24, n))
+    rows[0] = w
+    logits = rows[1 : 1 + tilts].reshape(len(family), t.size, n)
+    np.multiply(t[None, :, None], family[:, None, :], out=logits)
+    logits += np.log(np.where(w > 0, w, 1e-300))
+    logits -= logits.max(axis=2, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=2, keepdims=True)
+    rows[1 + tilts :] = np.random.default_rng(seed + 1).dirichlet(np.ones(n), size=24)
+    return rows
+
+
+def _member_rows(family: list, mu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:
+    """User perturbations as weight rows on the support of ``mu``, and the
+    mask of members with mass off that support."""
+    index = {_point_key(p): i for i, p in enumerate(mu.support)}
+    rows = np.zeros((len(family), len(mu)))
+    off = np.zeros(len(family), dtype=bool)
+    for r, nu in enumerate(family):
+        if nu.space is not None and mu.space is not None and nu.space != mu.space:
+            raise InputError("measures live on different metric spaces")
+        for p, w in zip(nu.support, nu.weights):
+            if w > 0:
+                i = index.get(_point_key(p))
+                if i is None:
+                    off[r] = True
+                else:
+                    rows[r, i] = w
+    return rows, off
+
+
+def _row_entropy(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Ent(nu_r | mu) for weight rows nu_r on the support of mu (weights
+    ``w``); +inf for a row with mass on a zero-weight atom."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(rows > 0, rows * np.log(rows / w), 0.0)
+    return np.maximum(terms.sum(axis=1), 0.0)
+
+
+def _line_wasserstein(rows: np.ndarray, mu: DiscreteMeasure, s: float) -> np.ndarray:
+    """W_s(nu_r, mu) on the real line for weight rows nu_r on mu's support.
+
+    One north-west-corner walk serves every row, as in ``wasserstein_1d``:
+    a row's cumulative weights and mu's are merged by a stable sort, and
+    each merged piece moves from the row atom to the mu atom whose
+    cumulative weights first reach its right end. For a piece of positive
+    mass those are the numbers of each side's breakpoints sorted before
+    it. The excess of the larger total goes to the last atoms.
+    """
+    x = np.asarray(mu.support, dtype=float)
+    n = x.size
+    order = np.argsort(x, kind="stable")
+    cum = np.cumsum(rows[:, order], axis=1)
+    merged = np.concatenate([cum, np.broadcast_to(np.cumsum(mu.weights[order]), cum.shape)], axis=1)
+    pos = np.argsort(merged, axis=1, kind="stable")
+    mass = np.diff(np.take_along_axis(merged, pos, axis=1), axis=1, prepend=0.0)
+    from_row = pos < n
+    i = np.cumsum(from_row, axis=1) - from_row
+    j = np.arange(2 * n) - i
+    xs = x[order]
+    gap = np.abs(xs[np.minimum(i, n - 1)] - xs[np.minimum(j, n - 1)])
+    return np.maximum(np.sum(mass * gap**s, axis=1), 0.0) ** (1.0 / s)
+
+
+def _transport_slacks(rows, off, mu: DiscreteMeasure, alpha: float, s: float) -> np.ndarray:
+    """``transport_slack`` of every weight row on the support of mu; -inf
+    where Ent is infinite or ``off`` marks mass off the support."""
+    slack = np.full(len(rows), -math.inf)
+    line = isinstance(mu.resolved_space(), RealLine)
+    cost = None if line else _support_distances(mu) ** s
+    for b in _blocks(len(rows), 2 * len(mu)):
+        ent = _row_entropy(rows[b], mu.weights)
+        live = np.isfinite(ent) & ~off[b]
+        block = rows[b][live]
+        if line:
+            ws = _line_wasserstein(block, mu, s)
+        else:
+            raw = [solve_transport_lp(cost, row, mu.weights)[0] for row in block]
+            ws = np.maximum(raw, 0.0) ** (1.0 / s)
+        slack[b][live] = ws - np.sqrt(2.0 * ent[live] / alpha)
+    return slack
 
 
 def _ws(nu: DiscreteMeasure, mu: DiscreteMeasure, s: float) -> float:
@@ -238,31 +313,39 @@ def check_transport(
     seed: int = 0,
 ) -> Certificate:
     """Certify or falsify W_s(nu, mu) <= sqrt(2 Ent(nu|mu) / alpha) over a
-    perturbation family."""
+    perturbation family.
+
+    Every member is scored as a weight row on the support of mu; a member
+    with mass off that support scores -inf. On the real line W_s of all
+    rows comes from one batched north-west-corner walk, elsewhere from one
+    transport LP per row.
+    """
     if alpha <= 0:
         raise InputError("alpha must be positive")
-    family = tilt_family(mu, seed) if perturbation_family is None else list(perturbation_family)
-    if not family:
-        raise InputError("empty perturbation family")
-    worst = -math.inf
+    if perturbation_family is None:
+        members = None
+        rows = _tilt_rows(mu, seed)
+        off = np.zeros(len(rows), dtype=bool)
+    else:
+        members = list(perturbation_family)
+        if not members:
+            raise InputError("empty perturbation family")
+        rows, off = _member_rows(members, mu)
+    slack = _transport_slacks(rows, off, mu, alpha, s)
+    i = int(np.argmax(slack))  # the first maximum
+    worst = float(slack[i])
     witness = {}
-    for i, nu in enumerate(family):
-        slack = transport_slack(nu, mu, alpha, s)
-        if slack > worst:
-            worst = slack
-            witness = {
-                "family_index": i,
-                "support": [p for p in nu.support],
-                "weights": [float(w) for w in nu.weights],
-            }
+    if worst > -math.inf:
+        support, weights = (mu.support, rows[i]) if members is None else (members[i].support, members[i].weights)
+        witness = {"family_index": i, "support": list(support), "weights": [float(w) for w in weights]}
     return Certificate(
         inequality=TS,
         constant=float(alpha),
         order_s=float(s),
-        worst_slack=float(worst),
+        worst_slack=worst,
         witness=witness,
         verdict=_verdict(worst, SLACK_TOL),
-        search_size=len(family),
+        search_size=len(rows),
         family="tilts+dirichlet" if perturbation_family is None else "user",
     )
 

@@ -56,7 +56,7 @@ class FiniteMetricSpace:
     """Labeled points with a dense symmetric distance matrix.
 
     Points are referred to by integer index; ``labels`` is kept for IO.
-    The matrix must be symmetric with a zero diagonal and satisfy the
+    The matrix must be finite, symmetric with a zero diagonal and satisfy the
     triangle inequality within ``METRIC_ATOL`` (checked exhaustively up to
     512 points, on sampled centers beyond that). Two spaces are equal when
     their labels and distance matrices are.
@@ -74,6 +74,8 @@ class FiniteMetricSpace:
             raise InputError("labels and distance matrix size mismatch")
         if n > MAX_SUPPORT:
             raise InputError(f"space exceeds the {MAX_SUPPORT}-point cap")
+        if not np.all(np.isfinite(d)):
+            raise InputError("distances must be finite")
         if np.any(d < 0):
             raise InputError("distances must be nonnegative")
         if np.any(np.abs(np.diag(d)) > 0):
@@ -179,8 +181,10 @@ class DiscreteMeasure:
 
     Support points are integer indices into ``space`` when one is given,
     plain reals (space = the real line) or tuples (product spaces).
-    Weights summing to 1 within ``WEIGHT_SLACK`` are renormalized; worse
-    deviations are rejected as genuine bugs.
+    Weights must be finite. Weights summing to 1 within ``WEIGHT_SLACK``
+    are renormalized; worse deviations are rejected as genuine bugs.
+    Weights already within ``len(weights)`` machine epsilons of 1 are kept
+    as given, so a measure rebuilt from its own weights is bit-identical.
     """
 
     support: tuple
@@ -196,6 +200,8 @@ class DiscreteMeasure:
             raise InputError(f"support exceeds the {MAX_SUPPORT}-point cap")
         if w.shape != (len(support),):
             raise InputError("weights must match the support length")
+        if not np.all(np.isfinite(w)):
+            raise InputError("weights must be finite")
         if np.any(w < 0):
             raise InputError("weights must be nonnegative")
         total = float(np.sum(w))
@@ -204,8 +210,10 @@ class DiscreteMeasure:
         keys = [_point_key(p) for p in support]
         if len(set(keys)) != len(keys):
             raise InputError("support points must be pairwise distinct")
+        if abs(total - 1.0) > len(w) * np.finfo(float).eps:
+            w = w / total
         object.__setattr__(self, "support", support)
-        object.__setattr__(self, "weights", _frozen_array(w / total))
+        object.__setattr__(self, "weights", _frozen_array(w))
 
     def __len__(self) -> int:
         return len(self.support)

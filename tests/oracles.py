@@ -1,10 +1,14 @@
-"""Independent direct-summation oracles for the closed-form constants.
+"""Independent direct-summation oracles for the closed-form constants,
+and a traversal oracle for the Lipschitz polytope vertices.
 
 These deliberately avoid the library's closed forms: every sum is an
 explicit loop, every power a literal, so a regression in the formulas
 cannot hide in shared code.
 """
+import itertools
 import math
+
+import numpy as np
 
 
 def oracle_gc_markov(kappa1, L, n):
@@ -87,3 +91,57 @@ def oracle_ou(rho, tau, n, x):
     for i in range(1, n + 1):
         mean += x * theta**i
     return {"theta": theta, "sigma2": sigma2, "kappa_n": sigma2 * kappa, "mean_Fn": mean}
+
+
+def oracle_lipschitz_vertices(dist):
+    """Extreme 1-Lipschitz functions anchored at point 0, by traversal.
+
+    Every (n-1)-edge subset is tested for being a spanning tree with a
+    union-find; each tree and sign assignment f_i - f_j = +/- d_ij is
+    solved by walking the tree from point 0 and kept when it satisfies
+    every constraint.
+    """
+    n = dist.shape[0]
+    if n == 1:
+        return [np.zeros(1)]
+    edges = list(itertools.combinations(range(n), 2))
+    out = {}
+    for tree in itertools.combinations(edges, n - 1):
+        parent = list(range(n))
+
+        def find(i):
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
+
+        ok = True
+        for i, j in tree:
+            ri, rj = find(i), find(j)
+            if ri == rj:
+                ok = False
+                break
+            parent[ri] = rj
+        if not ok:
+            continue
+        adj = {i: [] for i in range(n)}
+        for idx, (i, j) in enumerate(tree):
+            adj[i].append((j, idx))
+            adj[j].append((i, idx))
+        for signs in itertools.product((1.0, -1.0), repeat=n - 1):
+            f = np.full(n, np.nan)
+            f[0] = 0.0
+            stack = [0]
+            while stack:
+                u = stack.pop()
+                for v, idx in adj[u]:
+                    if not np.isnan(f[v]):
+                        continue
+                    i, j = tree[idx]
+                    delta = signs[idx] * dist[i, j]  # f_i - f_j = delta
+                    f[v] = f[u] + delta if v == i else f[u] - delta
+                    stack.append(v)
+            gaps = np.abs(f[:, None] - f[None, :])
+            if np.max(gaps - dist) <= 1e-12:
+                out[tuple(np.round(f, 12))] = f
+    return list(out.values())

@@ -1,7 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.special import logsumexp
+
+import oracles
 
 from concentra import (
     DiscreteMeasure,
@@ -16,10 +21,15 @@ from concentra import (
 )
 from concentra.certify import (
     Certificate,
+    _line_wasserstein,
+    _tilt_rows,
+    default_t_grid,
     gc_slack,
     lipschitz_family,
     lipschitz_polytope_vertices,
+    transport_slack,
 )
+from concentra.transport import wasserstein_1d
 
 TWO_POINT = DiscreteMeasure((0.0, 1.0), np.array([0.5, 0.5]))
 
@@ -178,3 +188,202 @@ def test_certificates_record_search_metadata():
     assert cert.search_size > 0
     assert "mcshane" in cert.family
     assert cert.witness["t"] is not None
+
+
+def _random_measure(rng, n, kind, zero_atoms=False):
+    """A measure on n distinct points of the line or of a random finite space."""
+    w = rng.dirichlet(np.ones(n))
+    if zero_atoms and n > 1:
+        w[rng.integers(0, n)] = 0.0
+        w = w / w.sum()
+    if kind == "line":
+        x = rng.permutation(np.arange(n) * 0.37 + rng.normal(0.0, 0.1, n))
+        return DiscreteMeasure(tuple(x.tolist()), w)
+    pts = np.round(rng.normal(size=(n, 2)), 1)  # rounding ties some distances
+    d = np.abs(pts[:, None, :] - pts[None, :, :]).sum(-1)
+    space = FiniteMetricSpace(tuple(range(n)), d)
+    return DiscreteMeasure(tuple(range(n)), w, space=space)
+
+
+def _oracle_tilt_family(mu, seed):
+    """The default T_s family as explicit measures, one member at a time."""
+    t_grid = [t for t in default_t_grid() if t != 0.0 and abs(t) <= 2.0]
+    w = mu.weights
+    out = [mu]
+    for f in lipschitz_family(mu, family_size=8, seed=seed):
+        for t in t_grid:
+            logits = np.log(np.where(w > 0, w, 1e-300)) + t * f
+            weights = np.exp(logits - logsumexp(logits))
+            out.append(DiscreteMeasure(mu.support, weights / weights.sum(), space=mu.space))
+    rng = np.random.default_rng(seed + 1)
+    for _ in range(24):
+        out.append(DiscreteMeasure(mu.support, rng.dirichlet(np.ones(len(mu))), space=mu.space))
+    return out
+
+
+def _assert_matches_oracle(cert, slacks, witness_index, **replay_data):
+    """Verdict, search size and worst slack equal the scalar maximum, and
+    the witness is a maximizer that replays."""
+    worst = max(slacks)
+    assert cert.search_size == len(slacks)
+    assert cert.verdict == ("pass" if worst <= cert.tolerance else "fail")
+    assert cert.worst_slack == pytest.approx(worst, rel=0, abs=1e-12)
+    assert slacks[witness_index] == pytest.approx(worst, rel=0, abs=1e-12)
+    assert replay(cert, **replay_data) == pytest.approx(cert.worst_slack, rel=0, abs=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=40),
+    st.sampled_from(["line", "finite"]),
+    st.integers(min_value=0, max_value=10_000),
+    st.booleans(),
+)
+def test_check_gc_matches_scalar_oracle(n, kind, seed, zero_atoms):
+    rng = np.random.default_rng(seed)
+    mu = _random_measure(rng, n, kind, zero_atoms)
+    kappa = float(rng.uniform(0.01, 1.0))
+    cert = check_gc(mu, kappa, family_size=8, seed=seed)
+    slacks = [
+        gc_slack(mu, kappa, f, float(t))
+        for f in lipschitz_family(mu, family_size=8, seed=seed)
+        for t in default_t_grid()
+    ]
+    at = cert.witness["family_index"] * default_t_grid().size
+    at += list(default_t_grid()).index(cert.witness["t"])
+    _assert_matches_oracle(cert, slacks, at, mu=mu)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=40),
+    st.sampled_from([1.0, 1.5, 2.0]),
+    st.integers(min_value=0, max_value=10_000),
+    st.booleans(),
+)
+def test_check_transport_default_family_matches_scalar_oracle(n, s, seed, zero_atoms):
+    rng = np.random.default_rng(seed)
+    mu = _random_measure(rng, n, "line", zero_atoms)
+    alpha = float(rng.uniform(0.5, 20.0))
+    cert = check_transport(mu, alpha, s, seed=seed)
+    slacks = [transport_slack(nu, mu, alpha, s) for nu in _oracle_tilt_family(mu, seed)]
+    _assert_matches_oracle(cert, slacks, cert.witness["family_index"], mu=mu)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=40),
+    st.sampled_from(["line", "finite"]),
+    st.sampled_from([1.0, 1.5, 2.0]),
+    st.integers(min_value=0, max_value=10_000),
+)
+def test_check_transport_user_family_matches_scalar_oracle(n, kind, s, seed):
+    rng = np.random.default_rng(seed)
+    mu = _random_measure(rng, n, kind)
+    members = [mu]
+    for _ in range(6):
+        members.append(DiscreteMeasure(mu.support, rng.dirichlet(np.ones(n)), space=mu.space))
+    # a member on a subset of mu's support, listed in another order
+    sub = rng.permutation(n)[: max(1, n // 2)]
+    members.append(DiscreteMeasure(
+        tuple(mu.support[i] for i in sub), rng.dirichlet(np.ones(sub.size)), space=mu.space))
+    # a member with mass off mu's support scores -inf
+    members.append(DiscreteMeasure((mu.support[0], 10**6), np.array([0.5, 0.5])))
+    alpha = float(rng.uniform(0.5, 20.0))
+    cert = check_transport(mu, alpha, s, perturbation_family=members)
+    slacks = [transport_slack(nu, mu, alpha, s) for nu in members]
+    assert slacks[-1] == -math.inf
+    _assert_matches_oracle(cert, slacks, cert.witness["family_index"], mu=mu)
+
+
+def test_check_transport_all_members_off_support():
+    off = DiscreteMeasure((5.0, 6.0), np.array([0.5, 0.5]))
+    cert = check_transport(TWO_POINT, 1.0, 1.0, perturbation_family=[off, off])
+    assert cert.worst_slack == -math.inf and cert.passed
+    assert cert.witness == {} and cert.search_size == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=40),
+    st.sampled_from([1.0, 1.5, 2.0]),
+    st.integers(min_value=0, max_value=10_000),
+)
+def test_line_wasserstein_rows_match_wasserstein_1d(n, s, seed):
+    rng = np.random.default_rng(seed)
+    mu = _random_measure(rng, n, "line", zero_atoms=True)
+    rows = rng.dirichlet(np.ones(n), size=12)
+    rows[rng.random(rows.shape) < 0.2] = 0.0
+    rows[:, 0] += 1.0 - rows.sum(axis=1)
+    rows = np.vstack([np.abs(rows), mu.weights])
+    got = _line_wasserstein(rows, mu, s)
+    for row, w in zip(rows, got):
+        nu = DiscreteMeasure(mu.support, row / row.sum())
+        want = wasserstein_1d(nu, mu, s)
+        assert w**s == pytest.approx(want**s, rel=0, abs=1e-12)
+    assert got[-1] == 0.0
+
+
+def test_mu_witness_replays_exactly():
+    """A passing T_s certificate whose witness is mu itself replays to 0."""
+    seen = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(20, 41))
+        x = np.sort(rng.uniform(-1.0, 1.0, n))
+        mu = DiscreteMeasure(tuple(x.tolist()), rng.dirichlet(np.full(n, 2.0)))
+        cert = check_transport(mu, 4.0 / (x[-1] - x[0]) ** 2, 1.0)
+        if cert.witness["family_index"] == 0:
+            seen += 1
+            assert cert.worst_slack == 0.0
+            assert replay(cert, mu=mu) == 0.0
+    assert seen > 0
+
+
+def _vertex_set(verts):
+    return {tuple(np.round(v, 9) + 0.0) for v in verts}
+
+
+def test_vertices_match_traversal_oracle():
+    rng = np.random.default_rng(11)
+    cases = []
+    for n in (2, 3, 4, 5, 6):
+        pts = rng.normal(size=(n, 2))
+        cases.append(np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1)))
+    # collinear points, where triangle inequalities are tight
+    for n in (4, 6):
+        x = np.sort(rng.uniform(0.0, 3.0, n))
+        cases.append(np.abs(x[:, None] - x[None, :]))
+    # tied distances: integer points of the line and the discrete metric
+    x = np.array([0.0, 1.0, 2.0, 4.0, 5.0])
+    cases.append(np.abs(x[:, None] - x[None, :]))
+    cases.append(1.0 - np.eye(5))
+    grid = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], float)
+    cases.append(np.abs(grid[:, None] - grid[None]).sum(-1))
+    for dist in cases:
+        got = lipschitz_polytope_vertices(dist)
+        assert _vertex_set(got) == _vertex_set(oracles.oracle_lipschitz_vertices(dist))
+        assert len(got) == len(_vertex_set(got))
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_batched_checks_keep_memory_bounded():
+    """Working memory stays within a small multiple of the family itself,
+    far below a family x t x support (or all tree x sign) stack."""
+    rng = np.random.default_rng(5)
+    mu = _random_measure(rng, 200, "line")
+    rows = _tilt_rows(mu, 0).nbytes
+    assert _peak_bytes(lambda: check_transport(mu, 1.0, 2.0)) < 2 * rows + 4e6
+    family = lipschitz_family(mu).nbytes
+    assert _peak_bytes(lambda: check_gc(mu, 1.0)) < 2 * family + 4e6
+    pts = rng.normal(size=(6, 2))
+    dist = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))
+    assert _peak_bytes(lambda: lipschitz_polytope_vertices(dist)) < 4e6

@@ -144,3 +144,25 @@ def test_product_pairwise_rejects_length_mismatch():
         sp.pairwise([(0.0, 1.0)], [(0.0, 1.0, 2.0)])
     with pytest.raises(InputError):
         sp.pairwise([(0.0, 1.0), (0.0,)], [(0.0, 1.0)])
+
+
+def test_non_finite_inputs_rejected():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InputError):
+            DiscreteMeasure((0.0, 1.0), np.array([bad, 1.0]))
+        d = np.array([[0.0, bad], [bad, 0.0]])
+        with pytest.raises(InputError):
+            FiniteMetricSpace(("a", "b"), d)
+    with pytest.raises(InputError):
+        FiniteMetricSpace(("a", "b", "c"), np.array([[0, 1, 1], [1, 0, np.nan], [1, np.nan, 0]], float))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=200), st.integers(min_value=0, max_value=10_000))
+def test_rebuilt_measure_is_bit_identical(n, seed):
+    rng = np.random.default_rng(seed)
+    support = tuple(range(n))
+    mu = DiscreteMeasure(support, rng.dirichlet(np.ones(n)) * (1.0 + rng.uniform(-1e-10, 1e-10)))
+    again = DiscreteMeasure(support, mu.weights)
+    assert np.array_equal(again.weights, mu.weights)
+    assert np.array_equal(DiscreteMeasure(support, list(map(float, mu.weights))).weights, mu.weights)
