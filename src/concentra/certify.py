@@ -29,7 +29,13 @@ from scipy.special import logsumexp
 from .entropy import relative_entropy_discrete
 from .errors import InputError
 from .measures import DiscreteMeasure, RealLine, _point_key
-from .transport import solve_transport_lp, wasserstein_1d, wasserstein_exact
+from .transport import (
+    _northwest_corner,
+    _resolve_space,
+    solve_transport_lp,
+    wasserstein_1d,
+    wasserstein_exact,
+)
 
 GC = "GC"
 TS = "T_s"
@@ -199,7 +205,7 @@ def check_gc(
     )
 
 
-def _tilt_rows(mu: DiscreteMeasure, seed: int) -> np.ndarray:
+def tilt_family(mu: DiscreteMeasure, seed: int = 0) -> np.ndarray:
     """Default perturbations as weight rows on the support of ``mu``: mu
     itself, the exponential tilts e^{tF} mu of a Lipschitz family for
     0 < |t| <= 2 on the default t-grid, then 24 seeded Dirichlet
@@ -223,13 +229,16 @@ def _tilt_rows(mu: DiscreteMeasure, seed: int) -> np.ndarray:
 
 def _member_rows(family: list, mu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:
     """User perturbations as weight rows on the support of ``mu``, and the
-    mask of members with mass off that support."""
+    mask of members with mass off that support.
+
+    A member whose Ent(nu | mu) is infinite (mass off the support or on a
+    zero-weight atom) scores -inf whatever its space; every other member
+    must live on mu's space.
+    """
     index = {_point_key(p): i for i, p in enumerate(mu.support)}
     rows = np.zeros((len(family), len(mu)))
     off = np.zeros(len(family), dtype=bool)
     for r, nu in enumerate(family):
-        if nu.space is not None and mu.space is not None and nu.space != mu.space:
-            raise InputError("measures live on different metric spaces")
         for p, w in zip(nu.support, nu.weights):
             if w > 0:
                 i = index.get(_point_key(p))
@@ -237,6 +246,9 @@ def _member_rows(family: list, mu: DiscreteMeasure) -> tuple[np.ndarray, np.ndar
                     off[r] = True
                 else:
                     rows[r, i] = w
+    scored = ~off & np.all((rows == 0) | (mu.weights > 0), axis=1)
+    for nu in itertools.compress(family, scored):
+        _resolve_space(mu, nu, None)
     return rows, off
 
 
@@ -249,27 +261,13 @@ def _row_entropy(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _line_wasserstein(rows: np.ndarray, mu: DiscreteMeasure, s: float) -> np.ndarray:
-    """W_s(nu_r, mu) on the real line for weight rows nu_r on mu's support.
-
-    One north-west-corner walk serves every row, as in ``wasserstein_1d``:
-    a row's cumulative weights and mu's are merged by a stable sort, and
-    each merged piece moves from the row atom to the mu atom whose
-    cumulative weights first reach its right end. For a piece of positive
-    mass those are the numbers of each side's breakpoints sorted before
-    it. The excess of the larger total goes to the last atoms.
-    """
+    """W_s(nu_r, mu) on the real line for weight rows nu_r on mu's support,
+    from one north-west-corner walk of all rows along the sorted support."""
     x = np.asarray(mu.support, dtype=float)
-    n = x.size
     order = np.argsort(x, kind="stable")
-    cum = np.cumsum(rows[:, order], axis=1)
-    merged = np.concatenate([cum, np.broadcast_to(np.cumsum(mu.weights[order]), cum.shape)], axis=1)
-    pos = np.argsort(merged, axis=1, kind="stable")
-    mass = np.diff(np.take_along_axis(merged, pos, axis=1), axis=1, prepend=0.0)
-    from_row = pos < n
-    i = np.cumsum(from_row, axis=1) - from_row
-    j = np.arange(2 * n) - i
+    i, j, mass = _northwest_corner(rows[:, order], mu.weights[order])
     xs = x[order]
-    gap = np.abs(xs[np.minimum(i, n - 1)] - xs[np.minimum(j, n - 1)])
+    gap = np.abs(xs[i] - xs[j])
     return np.maximum(np.sum(mass * gap**s, axis=1), 0.0) ** (1.0 / s)
 
 
@@ -322,9 +320,11 @@ def check_transport(
     """
     if alpha <= 0:
         raise InputError("alpha must be positive")
+    if not (1.0 <= s <= 2.0):
+        raise InputError("order s must lie in [1, 2]")
     if perturbation_family is None:
         members = None
-        rows = _tilt_rows(mu, seed)
+        rows = tilt_family(mu, seed)
         off = np.zeros(len(rows), dtype=bool)
     else:
         members = list(perturbation_family)

@@ -109,26 +109,34 @@ def _solve_restricted(cost, w_row, w_col, idx_i, idx_j):
     return res.x, u, v
 
 
-def _northwest_corner(w_row: np.ndarray, w_col: np.ndarray):
-    """North-west-corner plan filling rows and columns in the given order.
+def _northwest_corner(w_rows: np.ndarray, w_col: np.ndarray):
+    """North-west-corner plans from each row of ``w_rows`` to ``w_col``,
+    filling atoms in the given order.
 
-    Returns ``(i, j, mass)``: ``mass[k]`` moves from row ``i[k]`` to column
-    ``j[k]``. The breakpoints of both cumulative weight vectors are merged;
-    each piece goes to the first row and column whose cumulative weight
-    reaches its right end, so zero-weight atoms receive nothing.
+    Returns ``(i, j, mass)``, each with one row per row of ``w_rows``:
+    ``mass[r, k]`` moves from atom ``i[r, k]`` of row r to atom ``j[r, k]``
+    of ``w_col``. The cumulative weights of both sides are merged by a
+    stable sort, and each merged piece goes to the atoms whose cumulative
+    weights first reach its right end. For a piece of positive mass those
+    are the numbers of each side's breakpoints sorted before it, so
+    zero-weight atoms receive nothing; pieces between tied breakpoints
+    have zero mass.
     """
-    cum_row, cum_col = np.cumsum(w_row), np.cumsum(w_col)
-    ends = np.union1d(cum_row, cum_col)
-    mass = np.diff(ends, prepend=0.0)
-    # the two totals may differ in the last bits; the excess goes to the last atom
-    i = np.minimum(np.searchsorted(cum_row, ends), w_row.size - 1)
-    j = np.minimum(np.searchsorted(cum_col, ends), w_col.size - 1)
-    return i, j, mass
+    nr, nc = w_rows.shape[1], w_col.size
+    cum_col = np.broadcast_to(np.cumsum(w_col), (len(w_rows), nc))
+    merged = np.concatenate([np.cumsum(w_rows, axis=1), cum_col], axis=1)
+    pos = np.argsort(merged, axis=1, kind="stable")
+    mass = np.diff(np.take_along_axis(merged, pos, axis=1), axis=1, prepend=0.0)
+    from_row = pos < nr
+    i = np.cumsum(from_row, axis=1) - from_row
+    j = np.arange(nr + nc) - i
+    # the two totals may differ in the last bits; the excess goes to the last atoms
+    return np.minimum(i, nr - 1), np.minimum(j, nc - 1), mass
 
 
 def _northwest_band(w_row, w_col, width=2):
     """Column index set: the north-west-corner plan plus a diagonal band."""
-    i, j, _ = _northwest_corner(w_row, w_col)
+    i, j, _ = (a[0] for a in _northwest_corner(w_row[None, :], w_col))
     band = j[:, None] + np.arange(-width, width + 1)[None, :]
     rows = np.broadcast_to(i[:, None], band.shape)
     keep = (band >= 0) & (band < w_col.size)
@@ -188,7 +196,7 @@ def _monotone_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure):
     x = np.asarray(mu.support, dtype=float)
     y = np.asarray(nu.support, dtype=float)
     ix, iy = np.argsort(x, kind="stable"), np.argsort(y, kind="stable")
-    i, j, mass = _northwest_corner(mu.weights[ix], nu.weights[iy])
+    i, j, mass = (a[0] for a in _northwest_corner(mu.weights[ix][None, :], nu.weights[iy]))
     return x, y, ix[i], iy[j], mass
 
 

@@ -44,6 +44,8 @@ def _bindings():
 def test_tracer_names_exist_and_uninstall_restores():
     names = set(tracing.COUNTERS) | tracing.PRIVATE_SPANS | tracing.CHECKERS
     names |= {"transport._COLGEN_THRESHOLD", "transport.linprog", "cli._FORMULAS", "coupling._LabelLine"}
+    # the family builders timed under certify.family.self_s
+    names |= {"certify.lipschitz_family", "certify.tilt_family", "certify.default_lsi_family"}
     for dotted in sorted(names):
         module, attr = dotted.split(".")
         assert hasattr(getattr(concentra, module), attr), dotted

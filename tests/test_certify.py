@@ -22,11 +22,11 @@ from concentra import (
 from concentra.certify import (
     Certificate,
     _line_wasserstein,
-    _tilt_rows,
     default_t_grid,
     gc_slack,
     lipschitz_family,
     lipschitz_polytope_vertices,
+    tilt_family,
     transport_slack,
 )
 from concentra.transport import wasserstein_1d
@@ -303,6 +303,30 @@ def test_check_transport_all_members_off_support():
     assert cert.witness == {} and cert.search_size == 2
 
 
+@pytest.mark.parametrize("s", [0.0, 0.5, 3.0, math.nan])
+@pytest.mark.parametrize("family", [None, [TWO_POINT]])
+def test_check_transport_rejects_order_outside_one_two(s, family):
+    with pytest.raises(InputError):
+        check_transport(TWO_POINT, 1.0, s, perturbation_family=family)
+
+
+def test_check_transport_member_on_another_space():
+    """A member scored against mu must live on mu's space; one whose
+    Ent(nu | mu) is infinite scores -inf whatever its space."""
+    a = FiniteMetricSpace((0, 1, 2), 1.0 - np.eye(3))
+    b = FiniteMetricSpace((0, 1, 2, 3), 2.0 * (1.0 - np.eye(4)))
+    mu = DiscreteMeasure((0, 1, 2), np.array([0.5, 0.5, 0.0]), space=a)
+    on = DiscreteMeasure((0, 1), np.array([0.3, 0.7]), space=b)
+    with pytest.raises(InputError):
+        check_transport(mu, 1.0, 1.0, perturbation_family=[mu, on])
+    zero_atom = DiscreteMeasure((0, 2), np.array([0.3, 0.7]), space=b)
+    off = DiscreteMeasure((0, 3), np.array([0.3, 0.7]), space=b)
+    cert = check_transport(mu, 1.0, 1.0, perturbation_family=[mu, zero_atom, off])
+    assert cert.witness["family_index"] == 0 and cert.worst_slack == 0.0
+    assert transport_slack(zero_atom, mu, 1.0, 1.0) == -math.inf
+    assert transport_slack(off, mu, 1.0, 1.0) == -math.inf
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(min_value=1, max_value=40),
@@ -380,7 +404,7 @@ def test_batched_checks_keep_memory_bounded():
     far below a family x t x support (or all tree x sign) stack."""
     rng = np.random.default_rng(5)
     mu = _random_measure(rng, 200, "line")
-    rows = _tilt_rows(mu, 0).nbytes
+    rows = tilt_family(mu, 0).nbytes
     assert _peak_bytes(lambda: check_transport(mu, 1.0, 2.0)) < 2 * rows + 4e6
     family = lipschitz_family(mu).nbytes
     assert _peak_bytes(lambda: check_gc(mu, 1.0)) < 2 * family + 4e6
