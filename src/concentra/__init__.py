@@ -35,7 +35,7 @@ from .entropy import (
     relative_entropy_discrete,
     relative_entropy_gaussian,
 )
-from .errors import InputError, ResourceError, SolverError
+from .errors import InputError, SolverError
 from .measures import (
     DiscreteMeasure,
     FiniteMetricSpace,

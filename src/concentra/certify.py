@@ -446,6 +446,8 @@ def replay(cert: Certificate, mu=None, alpha=None, grid=None, density=None) -> f
         f = np.asarray(cert.witness["f_values"])
         slack = gc_slack(mu, cert.constant, f, cert.witness["t"])
     elif cert.inequality == TS:
+        if "support" not in cert.witness:
+            raise InputError("certificate has no witness to replay: no member was scored")
         nu = DiscreteMeasure(
             tuple(cert.witness["support"]),
             np.asarray(cert.witness["weights"]),

@@ -234,19 +234,16 @@ def _cmd_simulate(args) -> int:
 def _cmd_couple(args) -> int:
     p_model = jsonio.model_from_json(_load_json(args.p_model))
     q_model = jsonio.model_from_json(_load_json(args.q_model))
-    bound = coupling.recursive_coupling_bound(
-        p_model, q_model, args.n, args.s, resolution=args.resolution
-    )
+    bound = coupling.recursive_coupling_bound(p_model, q_model, args.n, args.s)
     payload = {
-        "config": _config(args, ("p_model", "q_model", "n", "s", "resolution")),
+        "config": _config(args, ("p_model", "q_model", "n", "s")),
         "upper_bound": bound.upper_bound,
         "step_costs": list(bound.step_costs),
         "s": bound.s,
         "method": bound.method,
-        "error_budget": bound.error_budget,
     }
-    _emit(payload, args, [(bound.upper_bound, bound.s, bound.method, bound.error_budget)],
-          ("upper_bound", "s", "method", "error_budget"))
+    _emit(payload, args, [(bound.upper_bound, bound.s, bound.method)],
+          ("upper_bound", "s", "method"))
     return EXIT_PASS
 
 
@@ -331,7 +328,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None)
 
@@ -343,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("constants", help="evaluate closed-form inequality constants")
     p.add_argument("--formula", required=True, choices=sorted(_FORMULAS) + ["arma", "ou"])
     p.add_argument("--n", type=int, nargs="+", default=[1])
-    for name in ("kappa1", "alpha", "L", "R", "M", "s", "kappa", "rho", "tau", "x", "epsilon"):
+    for name in ("kappa1", "alpha", "L", "R", "M", "s", "kappa", "rho", "tau", "x"):
         p.add_argument(f"--{name}", type=float, default=None)
     p.add_argument("--A", default=None)
     p.add_argument("--B", default=None)
@@ -386,7 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q-model", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=float, default=1.0)
-    p.add_argument("--resolution", type=int, default=coupling.DEFAULT_RESOLUTION)
+    # accepted and ignored: the Gaussian bound is exact and needs no grid
+    p.add_argument("--resolution", type=int, help=argparse.SUPPRESS)
     _add_common(p)
     p.set_defaults(fn=_cmd_couple)
 

@@ -7,7 +7,3 @@ class InputError(ValueError):
 
 class SolverError(RuntimeError):
     """An exact solver failed to converge; carries diagnostic detail."""
-
-
-class ResourceError(RuntimeError):
-    """A computation exceeded its configured budget (e.g. coupling atom count)."""

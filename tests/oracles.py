@@ -1,5 +1,6 @@
 """Independent direct-summation oracles for the closed-form constants,
-and a traversal oracle for the Lipschitz polytope vertices.
+a traversal oracle for the Lipschitz polytope vertices, and quadrature
+oracles for the comonotone coupling of two Gaussian chains.
 
 These deliberately avoid the library's closed forms: every sum is an
 explicit loop, every power a literal, so a regression in the formulas
@@ -145,3 +146,42 @@ def oracle_lipschitz_vertices(dist):
             if np.max(gaps - dist) <= 1e-12:
                 out[tuple(np.round(f, 12))] = f
     return list(out.values())
+
+
+def chain_noise_matrix(theta, sigma2, init_var, n):
+    """Lower-triangular A with X = mean + A Z for a Gaussian chain driven
+    by i.i.d. standard normals Z_1..Z_n (X_1 = mean_1 + sqrt(init_var) Z_1)."""
+    a = np.zeros((n, n))
+    a[0, 0] = math.sqrt(init_var)
+    for k in range(1, n):
+        for j in range(k):
+            a[k, j] = theta * a[k - 1, j]
+        a[k, k] = math.sqrt(sigma2)
+    return a
+
+
+def comonotone_gap_laws(q, p, n):
+    """Means and variances of X^q_k - X^p_k when both chains share Z."""
+    dm = np.empty(n)
+    mq, mp = q.init_mean, p.init_mean
+    for k in range(n):
+        dm[k] = mq - mp
+        mq, mp = q.theta * mq, p.theta * mp
+    da = chain_noise_matrix(q.theta, q.sigma2, q.init_var, n) - chain_noise_matrix(
+        p.theta, p.sigma2, p.init_var, n
+    )
+    return dm, np.array([sum(x * x for x in row) for row in da])
+
+
+def abs_moment_quad(m, v, s):
+    """E|m + sqrt(v) Z|^s by adaptive quadrature over |z| <= 40 (the normal
+    density is below 1e-347 beyond), with the kink as a breakpoint."""
+    from scipy.integrate import quad
+
+    sd = math.sqrt(v)
+
+    def f(z):
+        return abs(m + sd * z) ** s * math.exp(-z * z / 2.0) / math.sqrt(2.0 * math.pi)
+
+    kink = [-m / sd] if sd > 0.0 and abs(m) < 40.0 * sd else None
+    return quad(f, -40.0, 40.0, points=kink, epsabs=0.0, epsrel=1e-13, limit=200)[0]

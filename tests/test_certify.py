@@ -301,6 +301,8 @@ def test_check_transport_all_members_off_support():
     cert = check_transport(TWO_POINT, 1.0, 1.0, perturbation_family=[off, off])
     assert cert.worst_slack == -math.inf and cert.passed
     assert cert.witness == {} and cert.search_size == 2
+    with pytest.raises(InputError):
+        replay(cert, mu=TWO_POINT)
 
 
 @pytest.mark.parametrize("s", [0.0, 0.5, 3.0, math.nan])

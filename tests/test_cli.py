@@ -135,6 +135,20 @@ def test_couple_json_report(capsys):
     payload = json.loads(out)
     assert payload["step_costs"] == [1.0, 0.25, 0.0625]
     assert payload["upper_bound"] == pytest.approx(math.sqrt(1.3125), abs=1e-12)
+    assert payload["method"] == "gaussian-monotone-closed"
+    # --resolution is still accepted, and ignored
+    code, out2, _ = run(capsys, "couple", "--p-model", p, "--q-model", q, "--n", "3", "--s", "2",
+                        "--resolution", "64")
+    assert code == 0 and json.loads(out2) == payload
+
+
+@pytest.mark.parametrize("argv", [
+    ("constants", "--formula", "gc-markov", "--kappa1", "1", "--L", "1", "--workers", "2"),
+    ("constants", "--formula", "gc-markov", "--kappa1", "1", "--L", "1", "--epsilon", "0.5"),
+])
+def test_removed_flags_rejected(argv):
+    with pytest.raises(SystemExit):
+        main(list(argv))
 
 
 def test_verify_ou_analytic_mode(capsys):

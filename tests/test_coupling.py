@@ -1,7 +1,10 @@
+import itertools
+import logging
 import math
 
 import numpy as np
 import pytest
+from oracles import abs_moment_quad, comonotone_gap_laws
 
 from concentra import (
     CouplingBound,
@@ -9,12 +12,14 @@ from concentra import (
     InputError,
     OUModel,
     TabularModel,
+    gaussian_chain_joint,
     recursive_coupling_bound,
     tabular_joint_law,
     transport_inequality_audit,
     wasserstein_exact,
+    wasserstein_gaussian_w2,
 )
-from concentra.errors import ResourceError
+from concentra.coupling import _abs_moment, _tabular_cost
 
 
 def _random_tabular(rng):
@@ -60,25 +65,93 @@ def test_bound_is_zero_for_identical_chains():
 
 def test_gaussian_closed_path_geometric_steps():
     p = GaussianKernelModel(0.5, 1.0)
-    q = GaussianKernelModel(0.5, 1.0, init_mean=2.0)
-    bound = recursive_coupling_bound(p, q, 3, 2.0)
-    assert bound.method == "gaussian-monotone-closed"
-    # gap 2 contracts by theta: step costs 4, 1, 0.25
-    assert bound.step_costs == (4.0, 1.0, 0.25)
-    assert bound.upper_bound == pytest.approx(math.sqrt(5.25), abs=1e-12)
-    assert bound.error_budget == 0.0
+    for gap, steps in ((2.0, (4.0, 1.0, 0.25)), (1.0, (1.0, 0.25, 0.0625))):
+        q = GaussianKernelModel(0.5, 1.0, init_mean=gap)
+        bound = recursive_coupling_bound(p, q, 3, 2.0)
+        assert bound.method == "gaussian-monotone-closed"
+        # equal kernels: the gap is deterministic and contracts by theta
+        assert bound.step_costs == steps
+        assert bound.upper_bound == pytest.approx(math.sqrt(sum(steps)), abs=1e-12)
+
+
+def _exact_w2(p, q, n):
+    return wasserstein_gaussian_w2(gaussian_chain_joint(q, n), gaussian_chain_joint(p, n))
 
 
 def test_gaussian_discretized_path_tracks_exact_w2():
     p = GaussianKernelModel(0.5, 1.0)
     q = GaussianKernelModel(0.6, 1.2, init_mean=0.5)
-    bound = recursive_coupling_bound(p, q, 2, 2.0, resolution=64)
-    assert bound.method == "gaussian-quantile[64]"
-    from concentra import gaussian_chain_joint, wasserstein_gaussian_w2
+    bound = recursive_coupling_bound(p, q, 2, 2.0)
+    assert bound.method == "gaussian-monotone-closed"
+    exact = _exact_w2(p, q, 2)
+    # the step-wise comonotone coupling is not the joint optimum, but close
+    assert exact - 1e-12 <= bound.upper_bound <= exact + 0.01
+    means, variances = comonotone_gap_laws(q, p, 2)
+    assert bound.upper_bound**2 == pytest.approx(math.fsum(means**2 + variances), rel=1e-12)
 
-    exact = wasserstein_gaussian_w2(gaussian_chain_joint(q, 2), gaussian_chain_joint(p, 2))
-    assert bound.upper_bound >= exact - 0.05
-    assert bound.upper_bound <= exact + 0.5
+
+@pytest.mark.parametrize("s", [1.0, 1.25, 1.5, 1.75, 2.0])
+@pytest.mark.parametrize(
+    "m, v",
+    [(0.0, 0.0), (1.5, 0.0), (-0.3, 0.0), (0.0, 2.0), (0.0, 1e-30), (0.7, 0.3), (-2.0, 1.0),
+     (5.0, 0.2), (1e3, 1.0), (-1e4, 1e-2), (3.0, 1e-40)],
+)
+def test_abs_moment_matches_quadrature(m, v, s):
+    assert _abs_moment(m, v, s) == pytest.approx(abs_moment_quad(m, v, s), rel=1e-12, abs=1e-300)
+
+
+_GRID = [
+    GaussianKernelModel(theta, sigma2, init_mean, init_var)
+    for theta, sigma2, init_mean, init_var in itertools.product(
+        (-0.7, 0.0, 0.5, 1.1), (0.5, 2.0), (0.0, 1.5), (0.3, 1.0)
+    )
+]
+
+
+def test_gaussian_bound_dominates_exact_w2_on_grid():
+    """s = 2: the comonotone cost is >= the Bures W2 of the joint laws,
+    equals it at n = 1, and equals |mean gap|^2 + ||A_q - A_p||_F^2.
+
+    Compared as squares: the Bures formula's square root turns a 1e-16
+    round-off of W2^2 into 1e-8 when the laws are equal."""
+    for p, q in itertools.product(_GRID, repeat=2):
+        for n in range(1, 7):
+            bound = recursive_coupling_bound(p, q, n, 2.0)
+            exact = _exact_w2(p, q, n) ** 2
+            tol = 1e-12 * max(1.0, exact)
+            assert bound.upper_bound**2 >= exact - tol, (p, q, n)
+            if n == 1:
+                assert bound.upper_bound**2 == pytest.approx(exact, abs=tol)
+            means, variances = comonotone_gap_laws(q, p, n)
+            direct = [m * m + v for m, v in zip(means, variances)]
+            assert bound.step_costs == pytest.approx(direct, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("s", [1.0, 1.5])
+def test_gaussian_steps_match_comonotone_oracle(s):
+    for p, q in itertools.combinations(_GRID[::5], 2):
+        bound = recursive_coupling_bound(p, q, 4, s)
+        means, variances = comonotone_gap_laws(q, p, 4)
+        oracle = [abs_moment_quad(m, v, s) for m, v in zip(means, variances)]
+        assert bound.step_costs == pytest.approx(oracle, rel=1e-10, abs=1e-12)
+
+
+def test_gaussian_repro_pairs_not_below_exact():
+    p, q = GaussianKernelModel(0.0, 1.0, init_var=1.0), GaussianKernelModel(0.0, 4.0, init_var=1.0)
+    assert recursive_coupling_bound(p, q, 2, 2.0).upper_bound == pytest.approx(1.0, abs=1e-12)
+    assert _exact_w2(p, q, 2) == pytest.approx(1.0, abs=1e-12)
+    p, q = GaussianKernelModel(0.5, 1.0, init_var=1.0), GaussianKernelModel(0.9, 2.0, init_var=1.0)
+    exact = _exact_w2(p, q, 3)
+    assert exact == pytest.approx(1.129, abs=1e-3)
+    assert recursive_coupling_bound(p, q, 3, 2.0).upper_bound >= exact
+
+
+def test_bound_logs_one_debug_line(caplog):
+    p = GaussianKernelModel(0.5, 1.0)
+    with caplog.at_level(logging.DEBUG, logger="concentra.coupling"):
+        recursive_coupling_bound(p, p, 3, 1.5)
+    (record,) = [r for r in caplog.records if r.name == "concentra.coupling"]
+    assert "method=gaussian-monotone-closed n=3 s=1.5" in record.getMessage()
 
 
 def test_ou_models_are_accepted():
@@ -86,13 +159,6 @@ def test_ou_models_are_accepted():
     q = OUModel(1.0, 0.5, x0=1.0)
     bound = recursive_coupling_bound(p, q, 2, 2.0)
     assert bound.upper_bound > 0
-
-
-def test_resource_guard_on_atom_blowup():
-    p = GaussianKernelModel(0.5, 1.0)
-    q = GaussianKernelModel(0.9, 2.0)
-    with pytest.raises(ResourceError):
-        recursive_coupling_bound(p, q, 4, 2.0, resolution=128)
 
 
 def test_invalid_inputs_rejected():
@@ -127,3 +193,25 @@ def test_tabular_audit_runs_and_reports():
     report = transport_inequality_audit(p, 0.05, 1.0, 0.5, 2, [q])
     assert report["verdict"] == "pass"
     assert report["entries"][0]["w_exact"] is not None
+
+
+def test_tabular_cost_uses_the_joint_law_metric():
+    labelled = TabularModel(np.array([0.2, 0.3, 0.5]), np.eye(3), labels=(0.5, -1.0, 2.25))
+    lab = np.asarray(labelled.labels)
+    assert np.array_equal(_tabular_cost(labelled, labelled, 1.5), np.abs(lab[:, None] - lab[None, :]) ** 1.5)
+    plain = TabularModel(np.array([0.2, 0.3, 0.5]), np.eye(3))
+    idx = np.arange(3.0)
+    assert np.array_equal(_tabular_cost(plain, plain, 2.0), np.abs(idx[:, None] - idx[None, :]) ** 2.0)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_unlabeled_tabular_audit_bound_dominates_exact(seed):
+    rng = np.random.default_rng(seed)
+
+    def chain():
+        return TabularModel(rng.dirichlet(np.ones(3)), np.vstack([rng.dirichlet(np.ones(3)) for _ in range(3)]))
+
+    p, q = chain(), chain()
+    s = (1.0, 1.5, 2.0)[seed % 3]
+    entry = transport_inequality_audit(p, 1.0, s, 0.5, 3, [q])["entries"][0]
+    assert entry["w_exact"] <= entry["w_coupling_bound"] + 1e-9
