@@ -119,7 +119,7 @@ def _cmd_constants(args) -> int:
                 value, regime, inputs = float(res), "", vals
         rows.append((args.formula, json.dumps(inputs, sort_keys=True).replace(",", ";"), regime, value))
         results.append({"formula_id": args.formula, "inputs": inputs, "regime": regime, "value": value})
-    payload = {"config": _config(args, ("formula", "n", "seed")), "results": results}
+    payload = {"config": _config(args, ("formula", "n")), "results": results}
     _emit(payload, args, rows, ("formula_id", "inputs", "regime", "value"))
     return EXIT_PASS
 
@@ -324,10 +324,10 @@ def _cmd_verify_arma(args) -> int:
 
 # ------------------------------------------------------------------- parser
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-9)
+def _add_common(p: argparse.ArgumentParser, *flags) -> None:
+    for name, kind, default in (("seed", int, 0), ("samples", int, 0), ("tol", float, 1e-9)):
+        if name in flags:
+            p.add_argument(f"--{name}", type=kind, default=default)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None)
 
@@ -368,13 +368,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", default=None)
     p.add_argument("--space", default=None)
     p.add_argument("--grid", default=None)
-    _add_common(p)
+    _add_common(p, "seed")
     p.set_defaults(fn=_cmd_certify)
 
     p = sub.add_parser("simulate", help="draw joint-law sample paths")
     p.add_argument("--model", required=True)
     p.add_argument("--n", type=int, required=True)
-    _add_common(p)
+    _add_common(p, "seed", "samples")
     p.set_defaults(fn=_cmd_simulate, format="csv")
 
     p = sub.add_parser("couple", help="recursive coupling upper bound on W_s")
@@ -392,14 +392,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--x", type=float, default=0.0)
-    _add_common(p)
+    _add_common(p, "seed", "samples")
     p.set_defaults(fn=_cmd_verify_ou)
 
     p = sub.add_parser("verify-arma", help="ARMA LSI constant vs exact Gaussian constant")
     p.add_argument("--A", required=True)
     p.add_argument("--B", default=None)
     p.add_argument("--n", type=int, default=10)
-    _add_common(p)
+    _add_common(p, "tol")
     p.set_defaults(fn=_cmd_verify_arma)
 
     return parser

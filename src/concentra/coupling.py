@@ -6,7 +6,9 @@ conditional kernels optimally for every point of the coupled history.
 Each step is optimal but the composition need not be, so the result is a
 certified upper bound on W_s between the joint laws.
 
-Tabular chains solve one exact transport LP per coupled state pair.
+For tabular chains the coupling is a Markov chain on the state pairs whose
+kernel couples each pair's rows by the monotone plan on a line (also at
+s = 1, where optimal plans are not unique), else by one LP per pair.
 Gaussian chains need no discretization: on the real line the
 step-optimal coupling is comonotone, so both chains are driven by the
 same standard normal innovations and every step's gap is exactly
@@ -23,16 +25,18 @@ import numpy as np
 from scipy.special import gamma, hyp1f1
 
 from .constants import ts_weak_alpha
-from .entropy import chain_rule_decompose, relative_entropy_gaussian
+from .entropy import relative_entropy_discrete, relative_entropy_gaussian
 from .errors import InputError
-from .measures import DiscreteMeasure, ProductSpace, REAL_LINE
+from .measures import RealLine, _LabelLine
 from .processes import (
     GaussianKernelModel,
     OUModel,
     TabularModel,
     gaussian_chain_joint,
+    tabular_joint_law,
 )
-from .transport import solve_transport_lp, wasserstein_exact, wasserstein_gaussian_w2
+from .transport import (_northwest_corner, solve_transport_lp, wasserstein_exact,
+                        wasserstein_gaussian_w2)
 
 log = logging.getLogger(__name__)
 
@@ -58,37 +62,43 @@ def _tabular_cost(model_q: TabularModel, model_p: TabularModel, s: float) -> np.
     if model_q.n_states != model_p.n_states:
         raise InputError("state spaces differ")
     states = np.arange(model_q.n_states)
-    return _state_space(model_q).pairwise(states, states) ** s
+    return model_q.state_space.pairwise(states, states) ** s
+
+
+def _pair_plans(q_rows: np.ndarray, p_rows: np.ndarray, space, cost: np.ndarray):
+    """Optimal plans from each row of q_rows to each row of p_rows as flat
+    (pair, a, b, mass), pair = r * len(p_rows) + c: on a line by one
+    north-west-corner walk per row of p_rows in label order, else by LPs."""
+    nq, npr = len(q_rows), len(p_rows)
+    parts = []
+    if isinstance(space, (RealLine, _LabelLine)):
+        pos = space.labels if isinstance(space, _LabelLine) else range(len(cost))
+        order = np.argsort(pos, kind="stable")
+        for c in range(npr):
+            i, j, mass = _northwest_corner(q_rows[:, order], p_rows[c, order])
+            parts.append((np.repeat(np.arange(nq) * npr + c, i.shape[1]), order[i], order[j], mass))
+    else:
+        for r, c in np.ndindex(nq, npr):
+            _, plan = solve_transport_lp(cost, q_rows[r], p_rows[c])
+            a, b = np.nonzero(plan)
+            parts.append((np.full(a.size, r * npr + c), a, b, plan[a, b]))
+    return [np.concatenate([np.ravel(part[k]) for part in parts]) for k in range(4)]
 
 
 def _tabular_bound(q: TabularModel, p: TabularModel, n: int, s: float) -> CouplingBound:
+    """Step k costs m_k . c, with m_k the coupled pair's law and c the pair plan costs."""
     cost = _tabular_cost(q, p, s)
-    d1, plan = solve_transport_lp(cost, q.init, p.init)
-    atoms = {
-        (i, j): float(plan[i, j])
-        for i in range(plan.shape[0])
-        for j in range(plan.shape[1])
-        if plan[i, j] > 0
-    }
-    steps = [d1]
-    step_plans = {}
-    for _ in range(1, n):
-        dk = []
-        nxt: dict = {}
-        for (i, j), w in atoms.items():
-            if (i, j) not in step_plans:
-                step_plans[(i, j)] = solve_transport_lp(cost, q.transition[i], p.transition[j])
-            ck, pk = step_plans[(i, j)]
-            dk.append(w * ck)
-            for a in range(pk.shape[0]):
-                for b in range(pk.shape[1]):
-                    if pk[a, b] > 0:
-                        key = (a, b)
-                        nxt[key] = nxt.get(key, 0.0) + w * pk[a, b]
-        atoms = nxt
-        steps.append(math.fsum(dk))
-    total = math.fsum(steps)
-    return CouplingBound(max(total, 0.0) ** (1.0 / s), tuple(steps), s, "tabular-exact-steps")
+    space, size = q.state_space, q.n_states * q.n_states
+    _, a, b, mass = _pair_plans(q.init[None], p.init[None], space, cost)
+    steps = [math.fsum(mass * cost[a, b])]
+    m = np.bincount(a * q.n_states + b, weights=mass, minlength=size)
+    if n > 1:
+        pair, a, b, mass = _pair_plans(q.transition, p.transition, space, cost)
+        c = np.bincount(pair, weights=mass * cost[a, b], minlength=size)
+        for _ in range(1, n):
+            steps.append(math.fsum(m * c))
+            m = np.bincount(a * q.n_states + b, weights=m[pair] * mass, minlength=size)
+    return CouplingBound(math.fsum(steps) ** (1.0 / s), tuple(steps), s, "tabular-exact-steps")
 
 
 def _as_gaussian(model) -> GaussianKernelModel:
@@ -115,7 +125,8 @@ def _gaussian_bound(q: GaussianKernelModel, p: GaussianKernelModel, n: int, s: f
     (X_1 uses the initial laws), so the gap D_k = X^q_k - X^p_k is
     N(m_k, v_k). The pair's 2x2 covariance is carried as Var D_k,
     Cov(D_k, X^p_k) and Var X^p_k, which keeps v_k exactly 0 when the
-    kernels and initial variances agree.
+    kernels and initial variances agree. Raises ``InputError`` when a
+    moment or the total overflows.
     """
     d_theta = q.theta - p.theta
     sq, sp = math.sqrt(q.init_var), math.sqrt(p.init_var)
@@ -123,27 +134,34 @@ def _gaussian_bound(q: GaussianKernelModel, p: GaussianKernelModel, n: int, s: f
     v, c, vp = (sq - sp) ** 2, (sq - sp) * sp, p.init_var
     sq, sp = math.sqrt(q.sigma2), math.sqrt(p.sigma2)
     d_sigma = sq - sp
-    steps = [_abs_moment(m, v, s)]
-    for _ in range(1, n):
-        # D_k = theta_q D_{k-1} + d_theta X^p_{k-1} + d_sigma Z_k
-        m, mp = q.theta * m + d_theta * mp, p.theta * mp
-        v, c, vp = (
-            max(q.theta**2 * v + 2 * q.theta * d_theta * c + d_theta**2 * vp, 0.0) + d_sigma**2,
-            q.theta * p.theta * c + d_theta * p.theta * vp + d_sigma * sp,
-            p.theta**2 * vp + p.sigma2,
-        )
-        steps.append(_abs_moment(m, v, s))
-    return CouplingBound(math.fsum(steps) ** (1.0 / s), tuple(steps), s, "gaussian-monotone-closed")
+    try:
+        steps = [_abs_moment(m, v, s)]
+        for _ in range(1, n):
+            # D_k = theta_q D_{k-1} + d_theta X^p_{k-1} + d_sigma Z_k
+            m, mp = q.theta * m + d_theta * mp, p.theta * mp
+            v, c, vp = (
+                max(q.theta**2 * v + 2 * q.theta * d_theta * c + d_theta**2 * vp, 0.0) + d_sigma**2,
+                q.theta * p.theta * c + d_theta * p.theta * vp + d_sigma * sp,
+                p.theta**2 * vp + p.sigma2,
+            )
+            steps.append(_abs_moment(m, v, s))
+        total = math.fsum(steps)
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise InputError("the Gaussian coupling cost overflows: the chains' moments are not finite")
+    return CouplingBound(total ** (1.0 / s), tuple(steps), s, "gaussian-monotone-closed")
 
 
 def recursive_coupling_bound(p_model, q_model, n: int, s: float) -> CouplingBound:
     """Certified upper bound on W_s between the length-n joint laws of two
     chains, built from per-step optimal couplings.
 
-    Exact at n = 1. Tabular chains use exact per-step transport plans in
-    the state metric of their joint law (the declared space, else the
-    label distance, else |i - j| on the state indices). Gaussian and OU
-    chains use the comonotone coupling, whose step costs are the exact
+    Exact at n = 1. Tabular chains advance the coupled state pair as a
+    Markov chain whose kernel couples each pair's rows optimally in
+    ``TabularModel.state_space``; on a line by the monotone plan, also at
+    s = 1, where optimal plans are not unique. Gaussian and OU chains
+    use the comonotone coupling, whose step costs are the exact
     closed-form moments of a Gaussian gap, in O(n).
     """
     if n < 1:
@@ -193,9 +211,9 @@ def transport_inequality_audit(
             if s == 2.0:
                 w_exact = wasserstein_gaussian_w2(qj, pj)
         else:
-            q_joint = _tabular_joint_indices(q_model, n, s)
-            p_joint = _tabular_joint_indices(p_model, n, s)
-            ent = chain_rule_decompose(q_joint, p_model).total
+            q_joint = tabular_joint_law(q_model, n, s)
+            p_joint = tabular_joint_law(p_model, n, s)
+            ent = relative_entropy_discrete(q_joint, p_joint)
             w_exact = wasserstein_exact(q_joint, p_joint, s, space=q_joint.space)[0]
         w_used = bound.upper_bound if w_exact is None else w_exact
         rhs = math.sqrt(2.0 * ent / alpha_n) if math.isfinite(ent) else math.inf
@@ -217,50 +235,3 @@ def transport_inequality_audit(
         "worst_slack": worst,
         "verdict": "pass" if worst <= tol else "fail",
     }
-
-
-def _tabular_joint_indices(model: TabularModel, n: int, s: float) -> DiscreteMeasure:
-    """Joint law on index tuples, metrized by the declared state metric."""
-    paths = [((i,), float(w)) for i, w in enumerate(model.init) if w > 0]
-    for _ in range(n - 1):
-        paths = [
-            (p + (j,), w * float(pj))
-            for p, w in paths
-            for j, pj in enumerate(model.transition[p[-1]])
-            if pj > 0
-        ]
-    space = ProductSpace(_state_space(model), n, s if s <= 2.0 else 2.0)
-    return DiscreteMeasure(
-        tuple(p for p, _ in paths), np.array([w for _, w in paths]), space=space
-    )
-
-
-def _state_space(model: TabularModel):
-    """Metric on a tabular chain's state indices: its declared space, else
-    the distance of its labels, else |i - j| as ``tabular_joint_law`` uses."""
-    if model.space is not None:
-        return model.space
-    if model.labels is not None:
-        return _LabelLine(model.labels)
-    return REAL_LINE
-
-
-class _LabelLine:
-    """Metric on state indices through their real-valued labels."""
-
-    def __init__(self, labels):
-        self.labels = tuple(float(x) for x in labels)
-
-    def distance(self, i, j):
-        return abs(self.labels[int(i)] - self.labels[int(j)])
-
-    def pairwise(self, xs, ys) -> np.ndarray:
-        lab = np.asarray(self.labels)
-        i, j = np.asarray(xs).astype(np.intp), np.asarray(ys).astype(np.intp)
-        return np.abs(lab[i][:, None] - lab[j][None, :])
-
-    def __eq__(self, other):
-        return isinstance(other, _LabelLine) and self.labels == other.labels
-
-    def __hash__(self):
-        return hash(self.labels)

@@ -51,6 +51,24 @@ class RealLine:
 REAL_LINE = RealLine()
 
 
+@dataclass(frozen=True)
+class _LabelLine:
+    """Metric on state indices through their real-valued labels."""
+
+    labels: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "labels", tuple(float(x) for x in self.labels))
+
+    def distance(self, i, j):
+        return abs(self.labels[int(i)] - self.labels[int(j)])
+
+    def pairwise(self, xs, ys) -> np.ndarray:
+        lab = np.asarray(self.labels)
+        i, j = np.asarray(xs).astype(np.intp), np.asarray(ys).astype(np.intp)
+        return np.abs(lab[i][:, None] - lab[j][None, :])
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteMetricSpace:
     """Labeled points with a dense symmetric distance matrix.

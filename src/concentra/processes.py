@@ -18,7 +18,8 @@ from scipy.special import ndtri
 
 from .constants import ou_kappa
 from .errors import InputError
-from .measures import DiscreteMeasure, GaussianMeasure, ProductSpace, REAL_LINE
+from .measures import (MAX_SUPPORT, REAL_LINE, DiscreteMeasure, GaussianMeasure, ProductSpace,
+                       _LabelLine)
 from .transport import wasserstein_1d
 
 PROB_ATOL = 1e-12
@@ -56,6 +57,14 @@ class TabularModel:
     @property
     def n_states(self) -> int:
         return self.init.size
+
+    @property
+    def state_space(self):
+        """Metric on the state indices: the declared space, else the label
+        distance, else |i - j|."""
+        if self.space is not None:
+            return self.space
+        return REAL_LINE if self.labels is None else _LabelLine(self.labels)
 
 
 @dataclass(frozen=True)
@@ -441,21 +450,17 @@ def gaussian_chain_joint(model: GaussianKernelModel | OUModel, n: int) -> Gaussi
 
 
 def tabular_joint_law(model: TabularModel, n: int, s: float = 1.0) -> DiscreteMeasure:
-    """Explicit joint law of a tabular chain on the n-fold product space."""
-    if model.n_states**n > 200000:
-        raise InputError("joint state space too large to enumerate")
-    paths = [((i,), float(w)) for i, w in enumerate(model.init) if w > 0]
+    """Joint law of a tabular chain on ``ProductSpace(model.state_space, n, s)``:
+    the positive-probability paths as state-index tuples, in lexicographic
+    order. Raises ``InputError`` once a step passes ``MAX_SUPPORT`` paths."""
+    paths = np.flatnonzero(model.init > 0)[:, None]
+    weights = model.init[paths[:, 0]]
     for _ in range(n - 1):
-        nxt = []
-        for path, w in paths:
-            row = model.transition[path[-1]]
-            for j, pj in enumerate(row):
-                if pj > 0:
-                    nxt.append((path + (j,), w * float(pj)))
-        paths = nxt
-    base = model.space
-    space = ProductSpace(base, n, s) if base is not None else ProductSpace(REAL_LINE, n, s)
-    support = tuple(p for p, _ in paths)
-    if base is None and model.labels is not None:
-        support = tuple(tuple(model.labels[i] for i in p) for p, _ in paths)
-    return DiscreteMeasure(support, np.array([w for _, w in paths]), space=space)
+        rows = model.transition[paths[:, -1]]
+        src, nxt = np.nonzero(rows > 0)
+        if src.size > MAX_SUPPORT:
+            raise InputError(f"the joint law has more than {MAX_SUPPORT} paths")
+        paths = np.column_stack([paths[src], nxt])
+        weights = weights[src] * rows[src, nxt]
+    space = ProductSpace(model.state_space, n, s)
+    return DiscreteMeasure(tuple(map(tuple, paths.tolist())), weights, space=space)

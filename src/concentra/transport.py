@@ -244,9 +244,13 @@ def _psd_sqrt(a: np.ndarray) -> np.ndarray:
 
 
 def wasserstein_gaussian_w2(mu: GaussianMeasure, nu: GaussianMeasure) -> float:
-    """Closed-form W2 between Gaussian laws (Bures metric plus mean shift)."""
+    """Closed-form W2 between Gaussian laws (Bures metric plus mean shift):
+    exactly 0.0 for equal laws, else the square root turns round-off in the
+    trace into a floor of about sqrt(eps * (tr mu.cov + tr nu.cov))."""
     if mu.dim != nu.dim:
         raise InputError("Gaussian dimensions differ")
+    if np.array_equal(mu.mean, nu.mean) and np.array_equal(mu.cov, nu.cov):
+        return 0.0
     s1 = _psd_sqrt(mu.cov)
     cross = _psd_sqrt(s1 @ nu.cov @ s1)
     gap = float(np.sum((mu.mean - nu.mean) ** 2))

@@ -35,6 +35,7 @@ def test_constants_multiple_horizons(capsys):
     )
     assert code == 0
     payload = json.loads(out)
+    assert payload["config"] == {"formula": "ts-markov", "n": [1, 10, 100]}
     vals = [r["value"] for r in payload["results"]]
     assert vals[0] == vals[1] == vals[2]  # s = 2 contractive is n-free
     assert payload["results"][0]["regime"] == "contractive"
@@ -145,10 +146,28 @@ def test_couple_json_report(capsys):
 @pytest.mark.parametrize("argv", [
     ("constants", "--formula", "gc-markov", "--kappa1", "1", "--L", "1", "--workers", "2"),
     ("constants", "--formula", "gc-markov", "--kappa1", "1", "--L", "1", "--epsilon", "0.5"),
+    ("constants", "--formula", "gc-markov", "--kappa1", "1", "--L", "1", "--samples", "9"),
+    ("constants", "--formula", "gc-markov", "--kappa1", "1", "--L", "1", "--seed", "3"),
+    ("certify", "--inequality", "gc", "--constant", "0.25", "--mu", TWO_POINT, "--tol", "5"),
+    ("certify", "--inequality", "gc", "--constant", "0.25", "--mu", TWO_POINT, "--samples", "9"),
+    ("couple", "--p-model", "{}", "--q-model", "{}", "--n", "2", "--seed", "1"),
+    ("wasserstein", "--mu", TWO_POINT, "--nu", TWO_POINT, "--tol", "1"),
+    ("verify-arma", "--A", "[[0.5]]", "--seed", "1"),
+    ("verify-ou", "--rho", "1", "--tau", "1", "--n", "2", "--tol", "1"),
 ])
 def test_removed_flags_rejected(argv):
     with pytest.raises(SystemExit):
         main(list(argv))
+
+
+@pytest.mark.parametrize("theta, n", [(1e200, 4), (1e100, 5)])
+def test_couple_overflow_is_input_error(capsys, theta, n):
+    p = json.dumps({"kind": "gaussian_kernel", "theta": theta, "sigma2": 1.0})
+    q = json.dumps({"kind": "gaussian_kernel", "theta": 0.5, "sigma2": 1.0})
+    code, out, err = run(capsys, "couple", "--p-model", p, "--q-model", q, "--n", str(n), "--s", "2")
+    assert code == 2
+    assert out == ""
+    assert "overflow" in err
 
 
 def test_verify_ou_analytic_mode(capsys):

@@ -1,21 +1,27 @@
 import itertools
 import logging
 import math
+import time
 
 import numpy as np
 import pytest
-from oracles import abs_moment_quad, comonotone_gap_laws
+from oracles import abs_moment_quad, comonotone_gap_laws, stepwise_coupling_costs
 
 from concentra import (
+    REAL_LINE,
     CouplingBound,
+    DiscreteMeasure,
+    FiniteMetricSpace,
     GaussianKernelModel,
     InputError,
     OUModel,
+    ProductSpace,
     TabularModel,
     gaussian_chain_joint,
     recursive_coupling_bound,
     tabular_joint_law,
     transport_inequality_audit,
+    wasserstein_1d,
     wasserstein_exact,
     wasserstein_gaussian_w2,
 )
@@ -215,3 +221,83 @@ def test_unlabeled_tabular_audit_bound_dominates_exact(seed):
     s = (1.0, 1.5, 2.0)[seed % 3]
     entry = transport_inequality_audit(p, 1.0, s, 0.5, 3, [q])["entries"][0]
     assert entry["w_exact"] <= entry["w_coupling_bound"] + 1e-9
+
+
+_KINDS = ("sorted-labels", "unsorted-labels", "unlabeled", "finite-space")
+
+
+def _chain_pair(rng, kind):
+    """Two random chains on one state space, with some zero transitions."""
+    k = int(rng.integers(2, 8))
+    labels = space = None
+    if kind == "sorted-labels":
+        labels = np.sort(rng.uniform(0.0, k, k))
+    elif kind == "unsorted-labels":
+        labels = rng.uniform(0.0, k, k)
+    elif kind == "finite-space":
+        pts = rng.normal(size=(k, 2))
+        space = FiniteMetricSpace(tuple(range(k)), np.linalg.norm(pts[:, None] - pts[None], axis=-1))
+
+    def chain():
+        trans = rng.dirichlet(np.ones(k), size=k)
+        trans[rng.random((k, k)) < 0.3] = 0.0
+        trans[np.arange(k), rng.integers(0, k, k)] += 0.1
+        return TabularModel(rng.dirichlet(np.ones(k)), trans / trans.sum(axis=1, keepdims=True),
+                            labels=labels, space=space)
+
+    return chain(), chain()
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("kind", _KINDS)
+def test_pair_chain_matches_stepwise_oracle(kind, seed):
+    """The pair-chain bound against a per-pair dense-LP recursion. At
+    s = 1 on a line the optimal plan is not unique, so only the first step
+    (exact W_1) and domination of the exact joint W_1 are checked there."""
+    rng = np.random.default_rng([seed, _KINDS.index(kind)])
+    q, p = _chain_pair(rng, kind)
+    n = int(rng.integers(1, 6))
+    for s in (1.0, 1.5, 2.0):
+        bound = recursive_coupling_bound(p, q, n, s)
+        if s > 1.0 or kind == "finite-space":
+            oracle = stepwise_coupling_costs(q, p, n, s)
+            assert bound.step_costs == pytest.approx(oracle, rel=1e-12, abs=1e-14), (kind, s)
+            continue
+        positions = q.labels if q.labels is not None else range(q.n_states)
+        first = wasserstein_1d(DiscreteMeasure(tuple(positions), q.init),
+                               DiscreteMeasure(tuple(positions), p.init), 1.0)
+        assert bound.step_costs[0] == pytest.approx(first, rel=1e-12, abs=1e-15)
+        if q.n_states**n <= 256:
+            exact = _exact_joint_ws(p, q, n, 1.0)
+            assert bound.upper_bound >= exact - 1e-9
+
+
+def test_labelled_joint_law_matches_label_valued_law():
+    """Index tuples on the label metric give the W_s of label tuples on the line."""
+    rng = np.random.default_rng(5)
+    labels = (0.5, -1.0, 2.25, 0.1)
+    chains = [TabularModel(rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(4), size=4), labels=labels)
+              for _ in range(2)]
+    n = 3
+    for s in (1.0, 1.5, 2.0):
+        by_hand = []
+        for m in chains:
+            support, weights = [], []
+            for path in itertools.product(range(4), repeat=n):
+                w = m.init[path[0]]
+                for a, b in zip(path, path[1:]):
+                    w *= m.transition[a, b]
+                support.append(tuple(labels[i] for i in path))
+                weights.append(w)
+            by_hand.append(DiscreteMeasure(tuple(support), np.array(weights), space=ProductSpace(REAL_LINE, n, s)))
+        joint = [tabular_joint_law(m, n, s) for m in chains]
+        assert joint[0].support[0] == (0, 0, 0)
+        assert wasserstein_exact(*joint, s)[0] == pytest.approx(wasserstein_exact(*by_hand, s)[0], rel=1e-12)
+
+
+def test_full_chain_audit_rejects_large_joint_law_fast():
+    p = TabularModel(np.full(10, 0.1), np.full((10, 10), 0.1))
+    t0 = time.perf_counter()
+    with pytest.raises(InputError):
+        transport_inequality_audit(p, 1.0, 1.0, 0.5, 9, [p])
+    assert time.perf_counter() - t0 < 1.0

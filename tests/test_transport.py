@@ -10,9 +10,11 @@ from concentra import (
     REAL_LINE,
     DiscreteMeasure,
     FiniteMetricSpace,
+    GaussianKernelModel,
     GaussianMeasure,
     InputError,
     ProductSpace,
+    gaussian_chain_joint,
     kantorovich_dual_w1,
     solve_transport_lp,
     wasserstein_1d,
@@ -180,6 +182,16 @@ def test_gaussian_w2_oracle_values():
     b2 = GaussianMeasure([1.0, -1.0], np.diag([9.0, 1.0]))
     hand = math.sqrt(2.0 + (3.0 - 1.0) ** 2 + (1.0 - 2.0) ** 2)
     assert wasserstein_gaussian_w2(a2, b2) == pytest.approx(hand, abs=1e-12)
+
+
+def test_gaussian_w2_is_zero_between_equal_laws():
+    joint = gaussian_chain_joint(GaussianKernelModel(-0.7, 0.5, 0.0, 0.3), 2)
+    assert wasserstein_gaussian_w2(joint, joint) == 0.0
+    cov = [[1.0, 0.3], [0.3, 2.0]]
+    assert wasserstein_gaussian_w2(GaussianMeasure([0.0, 0.0], cov), GaussianMeasure([0.0, 0.0], cov)) == 0.0
+    # a different law stays above the round-off floor
+    shifted = GaussianMeasure([0.0, 1e-6], cov)
+    assert wasserstein_gaussian_w2(GaussianMeasure([0.0, 0.0], cov), shifted) > 0.0
 
 
 def test_gaussian_w2_vs_discretized_lp():
