@@ -219,13 +219,11 @@ def _cmd_simulate(args) -> int:
     paths = simulate_joint(model, args.n, args.samples, seed=args.seed)
     flat = paths.values.reshape(paths.n_paths, -1)
     config = _config(args, ("model", "n", "samples", "seed"))
-    payload = {"config": config, "paths": flat.tolist()}
-    rows = [tuple(float(v) for v in row) for row in flat]
     if args.format == "json":
-        _emit(payload, args)
+        _emit({"config": config, "paths": flat.tolist()}, args)
     else:
-        args.format = "csv"
-        _emit(payload, args, rows, tuple(f"x{k}" for k in range(flat.shape[1])))
+        rows = flat.astype(float).tolist()
+        _emit({"config": config}, args, rows, tuple(f"x{k}" for k in range(flat.shape[1])))
     return EXIT_PASS
 
 

@@ -59,7 +59,7 @@ class CouplingBound:
 
 
 def _tabular_cost(model_q: TabularModel, model_p: TabularModel, s: float) -> np.ndarray:
-    if model_q.n_states != model_p.n_states:
+    if model_q.n_states != model_p.n_states or model_q.state_space != model_p.state_space:
         raise InputError("state spaces differ")
     states = np.arange(model_q.n_states)
     return model_q.state_space.pairwise(states, states) ** s

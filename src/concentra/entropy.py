@@ -2,7 +2,9 @@
 
 All logarithms are natural. The chain rule splits the relative entropy of
 two joint laws on a product space into the entropy of the first marginals
-plus one conditional term per later time step.
+plus one conditional term per later time step. It runs on the joint law's
+support as an array of paths, whose steps may be numbers or vectors of one
+common length.
 """
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ import numpy as np
 
 from .errors import InputError
 from .measures import DiscreteMeasure, GaussianMeasure, _point_key
+from .processes import TabularModel
 
 
 def relative_entropy_discrete(nu: DiscreteMeasure, mu: DiscreteMeasure) -> float:
@@ -71,119 +74,78 @@ class EntropyBreakdown:
                 raise InputError("entropy terms must be nonnegative")
 
 
-def _joint_items(q: DiscreteMeasure):
-    for p, w in zip(q.support, q.weights):
-        yield tuple(p), float(w)
+def _paths(support) -> np.ndarray:
+    """Joint-law support as an array of shape (paths, n, m): m = 1 for
+    scalar steps, the vector length for vector-valued steps."""
+    try:
+        x = np.asarray(support, dtype=float)
+    except (TypeError, ValueError):
+        x = None
+    if x is None or x.ndim < 2 or x.shape[1] == 0:
+        raise InputError("joint support tuples must share one length")
+    return x.reshape(x.shape[0], x.shape[1], -1)
 
 
-def _marginal(q: DiscreteMeasure, upto: int) -> dict:
-    out: dict = {}
-    for p, w in _joint_items(q):
-        key = _point_key(p[:upto])
-        out[key] = out.get(key, 0.0) + w
-    return out
-
-
-def _conditional(q: DiscreteMeasure, k: int) -> dict:
-    """q_k(x_k | x^(k-1)) as {prefix: {state: prob}} for 1-based step k."""
-    groups: dict = {}
-    for p, w in _joint_items(q):
-        if w == 0.0:
-            continue
-        pref = _point_key(p[: k - 1])
-        groups.setdefault(pref, {})
-        key = _point_key(p[k - 1])
-        groups[pref][key] = groups[pref].get(key, 0.0) + w
-    for pref, states in groups.items():
-        z = sum(states.values())
-        for key in states:
-            states[key] /= z
-    return groups
-
-
-class _TabularJoint:
-    """Joint-law view of a tabular Markov model, evaluated pointwise."""
-
-    def __init__(self, model):
-        self.init = np.asarray(model.init, dtype=float)
-        self.trans = np.asarray(model.transition, dtype=float)
-
-    def initial(self) -> dict:
-        # keyed by length-1 prefixes, matching the marginal of the joint law
-        return {(i,): float(w) for i, w in enumerate(self.init) if w > 0}
-
-    def conditional(self, prefix, k: int) -> dict:
-        row = self.trans[int(prefix[-1])]
-        return {i: float(w) for i, w in enumerate(row) if w > 0}
-
-
-class _DiscreteJoint:
-    """Joint-law view of an explicit discrete measure on tuples."""
-
-    def __init__(self, p: DiscreteMeasure):
-        self.p = p
-        self._marginals: dict = {}
-        self._conditionals: dict = {}
-
-    def initial(self) -> dict:
-        return self._marginal(1)
-
-    def _marginal(self, upto: int) -> dict:
-        if upto not in self._marginals:
-            self._marginals[upto] = _marginal(self.p, upto)
-        return self._marginals[upto]
-
-    def conditional(self, prefix, k: int) -> dict:
-        if k not in self._conditionals:
-            self._conditionals[k] = _conditional(self.p, k)
-        return self._conditionals[k].get(_point_key(tuple(prefix)), {})
-
-
-def _entropy_of_dicts(qd: dict, pd: dict) -> float:
-    terms = []
-    for key, w in qd.items():
-        if w == 0.0:
-            continue
-        m = pd.get(key, 0.0)
-        if m == 0.0:
-            return math.inf
-        terms.append(w * math.log(w / m))
-    return max(math.fsum(terms), 0.0)
+def _tabular_log_kernel(model: TabularModel, x: np.ndarray) -> np.ndarray:
+    """log P(x_k | x_(k-1)) of a tabular chain per path and step (log init at
+    step 1); -inf at a step outside the states 0..S-1 or vector-valued."""
+    state = x[..., 0]
+    ok = (x.shape[2] == 1) & (state == np.floor(state)) & (state >= 0) & (state < model.n_states)
+    i = np.where(ok, state, 0).astype(np.intp)
+    prob = np.where(ok, model.init[i], 0.0)
+    prob[:, 1:] = np.where(ok[:, :-1] & ok[:, 1:], model.transition[i[:, :-1], i[:, 1:]], 0.0)
+    with np.errstate(divide="ignore"):
+        return np.log(prob)
 
 
 def chain_rule_decompose(q: DiscreteMeasure, p) -> EntropyBreakdown:
     """Decompose Ent(Q | P) along time steps of a product-space joint law.
 
-    ``q`` must have tuple support; ``p`` is a tabular Markov model or a
-    discrete joint law on the same product space. Conditionals of Q at
-    histories Q does not visit carry zero weight and contribute nothing.
+    ``q`` must have tuple support; each step is a number or a vector of one
+    common length. ``p`` is a tabular Markov model or a discrete joint law
+    on the same product space. A state of ``q`` outside a tabular ``p``'s
+    states 0..S-1 is mass off P's support. Raises ``InputError`` when
+    support tuples are ragged, ``q`` and ``p`` tuples differ in shape, or
+    ``p`` is neither kind.
+
+    One grouped pass over the paths: at step k, every path's k-prefix gets
+    a group id from (its (k-1)-prefix id, its step k), Q's prefix masses
+    come from ``np.bincount`` over the ids, and the term is
+    sum q(x^k) [log q(x_k | x^(k-1)) - log p(x_k | x^(k-1))] over the
+    prefixes Q charges. A discrete P's prefix masses come from the same ids
+    on the stacked supports. Histories Q does not visit contribute nothing.
     """
-    n = len(tuple(q.support[0]))
-    if any(len(tuple(pt)) != n for pt in q.support):
-        raise InputError("joint support tuples must share one length")
-    view = _DiscreteJoint(p) if isinstance(p, DiscreteMeasure) else _TabularJoint(p)
-
-    q1 = _marginal(q, 1)
-    initial = _entropy_of_dicts(q1, view.initial())
-    if math.isinf(initial):
-        return EntropyBreakdown(math.inf, math.inf, (), failure_step=1)
-
-    conditionals = []
-    for k in range(2, n + 1):
-        q_prev = _marginal(q, k - 1)
-        q_cond = _conditional(q, k)
-        acc = []
-        for pref_key, qd in q_cond.items():
-            w_pref = q_prev.get(pref_key, 0.0)
-            if w_pref == 0.0:
-                continue
-            prefix = pref_key if isinstance(pref_key, tuple) else (pref_key,)
-            ent = _entropy_of_dicts(qd, view.conditional(prefix, k))
-            if math.isinf(ent):
-                return EntropyBreakdown(
-                    math.inf, initial, tuple(conditionals), failure_step=k
-                )
-            acc.append(w_pref * ent)
-        conditionals.append(max(math.fsum(acc), 0.0))
-    total = initial + math.fsum(conditionals)
-    return EntropyBreakdown(total, initial, tuple(conditionals))
+    x = _paths(q.support)
+    nq, n = x.shape[0], x.shape[1]
+    if isinstance(p, DiscreteMeasure):
+        y = _paths(p.support)
+        if y.shape[1:] != x.shape[1:]:
+            raise InputError(f"q and p paths differ in shape: {x.shape[1:]} vs {y.shape[1:]}")
+        x, log_kernel = np.concatenate([x, y]), None
+    elif isinstance(p, TabularModel):
+        log_kernel = _tabular_log_kernel(p, x)
+    else:
+        raise InputError("p must be a tabular chain or a discrete joint law")
+    group = np.zeros(len(x))
+    q_prev = p_prev = np.ones(1)
+    terms = []
+    for k in range(n):
+        _, first, inv = np.unique(np.column_stack([group, x[:, k]]), axis=0,
+                                  return_index=True, return_inverse=True)
+        parent, group = group[first].astype(np.intp), inv.ravel()
+        q_k = np.bincount(group[:nq], weights=q.weights, minlength=first.size)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if log_kernel is None:
+                p_k = np.bincount(group[nq:], weights=p.weights, minlength=first.size)
+                log_p = np.log(p_k) - np.log(p_prev[parent])
+                p_prev = p_k
+            else:
+                log_p = log_kernel[first, k]
+        live = q_k > 0
+        if np.any(log_p[live] == -np.inf):
+            initial = terms[0] if terms else math.inf
+            return EntropyBreakdown(math.inf, initial, tuple(terms[1:]), failure_step=k + 1)
+        w = q_k[live]
+        terms.append(max(math.fsum(w * (np.log(w / q_prev[parent[live]]) - log_p[live])), 0.0))
+        q_prev = q_k
+    return EntropyBreakdown(math.fsum(terms), terms[0], tuple(terms[1:]))

@@ -185,7 +185,7 @@ def product_distance(x: Sequence, y: Sequence, s: float, base=REAL_LINE) -> floa
 def _point_key(p):
     """Hashable identity of a support point."""
     if isinstance(p, np.ndarray):
-        return tuple(p.tolist())
+        return _point_key(p.tolist())
     if isinstance(p, (list, tuple)):
         return tuple(_point_key(q) for q in p)
     if isinstance(p, (np.floating, np.integer)):

@@ -2,7 +2,8 @@
 a traversal oracle for the Lipschitz polytope vertices, quadrature
 oracles for the comonotone coupling of two Gaussian chains, and a
 pair-by-pair recursion for the step-optimal coupling of two tabular
-chains.
+chains, and prefix-marginal differences for the chain rule of relative
+entropy.
 
 These deliberately avoid the library's closed forms: every sum is an
 explicit loop, every power a literal, so a regression in the formulas
@@ -250,3 +251,50 @@ def stepwise_coupling_costs(q, p, n, s):
         atoms = nxt
         steps.append(math.fsum(dk))
     return steps
+
+
+def _prefix_law(paths, weights, k):
+    """Marginal law of the first k steps, summed path by path in a dict."""
+    from concentra import DiscreteMeasure
+
+    law = {}
+    for path, w in zip(paths, weights):
+        key = tuple(path[:k])
+        law[key] = law.get(key, 0.0) + float(w)
+    return DiscreteMeasure(tuple(law), np.array(list(law.values())))
+
+
+def _tabular_prefix_law(model, k):
+    """Law of a tabular chain's first k states, over all S^k paths by loops."""
+    from concentra import DiscreteMeasure
+
+    law = {}
+    for path in itertools.product(range(model.n_states), repeat=k):
+        w = float(model.init[path[0]])
+        for a, b in zip(path, path[1:]):
+            w *= float(model.transition[a, b])
+        if w > 0:
+            law[path] = w
+    return DiscreteMeasure(tuple(law), np.array(list(law.values())))
+
+
+def chain_rule_terms(q, p, n):
+    """Chain-rule terms of Ent(Q | P) for a discrete joint law q on n-tuples
+    and p a tabular chain or a discrete joint law: step k's term is
+    KL(Q_{1:k} | P_{1:k}) - KL(Q_{1:k-1} | P_{1:k-1}), each KL by
+    ``relative_entropy_discrete`` on explicit prefix marginals. Returns the
+    terms before the first infinite KL and that 1-based step (else None)."""
+    from concentra import DiscreteMeasure, relative_entropy_discrete
+
+    terms, prev = [], 0.0
+    for k in range(1, n + 1):
+        if isinstance(p, DiscreteMeasure):
+            p_k = _prefix_law(p.support, p.weights, k)
+        else:
+            p_k = _tabular_prefix_law(p, k)
+        kl = relative_entropy_discrete(_prefix_law(q.support, q.weights, k), p_k)
+        if math.isinf(kl):
+            return terms, k
+        terms.append(kl - prev)
+        prev = kl
+    return terms, None

@@ -128,6 +128,21 @@ def test_simulate_reproducible_csv(capsys):
     assert len(rows) == 5
 
 
+@pytest.mark.parametrize("model", [
+    {"kind": "gaussian_kernel", "theta": 0.5, "sigma2": 1.0},
+    {"kind": "tabular", "init": [0.5, 0.5], "transition": [[0.9, 0.1], [0.2, 0.8]]},
+])
+def test_simulate_json_and_csv_give_the_same_paths(capsys, model):
+    argv = ("simulate", "--model", json.dumps(model), "--n", "3", "--samples", "4", "--seed", "9")
+    code, out_json, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    code, out_csv, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    rows = [r for r in out_csv.strip().splitlines() if not r.startswith("#")][1:]
+    csv_paths = [[float(v) for v in r.split(",")] for r in rows]
+    assert json.loads(out_json)["paths"] == csv_paths
+
+
 def test_couple_json_report(capsys):
     p = json.dumps({"kind": "gaussian_kernel", "theta": 0.5, "sigma2": 1.0})
     q = json.dumps({"kind": "gaussian_kernel", "theta": 0.5, "sigma2": 1.0, "init_mean": 1.0})

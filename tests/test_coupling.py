@@ -210,6 +210,17 @@ def test_tabular_cost_uses_the_joint_law_metric():
     assert np.array_equal(_tabular_cost(plain, plain, 2.0), np.abs(idx[:, None] - idx[None, :]) ** 2.0)
 
 
+def test_tabular_chains_on_different_state_spaces_rejected():
+    kernel = np.full((2, 2), 0.5)
+    p = TabularModel(np.array([1.0, 0.0]), kernel, labels=(0.0, 1.0))
+    q = TabularModel(np.array([0.0, 1.0]), kernel, labels=(0.0, 5.0))
+    plain = TabularModel(np.array([0.0, 1.0]), kernel)
+    for a, b in ((p, q), (p, plain)):
+        for args in ((a, b), (b, a)):
+            with pytest.raises(InputError):
+                recursive_coupling_bound(*args, 2, 1.0)
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_unlabeled_tabular_audit_bound_dominates_exact(seed):
     rng = np.random.default_rng(seed)

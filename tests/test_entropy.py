@@ -5,16 +5,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from concentra import (
+    ARMAModel,
     DiscreteMeasure,
     GaussianMeasure,
     InputError,
     TabularModel,
     chain_rule_decompose,
+    empirical_measure,
     relative_entropy_discrete,
     relative_entropy_gaussian,
+    simulate_joint,
     tabular_joint_law,
 )
 from concentra.entropy import EntropyBreakdown
+from oracles import chain_rule_terms
 
 # frozen oracle: 0.75 ln(3/2) + 0.25 ln(1/2), summed by hand with fsum
 ENT_34_12 = 0.13081203594113694
@@ -109,6 +113,98 @@ def test_chain_rule_reports_failure_step():
     p2 = DiscreteMeasure(((0, 0), (0, 1)), np.array([0.5, 0.5]))
     bd2 = chain_rule_decompose(q, p2)
     assert bd2.failure_step == 1
+    # a state outside 0..S-1 of a tabular P is off its support, never row -1
+    chain = TabularModel(np.array([0.5, 0.5]), np.full((2, 2), 0.5))
+    q3 = DiscreteMeasure(((0, 1, -1), (1, 1, 1)), np.array([0.5, 0.5]))
+    bd3 = chain_rule_decompose(q3, chain)
+    assert bd3.failure_step == 3
+    assert bd3.initial_term == 0.0 and len(bd3.conditional_terms) == 1
+
+
+def test_chain_rule_rejects_mismatched_inputs():
+    q = DiscreteMeasure(((0, 0, 0), (0, 1, 1)), np.array([0.5, 0.5]))
+    with pytest.raises(InputError):
+        chain_rule_decompose(q, DiscreteMeasure(((0, 0), (0, 1)), np.array([0.5, 0.5])))
+    vec = DiscreteMeasure((((0, 0),), ((0, 1),)), np.array([0.5, 0.5]))
+    with pytest.raises(InputError):
+        chain_rule_decompose(vec, DiscreteMeasure((((0, 0, 0),),), np.array([1.0])))
+    ragged = DiscreteMeasure(((0, 0), (0, 1, 1)), np.array([0.5, 0.5]))
+    chain = TabularModel(np.array([0.5, 0.5]), np.full((2, 2), 0.5))
+    for args in ((ragged, chain), (ragged, ragged), (q, ragged), (q, GaussianMeasure([0.0], [[1.0]]))):
+        with pytest.raises(InputError):
+            chain_rule_decompose(*args)
+
+
+def _sparse_probs(rng, k):
+    """A probability vector on k states with some exact zeros."""
+    w = rng.dirichlet(np.ones(k)) * (rng.random(k) > 0.3)
+    if w.sum() == 0.0:
+        w[rng.integers(k)] = 1.0
+    return w / w.sum()
+
+
+def _chain_case(seed, kind):
+    """Q and P for the chain rule on n <= 4 steps, with zero weights.
+
+    ``tabular``: P a chain on S <= 4 states with zero transitions, Q on
+    paths drawn from P, half the time with paths that may visit the
+    states -1, S or 0.5.
+    ``discrete``: P a joint law on scalar paths, Q on some of P's paths and
+    perhaps others. ``vector``: the same with pairs as steps.
+    ``vector-tabular``: Q with pair steps against a tabular P.
+    """
+    rng = np.random.default_rng(seed)
+    k, n = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+    pairs = kind.startswith("vector")
+    states = [(a, b) for a in range(2) for b in range(2)] if pairs else list(range(k))
+
+    def paths(count, pool):
+        return {tuple(pool[i] for i in rng.integers(len(pool), size=n)) for _ in range(count)}
+
+    def law(support):
+        support = sorted(support)
+        return DiscreteMeasure(tuple(support), _sparse_probs(rng, len(support)))
+
+    if kind in ("tabular", "vector-tabular"):
+        p = TabularModel(_sparse_probs(rng, k), np.vstack([_sparse_probs(rng, k) for _ in range(k)]))
+        if pairs:
+            return law(paths(6, states)), p, n
+        q_paths = {tuple(r) for r in simulate_joint(p, n, 6, seed=seed).values.tolist()}
+        if rng.random() < 0.5:
+            q_paths |= paths(2, states + [-1, k, 0.5])
+        return law(q_paths), p, n
+    p = law(paths(10, states))
+    q_paths = {p.support[i] for i in rng.permutation(len(p))[: int(rng.integers(1, len(p) + 1))]}
+    if rng.random() < 0.5:
+        q_paths |= paths(2, states)
+    return law(q_paths), p, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from(("tabular", "discrete", "vector", "vector-tabular")),
+)
+def test_chain_rule_terms_match_prefix_kl_oracle(seed, kind):
+    q, p, n = _chain_case(seed, kind)
+    terms, failure_step = chain_rule_terms(q, p, n)
+    bd = chain_rule_decompose(q, p)
+    assert bd.failure_step == failure_step
+    got = bd.conditional_terms if failure_step == 1 else (bd.initial_term,) + bd.conditional_terms
+    assert len(got) == len(terms)
+    tol = 1e-12 * max(1.0, math.fsum(terms))
+    for a, b in zip(got, terms):
+        assert abs(a - b) <= tol
+
+
+def test_chain_rule_on_arma_empirical_laws():
+    values = simulate_joint(ARMAModel([[0.5, 0.1], [0.0, 0.3]], np.eye(2)), 3, 5, seed=2).values
+    q = empirical_measure(list(values))
+    p = empirical_measure(list(values) + list(values[:2]))
+    assert len(DiscreteMeasure(tuple(values), np.full(5, 0.2))) == 5
+    bd = chain_rule_decompose(q, p)
+    assert bd.total == pytest.approx(relative_entropy_discrete(q, p), abs=1e-12)
+    assert bd.total > 0.0
 
 
 def test_breakdown_validates_its_identity():

@@ -111,6 +111,9 @@ def test_kernel_lipschitz_estimate_gaussian_is_theta():
     for s in (1.0, 1.5, 2.0):
         est = kernel_lipschitz_estimate(model, [(-1.0, 1.0), (0.0, 3.0)], s)
         assert est == pytest.approx(0.7, rel=1e-7)
+    for s in (1.0, 1.5, 2.0):
+        est = kernel_lipschitz_estimate(GaussianKernelModel(-0.6, 0.5), [(-1.0, 1.0), (0.0, 3.0)], s)
+        assert est == pytest.approx(0.6, rel=1e-15)
     with pytest.raises(InputError):
         kernel_lipschitz_estimate(model, [(1.0, 1.0)], 2.0)
 
