@@ -7,14 +7,18 @@ constant. Certificates therefore record the family size and a witness
 that re-evaluates to the reported worst slack, so every verdict can be
 replayed.
 
-The GC and T_s families are scored as arrays, with the same members,
-t-grid and family sizes as a member-by-member loop: the Lipschitz family
-is a matrix with one test function per row, and T_s perturbations are
-weight rows on the support of mu. Evaluation runs in blocks of about
-``_BLOCK`` floats, so working memory stays proportional to the family
-size times the support size. The scalar slacks ``gc_slack``,
-``transport_slack`` and ``lsi_slack`` are the reference that ``replay``
-evaluates.
+Every family is scored as an array, with the same members, t-grid and
+family sizes as a member-by-member loop: the Lipschitz family and the LSI
+test functions are matrices with one function per row, and T_s
+perturbations are weight rows on the support of mu. GC and T_s
+evaluation runs in blocks of about ``_BLOCK`` floats, so working memory
+stays proportional to the family size times the support size. The
+scalar slacks ``gc_slack``, ``transport_slack`` and ``lsi_slack`` are
+the reference that ``replay`` evaluates.
+
+No family depends on the constant, and each slack is affine in kappa
+(GC), alpha^(-1/2) (T_s) or 1/alpha (LSI), so every certificate records
+its family's pass/fail boundary, the critical constant, in closed form.
 """
 from __future__ import annotations
 
@@ -29,13 +33,7 @@ from scipy.special import logsumexp
 from .entropy import relative_entropy_discrete
 from .errors import InputError
 from .measures import DiscreteMeasure, RealLine, _point_key
-from .transport import (
-    _northwest_corner,
-    _resolve_space,
-    solve_transport_lp,
-    wasserstein_1d,
-    wasserstein_exact,
-)
+from .transport import _northwest_corner, _resolve_space, solve_transport_lp, wasserstein_exact
 
 GC = "GC"
 TS = "T_s"
@@ -60,6 +58,7 @@ class Certificate:
     tolerance: float = SLACK_TOL
     family: str = ""
     grid_h: float | None = None
+    critical: float | None = None  # passes at kappa >= it (GC), at alpha <= it (T_s, LSI)
 
     def __post_init__(self):
         expected = "pass" if self.worst_slack <= self.tolerance else "fail"
@@ -172,7 +171,8 @@ def check_gc(
     """Certify or falsify the sub-Gaussian MGF bound at constant kappa.
 
     The slack ``gc_slack`` of every test function at every t is computed
-    at once, a block of t values per ``logsumexp``.
+    at once, a block of t values per ``logsumexp``. The critical constant is
+    max 2 (Lambda_f(t) - t E f - tol) / t^2 over members and t != 0 (or -inf).
     """
     if kappa <= 0:
         raise InputError("kappa must be positive")
@@ -185,14 +185,16 @@ def check_gc(
     assert abs(logsumexp(logw)) < 1e-12, "GC slack must vanish at t = 0"
     values = family[:, mask]
     means = family @ mu.weights
-    slack = np.empty((len(family), t_grid.size))
+    centred = np.empty((len(family), t_grid.size))  # Lambda_f(t) - t E f
     for b in _blocks(t_grid.size, values.size):
         t = t_grid[b, None]
-        lse = logsumexp(logw + t[:, :, None] * values, axis=2)
-        slack[:, b] = (lse - t * means - kappa * t**2 / 2.0).T
+        centred[:, b] = (logsumexp(logw + t[:, :, None] * values, axis=2) - t * means).T
+    slack = centred - kappa * t_grid**2 / 2.0
     # the first maximum in (member, t) order
     fi, ti = np.unravel_index(np.argmax(slack), slack.shape)
     worst = float(slack[fi, ti])
+    nz = t_grid != 0.0
+    critical = float(np.max(2.0 * (centred[:, nz] - SLACK_TOL) / t_grid[nz] ** 2, initial=-math.inf))
     return Certificate(
         inequality=GC,
         constant=float(kappa),
@@ -202,6 +204,7 @@ def check_gc(
         verdict=_verdict(worst, SLACK_TOL),
         search_size=slack.size,
         family=f"dist+mcshane[{family_size}]" + ("+vertices" if len(mu) <= 6 else ""),
+        critical=critical,
     )
 
 
@@ -271,36 +274,32 @@ def _line_wasserstein(rows: np.ndarray, mu: DiscreteMeasure, s: float) -> np.nda
     return np.maximum(np.sum(mass * gap**s, axis=1), 0.0) ** (1.0 / s)
 
 
-def _transport_slacks(rows, off, mu: DiscreteMeasure, alpha: float, s: float) -> np.ndarray:
-    """``transport_slack`` of every weight row on the support of mu; -inf
-    where Ent is infinite or ``off`` marks mass off the support."""
-    slack = np.full(len(rows), -math.inf)
+def _transport_terms(rows, off, mu: DiscreteMeasure, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """W_s(nu_r, mu) and Ent(nu_r | mu) of every weight row on the support
+    of mu. Rows whose Ent is infinite, or that ``off`` marks as having mass
+    off the support, get Ent = inf and W_s = 0, so their slack is -inf."""
+    ws = np.zeros(len(rows))
+    ent = np.full(len(rows), math.inf)
     line = isinstance(mu.resolved_space(), RealLine)
     cost = None if line else _support_distances(mu) ** s
     for b in _blocks(len(rows), 2 * len(mu)):
-        ent = _row_entropy(rows[b], mu.weights)
-        live = np.isfinite(ent) & ~off[b]
+        e = _row_entropy(rows[b], mu.weights)
+        live = np.isfinite(e) & ~off[b]
         block = rows[b][live]
         if line:
-            ws = _line_wasserstein(block, mu, s)
+            ws[b][live] = _line_wasserstein(block, mu, s)
         else:
             raw = [solve_transport_lp(cost, row, mu.weights)[0] for row in block]
-            ws = np.maximum(raw, 0.0) ** (1.0 / s)
-        slack[b][live] = ws - np.sqrt(2.0 * ent[live] / alpha)
-    return slack
-
-
-def _ws(nu: DiscreteMeasure, mu: DiscreteMeasure, s: float) -> float:
-    if mu.space is None and not isinstance(mu.support[0], (tuple, list)):
-        return wasserstein_1d(nu, mu, s)
-    return wasserstein_exact(nu, mu, s)[0]
+            ws[b][live] = np.maximum(raw, 0.0) ** (1.0 / s)
+        ent[b][live] = e[live]
+    return ws, ent
 
 
 def transport_slack(nu: DiscreteMeasure, mu: DiscreteMeasure, alpha: float, s: float) -> float:
     ent = relative_entropy_discrete(nu, mu)
     if math.isinf(ent):
         return -math.inf  # the bound is vacuous for non-absolutely-continuous nu
-    return _ws(nu, mu, s) - math.sqrt(2.0 * ent / alpha)
+    return wasserstein_exact(nu, mu, s)[0] - math.sqrt(2.0 * ent / alpha)
 
 
 def check_transport(
@@ -316,7 +315,8 @@ def check_transport(
     Every member is scored as a weight row on the support of mu; a member
     with mass off that support scores -inf. On the real line W_s of all
     rows comes from one batched north-west-corner walk, elsewhere from one
-    transport LP per row.
+    transport LP per row. The critical constant is min 2 Ent / (W_s - tol)^2
+    over scored members with W_s > tol (+inf if there is none).
     """
     if alpha <= 0:
         raise InputError("alpha must be positive")
@@ -331,9 +331,12 @@ def check_transport(
         if not members:
             raise InputError("empty perturbation family")
         rows, off = _member_rows(members, mu)
-    slack = _transport_slacks(rows, off, mu, alpha, s)
+    ws, ent = _transport_terms(rows, off, mu, s)
+    slack = ws - np.sqrt(2.0 * ent / alpha)
     i = int(np.argmax(slack))  # the first maximum
     worst = float(slack[i])
+    binding = ws > SLACK_TOL
+    critical = float(np.min(2.0 * ent[binding] / (ws[binding] - SLACK_TOL) ** 2, initial=math.inf))
     witness = {}
     if worst > -math.inf:
         support, weights = (mu.support, rows[i]) if members is None else (members[i].support, members[i].weights)
@@ -347,28 +350,33 @@ def check_transport(
         verdict=_verdict(worst, SLACK_TOL),
         search_size=len(rows),
         family="tilts+dirichlet" if perturbation_family is None else "user",
+        critical=critical,
     )
 
 
 def _grid_gradient(f: np.ndarray, h: float) -> np.ndarray:
+    """Central differences along the last axis, one-sided at the ends."""
     g = np.empty_like(f)
-    g[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
-    g[0] = (f[1] - f[0]) / h
-    g[-1] = (f[-1] - f[-2]) / h
+    g[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2.0 * h)
+    g[..., 0] = (f[..., 1] - f[..., 0]) / h
+    g[..., -1] = (f[..., -1] - f[..., -2]) / h
     return g
+
+
+def _lsi_terms(weights: np.ndarray, f: np.ndarray, h: float):
+    """int f^2 dmu, the terms f^2 log(f^2 / int f^2 dmu) of Ent_mu(f^2),
+    and int |f'|^2 dmu, for functions along the last axis of ``f``."""
+    f2 = f**2
+    m = f2 @ weights
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = f2 * np.where(f2 > 0, np.log(np.where(f2 > 0, f2, 1.0) / m[..., None]), 0.0)
+    return m, terms, _grid_gradient(f, h) ** 2 @ weights
 
 
 def lsi_slack(weights: np.ndarray, f: np.ndarray, h: float, alpha: float) -> float:
     """Ent_mu(f^2) - (2/alpha) int |f'|^2 dmu on a uniform grid."""
-    f2 = f**2
-    m = float(np.dot(weights, f2))
-    if m <= 0:
-        return 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.where(f2 > 0, np.log(np.where(f2 > 0, f2, 1.0) / m), 0.0)
-    ent = float(np.dot(weights, f2 * logs))
-    dirichlet = float(np.dot(weights, _grid_gradient(f, h) ** 2))
-    return ent - 2.0 / alpha * dirichlet
+    m, terms, dirichlet = _lsi_terms(weights, f, h)
+    return 0.0 if m <= 0 else float(terms @ weights) - 2.0 / alpha * float(dirichlet)
 
 
 def default_lsi_family(grid: np.ndarray, seed: int = 0, bumps: int = 16) -> list[np.ndarray]:
@@ -402,6 +410,10 @@ def check_lsi_grid(
 
     The pass tolerance carries an O(h^2) allowance on top of the 1e-6
     base, and the certificate records h so the allowance is explicit.
+    The family is scored as one matrix, and the members within round-off
+    of its maximum are re-scored with ``lsi_slack``, as a loop would. The
+    critical constant is min 2 D / (Ent - tol) over members with Ent > tol,
+    where D = int |f'|^2 dmu (+inf if there is none).
     """
     grid = np.asarray(grid, dtype=float)
     density = np.asarray(density, dtype=float)
@@ -417,26 +429,32 @@ def check_lsi_grid(
         raise InputError("alpha must be positive")
     weights = density / density.sum()
     family = default_lsi_family(grid, seed) if test_functions is None else list(test_functions)
+    if not family or any(np.shape(f) != grid.shape for f in family):
+        raise InputError("the test family must be nonempty, with one value per grid point")
     tol = 1e-6 + 10.0 * h**2
-    worst = -math.inf
-    witness = {}
-    for i, f in enumerate(family):
-        f = np.asarray(f, dtype=float)
-        s = lsi_slack(weights, f, h, alpha)
-        if s > worst:
-            worst = s
-            witness = {"family_index": i, "f_values": [float(v) for v in f]}
+    f = np.array(family, dtype=float)
+    m, terms, dirichlet = _lsi_terms(weights, f, h)
+    ent = terms @ weights
+    slack = np.where(m > 0, ent - 2.0 / alpha * dirichlet, 0.0)
+    # summation order moves a slack by far less than this margin
+    margin = 1e-12 * (m + np.abs(terms) @ weights + 2.0 / alpha * dirichlet)
+    near = np.flatnonzero(slack + margin >= np.max(slack - margin))
+    rescored = [lsi_slack(weights, f[i], h, alpha) for i in near]
+    k = int(np.argmax(rescored))  # the first maximum
+    i, worst = int(near[k]), rescored[k]
+    critical = float(np.min(2.0 * dirichlet[ent > tol] / (ent[ent > tol] - tol), initial=math.inf))
     return Certificate(
         inequality=LSI,
         constant=float(alpha),
         order_s=None,
-        worst_slack=float(worst),
-        witness=witness,
+        worst_slack=worst,
+        witness={"family_index": i, "f_values": [float(v) for v in f[i]]},
         verdict=_verdict(worst, tol),
         search_size=len(family),
         tolerance=tol,
         family="poly+exp+bumps" if test_functions is None else "user",
         grid_h=h,
+        critical=critical,
     )
 
 
@@ -465,44 +483,25 @@ def replay(cert: Certificate, mu=None, alpha=None, grid=None, density=None) -> f
     return slack
 
 
-def best_constant(
-    checker: Callable[[float], Certificate],
-    bracket: tuple[float, float],
-    increasing_is_weaker: bool = True,
-) -> float:
-    """Bisect the pass/fail boundary of a monotone checker.
+def best_constant(checker: Callable[[float], Certificate], bracket: tuple[float, float]) -> float:
+    """The strongest constant in ``bracket`` at which ``checker`` passes.
 
-    The bracket ends must normally disagree; bisection runs to relative
-    width 1e-4 and the observed verdicts are checked to be monotone in
-    the constant. Returns the midpoint of the final bracket. A bracket
-    that passes at both ends is degenerate (the boundary lies outside):
-    the strongest end is returned, which for concentration-style
-    constants (``increasing_is_weaker``) is the lower one.
+    One call, at the lower end, gives the family's critical constant: the
+    families do not depend on the constant. GC constants get weaker as
+    they grow, T_s and LSI constants stronger. A bracket that passes
+    throughout returns its strongest end, one that passes nowhere raises
+    ``InputError``, and otherwise the critical constant is returned.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise InputError("bracket must satisfy lo < hi")
-    trace = []
-    c_lo = checker(lo)
-    c_hi = checker(hi)
-    trace += [(lo, c_lo.passed), (hi, c_hi.passed)]
-    if c_lo.passed and c_hi.passed:
-        return lo if increasing_is_weaker else hi
-    if c_lo.passed == c_hi.passed:
-        raise InputError("bracket does not straddle the pass/fail boundary")
-    while (hi - lo) > 1e-4 * max(abs(lo), abs(hi)):
-        mid = 0.5 * (lo + hi)
-        passed = checker(mid).passed
-        trace.append((mid, passed))
-        if passed == c_lo.passed:
-            lo = mid
-        else:
-            hi = mid
-    trace.sort()
-    flips = sum(1 for a, b in zip(trace, trace[1:]) if a[1] != b[1])
-    if flips != 1:
-        raise InputError("verdicts are not monotone in the constant")
-    return 0.5 * (lo + hi)
+    cert = checker(lo)
+    if cert.critical is None:
+        raise InputError("the certificate carries no critical constant")
+    best = max(lo, cert.critical) if cert.inequality == GC else min(hi, cert.critical)
+    if not lo <= best <= hi:
+        raise InputError("no constant in the bracket passes")
+    return best
 
 
 def check_bg_duality(mu: DiscreteMeasure, kappa: float, seed: int = 0) -> dict:

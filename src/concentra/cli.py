@@ -90,13 +90,14 @@ _FORMULAS = {
 def _cmd_constants(args) -> int:
     rows = []
     results = []
+    if args.formula == "arma":  # n-independent: one value for the whole sweep
+        if args.A is None or args.B is None:
+            raise InputError("the arma formula needs --A and --B")
+        arma_inputs = {"A": _load_json(args.A), "B": _load_json(args.B)}
+        arma_value = constants.arma_lsi_alpha(arma_inputs["A"], arma_inputs["B"])
     for n in args.n:
         if args.formula == "arma":
-            if args.A is None or args.B is None:
-                raise InputError("the arma formula needs --A and --B")
-            value = constants.arma_lsi_alpha(_load_json(args.A), _load_json(args.B))
-            inputs = {"A": _load_json(args.A), "B": _load_json(args.B)}
-            regime = ""
+            value, inputs, regime = arma_value, arma_inputs, ""
         elif args.formula == "ou":
             if args.rho is None or args.tau is None:
                 raise InputError("the ou formula needs --rho and --tau")
@@ -203,7 +204,8 @@ def _cmd_certify(args) -> int:
     payload["config"] = config
     print(
         f"{cert.inequality} @ {_fmt(cert.constant)}: {cert.verdict} "
-        f"(worst_slack={_fmt(cert.worst_slack)}, search_size={cert.search_size}, "
+        f"(worst_slack={_fmt(cert.worst_slack)}, critical={_fmt(cert.critical)}, "
+        f"search_size={cert.search_size}, "
         f"witness_index={cert.witness.get('family_index')})",
         file=sys.stderr,
     )

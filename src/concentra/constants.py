@@ -163,8 +163,11 @@ def lsi_weak_alpha_general(
     (alpha / (1+eps)) * (1 + sum_{k=0}^{n-2} prod_{m=k+1}^{n-1} (1+K_m))^(-1)
     with K_j = (1 + 1/eps) * sum_{l=0}^{j-1} kappa_{n-l, n-j} / alpha.
     ``epsilon="auto"`` maximizes over eps by golden-section search on
-    log(eps) in [-12, 12], with a dense-grid fallback if the profile is
-    not unimodal.
+    log(eps) in [-12, 12]. The profile is unimodal: with u = 1 + 1/eps the
+    value is alpha (u - 1) / (u P(u)), where P is a polynomial with
+    nonnegative coefficients, so u P'(u) / P(u) is non-decreasing and the
+    derivative of the log-value, (1 - (u - 1) u P'/P) / (u (u - 1)),
+    changes sign at most once.
     """
     _check_positive("alpha", alpha)
     _check_count(n)
@@ -192,21 +195,9 @@ def lsi_weak_alpha_general(
         _check_positive("epsilon", eps)
         return value_at(eps)
 
-    lo, hi = -12.0, 12.0
     f = lambda t: value_at(math.exp(t))
-    # golden-section maximization; verify the bracket looks unimodal first
-    grid = np.linspace(lo, hi, 25)
-    vals = [f(t) for t in grid]
-    best = max(vals)
-    rises = [vals[i + 1] - vals[i] for i in range(len(vals) - 1)]
-    sign_changes = sum(
-        1 for i in range(len(rises) - 1) if rises[i] > 0 > rises[i + 1] or rises[i] < 0 < rises[i + 1]
-    )
-    if sign_changes > 1:
-        dense = np.linspace(lo, hi, 4001)
-        return max(f(t) for t in dense)
     phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b = -12.0, 12.0
     c, d = b - phi * (b - a), a + phi * (b - a)
     fc, fd = f(c), f(d)
     for _ in range(200):
@@ -218,7 +209,7 @@ def lsi_weak_alpha_general(
             a, c, fc = c, d, fd
             d = a + phi * (b - a)
             fd = f(d)
-    return max(best, f((a + b) / 2.0), fc, fd)
+    return max(f((a + b) / 2.0), fc, fd)
 
 
 def lsi_weak_alpha(alpha: float, R: float, n: int) -> RegimeConstant:

@@ -111,14 +111,16 @@ def wasserstein_result_to_json(value: float, s: float, plan: TransportPlan | Non
     return out
 
 
-def breakdown_to_json(b: EntropyBreakdown) -> dict:
-    def num(x):
-        return x if math.isfinite(x) else "inf"
+def _num(x: float):
+    """A float as strict JSON allows it: non-finite values become strings."""
+    return x if math.isfinite(x) else str(x)
 
+
+def breakdown_to_json(b: EntropyBreakdown) -> dict:
     out = {
-        "total": num(b.total),
-        "initial": num(b.initial_term),
-        "conditional": [num(t) for t in b.conditional_terms],
+        "total": _num(b.total),
+        "initial": _num(b.initial_term),
+        "conditional": [_num(t) for t in b.conditional_terms],
     }
     if b.failure_step is not None:
         out["failure_step"] = b.failure_step
@@ -126,4 +128,4 @@ def breakdown_to_json(b: EntropyBreakdown) -> dict:
 
 
 def certificate_to_json(cert: Certificate) -> dict:
-    return dataclasses.asdict(cert)
+    return {k: _num(v) if isinstance(v, float) else v for k, v in dataclasses.asdict(cert).items()}

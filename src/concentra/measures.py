@@ -266,7 +266,8 @@ class GaussianMeasure:
             raise InputError("covariance shape must match the mean dimension")
         if np.max(np.abs(c - c.T)) > 1e-12:
             raise InputError("covariance must be symmetric")
-        if np.min(np.linalg.eigvalsh((c + c.T) / 2)) < -1e-12:
+        eig = np.linalg.eigvalsh((c + c.T) / 2)
+        if eig[0] < -1e-12 * max(1.0, np.abs(eig).max()):
             raise InputError("covariance must be positive semidefinite")
         object.__setattr__(self, "mean", _frozen_array(m))
         object.__setattr__(self, "cov", _frozen_array((c + c.T) / 2))

@@ -432,11 +432,8 @@ def gaussian_chain_joint(model: GaussianKernelModel | OUModel, n: int) -> Gaussi
     var[0] = base.init_var
     for k in range(1, n):
         var[k] = base.theta**2 * var[k - 1] + base.sigma2
-    cov = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            lo = min(i, j)
-            cov[i, j] = base.theta ** abs(i - j) * var[lo]
+    i = np.arange(n)
+    cov = base.theta ** np.abs(i[:, None] - i) * var[np.minimum(i[:, None], i)]
     return GaussianMeasure(means, cov)
 
 

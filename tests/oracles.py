@@ -2,8 +2,9 @@
 a traversal oracle for the Lipschitz polytope vertices, quadrature
 oracles for the comonotone coupling of two Gaussian chains, and a
 pair-by-pair recursion for the step-optimal coupling of two tabular
-chains, and prefix-marginal differences for the chain rule of relative
-entropy.
+chains, prefix-marginal differences for the chain rule of relative
+entropy, and bisection of a checker's verdicts for the critical
+constants of the certificates.
 
 These deliberately avoid the library's closed forms: every sum is an
 explicit loop, every power a literal, so a regression in the formulas
@@ -298,3 +299,22 @@ def chain_rule_terms(q, p, n):
         terms.append(kl - prev)
         prev = kl
     return terms, None
+
+
+def bisect_boundary(passes, lo, hi, width=1e-10):
+    """The pass/fail boundary of a verdict ``passes(c)`` on [lo, hi] by
+    bisection to relative width ``width``: the ends must disagree, and
+    every verdict seen must be monotone in c. Returns the midpoint of the
+    final bracket."""
+    trace = [(lo, passes(lo)), (hi, passes(hi))]
+    assert trace[0][1] != trace[1][1], "bracket does not straddle the boundary"
+    while hi - lo > width * max(abs(lo), abs(hi)):
+        mid = 0.5 * (lo + hi)
+        trace.append((mid, passes(mid)))
+        if trace[-1][1] == trace[0][1]:
+            lo = mid
+        else:
+            hi = mid
+    trace.sort()
+    assert sum(a[1] != b[1] for a, b in zip(trace, trace[1:])) == 1, "verdicts are not monotone"
+    return 0.5 * (lo + hi)

@@ -243,9 +243,7 @@ def test_a10_lsi_calibration():
     t0 = time.perf_counter()
     grid = np.linspace(-6.0, 6.0, 601)
     dens = np.exp(-(grid**2) / 2.0)
-    best = best_constant(
-        lambda a: check_lsi_grid(grid, dens, a), (0.5, 2.0), increasing_is_weaker=False
-    )
+    best = best_constant(lambda a: check_lsi_grid(grid, dens, a), (0.5, 2.0))
     elapsed = time.perf_counter() - t0
     _report(
         "A10", "LSI checker calibration on N(0,1)", 0.9 <= best <= 1.1 and elapsed < 30.0,

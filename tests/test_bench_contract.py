@@ -59,3 +59,15 @@ def test_tracer_names_exist_and_uninstall_restores():
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
+
+
+def test_certify_best_constant_and_lsi_jobs_pass_their_checks(tmp_path):
+    """The certify semantics the benchmark relies on: its best_constant
+    jobs (coin flip and 3-point line, on decks 3 and 11) and its LSI grid
+    jobs pass the benchmark's own checks."""
+    _, decks = workloads.build("certify", 0, 12 * workloads.WORKLOADS["certify"].deck_s, str(tmp_path))
+    assert len(decks) >= 4
+    jobs = [job for deck in decks for job in deck if job.kind in ("best_constant", "lsi_grid")]
+    assert sum(job.kind == "best_constant" for job in jobs) == 2
+    for job in jobs:
+        job.check(job.run())

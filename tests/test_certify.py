@@ -22,10 +22,12 @@ from concentra import (
 from concentra.certify import (
     Certificate,
     _line_wasserstein,
+    default_lsi_family,
     default_t_grid,
     gc_slack,
     lipschitz_family,
     lipschitz_polytope_vertices,
+    lsi_slack,
     tilt_family,
     transport_slack,
 )
@@ -154,6 +156,10 @@ def test_check_lsi_input_validation():
         check_lsi_grid(np.array([0.0, 0.1, 0.3]), np.ones(3), 1.0)
     with pytest.raises(InputError):
         check_lsi_grid(grid, np.ones_like(grid), -1.0)
+    # the test family must be nonempty, with one value per grid point
+    for family in ([grid, grid[:-1]], [np.ones((11, 2))], []):
+        with pytest.raises(InputError):
+            check_lsi_grid(grid, np.ones_like(grid), 1.0, test_functions=family)
 
 
 def test_lsi_slack_oracle_exponential_function():
@@ -181,6 +187,130 @@ def test_best_constant_bisection():
         best_constant(lambda k: check_gc(TWO_POINT, k), (0.01, 0.05))
     with pytest.raises(InputError):
         best_constant(lambda k: check_gc(TWO_POINT, k), (1.0, 0.1))
+
+
+def _lsi_problem(rng, kind, points):
+    """A grid, a Gaussian or bimodal density on it, and (for ``user``) a
+    family of random-walk and polynomial test functions of random scale."""
+    sigma = rng.uniform(0.5, 2.0)
+    grid = np.linspace(-6.0 * sigma, 6.0 * sigma, points)
+    density = np.exp(-(grid**2) / (2.0 * sigma**2))
+    if kind == "bimodal":
+        c, width = rng.uniform(1.0, 2.0) * sigma, rng.uniform(0.2, 0.4) * sigma
+        density = density * (1.0 + rng.uniform(1.0, 4.0) * np.exp(-((grid - c) ** 2) / (2.0 * width**2)))
+    if kind != "user":
+        return grid, density, None
+    walks = 1.0 + rng.normal(size=(4, points)).cumsum(axis=1) / math.sqrt(points)
+    polys = [np.polyval(rng.normal(size=4), grid / sigma) for _ in range(4)]
+    family = [f * 10 ** rng.uniform(-2.0, 4.0) for f in [*walks, *polys]]
+    return grid, density, family + [family[1].copy(), np.zeros(points)]
+
+
+def _checker(kind, n, s, seed):
+    """A checker c -> Certificate on a random problem of the given kind."""
+    rng = np.random.default_rng(seed)
+    family, space = kind.split("-")
+    if family == "gc":
+        mu = _random_measure(rng, n, space)
+        return lambda k: check_gc(mu, k, family_size=8, seed=seed)
+    if family == "ts":
+        if space == "line":
+            mu = _random_measure(rng, n, space)
+            return lambda a: check_transport(mu, a, s, seed=seed)
+        mu = _random_measure(rng, min(n, 5), space)
+        members = [DiscreteMeasure(mu.support, w, space=mu.space)
+                   for w in rng.dirichlet(np.ones(len(mu)), size=6)]
+        return lambda a: check_transport(mu, a, s, perturbation_family=[mu, *members])
+    grid, density, members = _lsi_problem(rng, space, int(rng.integers(101, 402)))
+    return lambda a: check_lsi_grid(grid, density, a, test_functions=members, seed=seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["gc-line", "gc-finite", "ts-line", "ts-finite", "lsi-gaussian", "lsi-bimodal", "lsi-user"]),
+    st.integers(min_value=1, max_value=12),
+    st.sampled_from([1.0, 1.5, 2.0]),
+    st.integers(min_value=0, max_value=10_000),
+)
+def test_critical_constant_matches_bisection(kind, n, s, seed):
+    """The closed-form critical constant is the boundary a bisection of the
+    checker's verdicts finds, and best_constant reads it from one call."""
+    checker = _checker(kind, n, s, seed)
+    cert = checker(1.0)
+    c, gc = cert.critical, cert.inequality == "GC"
+    assert all(checker(k).critical == c for k in (0.3, 7.0))  # the family ignores the constant
+    if not 0.0 < c < math.inf:
+        # GC at c <= 0, or T_s / LSI at c = inf: passes at every constant
+        assert {checker(k).passed for k in (1e-6, 1e6)} == {gc or c == math.inf}
+        return
+    assert c == pytest.approx(oracles.bisect_boundary(lambda k: checker(k).passed, c / 2, 2 * c), rel=1e-8)
+    passing, failing = (1 + 1e-9, 1 - 1e-6) if gc else (1 - 1e-9, 1 + 1e-6)
+    assert checker(c * passing).passed and not checker(c * failing).passed
+    calls = []
+
+    def counted(k):
+        calls.append(k)
+        return checker(k)
+
+    assert best_constant(counted, (c / 2, 2 * c)) == c and len(calls) == 1
+    # a bracket on the passing side returns its strongest end; one on the
+    # failing side passes nowhere
+    weak, strong = ((4 * c, 2 * c), (c / 4, c / 2)) if gc else ((c / 4, c / 2), (2 * c, 4 * c))
+    assert best_constant(checker, sorted(weak)) == weak[1]
+    with pytest.raises(InputError):
+        best_constant(checker, sorted(strong))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["gaussian", "bimodal", "user"]),
+    st.integers(min_value=101, max_value=801),
+    st.floats(min_value=0.2, max_value=5.0),
+    st.integers(min_value=0, max_value=10_000),
+)
+def test_check_lsi_matches_member_loop(kind, points, alpha, seed):
+    """The batched LSI check reports exactly the worst slack, witness and
+    verdict of a member-by-member loop over ``lsi_slack``."""
+    grid, density, family = _lsi_problem(np.random.default_rng(seed), kind, points)
+    cert = check_lsi_grid(grid, density, alpha, test_functions=family, seed=seed)
+    members = default_lsi_family(grid, seed) if family is None else family
+    weights = density / density.sum()
+    worst, index = -math.inf, None
+    for i, f in enumerate(members):
+        slack = lsi_slack(weights, f, cert.grid_h, alpha)
+        if slack > worst:
+            worst, index = slack, i
+    assert cert.worst_slack == worst and cert.witness["family_index"] == index
+    assert cert.verdict == ("pass" if worst <= cert.tolerance else "fail")
+    assert replay(cert, grid=grid, density=density) == worst
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_check_lsi_near_ties_keep_the_loop_witness(seed):
+    """Members one ulp apart have slacks closer than the round-off of a
+    batched sum; the witness is still the loop's first maximum."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(101, 801))
+    grid = np.linspace(-6.0, 6.0, n)
+    density = np.exp(-(grid**2) / 2.0)
+    base = 1.0 + rng.normal(size=n).cumsum() / math.sqrt(n)
+    family = [base]
+    for _ in range(6):
+        f = base.copy()
+        j = rng.integers(n)
+        f[j] = np.nextafter(f[j], math.inf if rng.random() < 0.5 else -math.inf)
+        family.append(f)
+    cert = check_lsi_grid(grid, density, 1.0, test_functions=family)
+    slacks = [lsi_slack(density / density.sum(), f, cert.grid_h, 1.0) for f in family]
+    assert cert.witness["family_index"] == int(np.argmax(slacks))
+    assert cert.worst_slack == max(slacks)
+
+
+def test_best_constant_needs_a_critical_constant():
+    bare = Certificate(inequality="GC", constant=0.5, order_s=None, worst_slack=0.0,
+                       witness={}, verdict="pass", search_size=1)
+    with pytest.raises(InputError):
+        best_constant(lambda k: bare, (0.1, 1.0))
 
 
 def test_certificates_record_search_metadata():

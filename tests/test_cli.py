@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from concentra import arma_lsi_alpha
 from concentra.cli import main
 
 TWO_POINT = json.dumps({"type": "discrete", "support": [0.0, 1.0], "weights": [0.5, 0.5]})
@@ -39,6 +40,18 @@ def test_constants_multiple_horizons(capsys):
     vals = [r["value"] for r in payload["results"]]
     assert vals[0] == vals[1] == vals[2]  # s = 2 contractive is n-free
     assert payload["results"][0]["regime"] == "contractive"
+
+
+def test_constants_arma_rows_identical_across_horizons(capsys):
+    a, b = "[[0.5, 0.1], [0.0, 0.4]]", "[[1.0, 0.0], [0.0, 2.0]]"
+    code, out, _ = run(
+        capsys, "constants", "--formula", "arma", "--A", a, "--B", b,
+        "--n", "1", "7", "50", "--format", "csv",
+    )
+    assert code == 0
+    rows = out.strip().splitlines()[2:]
+    assert len(rows) == 3 and rows[0] == rows[1] == rows[2]
+    assert float(rows[0].split(",")[-1]) == arma_lsi_alpha(json.loads(a), json.loads(b))
 
 
 def test_constants_missing_flag_is_input_error(capsys):
@@ -102,6 +115,20 @@ def test_certify_exit_codes(capsys):
     )
     assert code == 1
     assert json.loads(out)["verdict"] == "fail"
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_certify_json_is_strict(capsys):
+    """A point mass has critical T_s constant +inf: it is written as the
+    string "inf", never as the non-standard Infinity literal."""
+    point = json.dumps({"type": "discrete", "support": [0.0], "weights": [1.0]})
+    code, out, err = run(capsys, "certify", "--inequality", "ts", "--constant", "1", "--mu", point)
+    assert code == 0
+    assert json.loads(out, parse_constant=_reject_constant)["critical"] == "inf"
+    assert "critical=inf" in err
 
 
 def test_certify_lsi_grid(capsys):

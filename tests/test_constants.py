@@ -145,6 +145,15 @@ def test_lsi_weak_general_auto_epsilon_beats_grid():
         assert auto >= grid_best - 1e-12
 
 
+@pytest.mark.parametrize("alpha", [0.01, 0.5, 1.0, 3.0, 100.0])
+def test_lsi_weak_general_auto_epsilon_two_step_closed_form(alpha):
+    """At n = 2 the optimum over eps is alpha / (sqrt(c) + sqrt(2 + c))^2
+    with c = kappa_{2,1} / alpha (c >= 1e-8 keeps it inside the bracket)."""
+    for c in (1e-8, 1e-3, 0.1, 1.0, 10.0, 1e3, 1e5):
+        got = lsi_weak_alpha_general(alpha, [[0.0, 0.0], [c * alpha, 0.0]], 2)
+        assert got == pytest.approx(alpha / (math.sqrt(c) + math.sqrt(2.0 + c)) ** 2, rel=1e-14)
+
+
 def test_lsi_weak_general_zero_coupling_recovers_alpha_over_two():
     # with no coupling the bracket is n and the optimum sits at eps -> 0
     got = lsi_weak_alpha_general(2.0, None, 1, epsilon="auto")

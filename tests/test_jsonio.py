@@ -15,6 +15,7 @@ from concentra import (
     TabularModel,
     chain_rule_decompose,
     check_gc,
+    check_transport,
     wasserstein_exact,
 )
 from concentra import jsonio
@@ -91,5 +92,15 @@ def test_certificate_serializes_all_fields():
     mu = DiscreteMeasure((0.0, 1.0), np.array([0.5, 0.5]))
     cert = check_gc(mu, 0.25)
     out = json.loads(json.dumps(jsonio.certificate_to_json(cert)))
-    for key in ("inequality", "constant", "worst_slack", "witness", "verdict", "search_size"):
+    for key in ("inequality", "constant", "worst_slack", "witness", "verdict", "search_size", "critical"):
         assert key in out
+    assert out["critical"] == cert.critical
+
+
+def test_certificate_json_writes_non_finite_floats_as_strings():
+    mu = DiscreteMeasure((0.0, 1.0), np.array([0.5, 0.5]))
+    off = DiscreteMeasure((5.0, 6.0), np.array([0.5, 0.5]))
+    cert = check_transport(mu, 1.0, 1.0, perturbation_family=[off])
+    text = json.dumps(jsonio.certificate_to_json(cert))
+    out = json.loads(text, parse_constant=lambda name: pytest.fail(f"non-standard constant {name}"))
+    assert out["worst_slack"] == "-inf" and out["critical"] == "inf"

@@ -70,6 +70,11 @@ def test_gaussian_measure_validation():
         GaussianMeasure([0.0, 0.0], [[1.0, 0.5], [0.4, 1.0]])
     with pytest.raises(InputError):
         GaussianMeasure([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
+    # the PSD tolerance scales with the largest eigenvalue, not below 1e-12
+    with pytest.raises(InputError):
+        GaussianMeasure([0.0, 0.0], [[1e20, 0.0], [0.0, -1e10]])
+    with pytest.raises(InputError):
+        GaussianMeasure([0.0], [[-1e-11]])
 
 
 def test_empirical_measure_exact_weights():

@@ -173,6 +173,21 @@ def test_gaussian_chain_joint_matches_arma_scalar():
     assert np.max(np.abs(joint.mean)) == 0.0
 
 
+@pytest.mark.parametrize("theta, n", [(3.0, 20), (2.0, 30), (3.0, 40), (-0.7, 25)])
+def test_gaussian_chain_joint_builds_expansive_chains(theta, n):
+    """Covariances with entries up to ~1e38 pass the relative PSD check,
+    and the broadcast covariance matches the entrywise formula."""
+    model = GaussianKernelModel(theta, 1.3, init_mean=0.2, init_var=0.7)
+    cov = gaussian_chain_joint(model, n).cov
+    var = [0.7]
+    for _ in range(n - 1):
+        var.append(theta**2 * var[-1] + 1.3)
+    for i in range(n):
+        for j in range(n):
+            want = theta ** abs(i - j) * var[min(i, j)]
+            assert cov[i, j] == pytest.approx(want, rel=1e-15, abs=0)
+
+
 def test_gaussian_chain_joint_mean_recursion():
     model = GaussianKernelModel(0.5, 1.0, init_mean=2.0)
     joint = gaussian_chain_joint(model, 3)
