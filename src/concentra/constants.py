@@ -161,13 +161,16 @@ def lsi_weak_alpha_general(
     ``kappa_matrix[j-1, k-1]`` holds kappa_{j,k} >= 0 for 1 <= k < j <= n.
     For a fixed epsilon the value is
     (alpha / (1+eps)) * (1 + sum_{k=0}^{n-2} prod_{m=k+1}^{n-1} (1+K_m))^(-1)
-    with K_j = (1 + 1/eps) * sum_{l=0}^{j-1} kappa_{n-l, n-j} / alpha.
+    with K_j = (1 + 1/eps) * t_j and t_j = sum_{l=0}^{j-1} kappa_{n-l, n-j} / alpha.
     ``epsilon="auto"`` maximizes over eps by golden-section search on
-    log(eps) in [-12, 12]. The profile is unimodal: with u = 1 + 1/eps the
-    value is alpha (u - 1) / (u P(u)), where P is a polynomial with
-    nonnegative coefficients, so u P'(u) / P(u) is non-decreasing and the
-    derivative of the log-value, (1 - (u - 1) u P'/P) / (u (u - 1)),
-    changes sign at most once.
+    log(eps), and gives the eps -> 0 limit alpha / n when every t_j is 0.
+    The profile is unimodal: with u = 1 + 1/eps the value is
+    alpha (u - 1) / (u P(u)), where P is a polynomial with nonnegative
+    coefficients, so h(u) = u (u - 1) P'(u) / P(u) is non-decreasing and
+    the maximizer solves h(u) = 1. Since u P'/P lies between
+    (u t_max / (1 + u t_max)) / n and min(u sum_j t_j, n - 1), the
+    maximizer lies in 1 / (2n + sqrt(2n / t_max)) <= eps <= n - 1
+    (at n = 2 it is eps* = 1 / sqrt(1 + 2 / t_1)).
     """
     _check_positive("alpha", alpha)
     _check_count(n)
@@ -176,28 +179,24 @@ def lsi_weak_alpha_general(
         raise InputError(f"kappa matrix must be {n}x{n}")
     if np.any(kappa < 0):
         raise InputError("kappa entries must be nonnegative")
+    # t_{n-1}, ..., t_1: t_j sums column n-1-j below the diagonal
+    t = np.tril(kappa, -1).sum(axis=0)[:-1] / alpha
 
     def value_at(eps: float) -> float:
-        ks = []
-        for j in range(1, n):
-            total = math.fsum(kappa[n - ell - 1, n - j - 1] for ell in range(j))
-            ks.append((1.0 + 1.0 / eps) * total / alpha)
-        bracket = 1.0
-        for k in range(0, n - 1):
-            prod = 1.0
-            for m in range(k + 1, n):
-                prod *= 1.0 + ks[m - 1]
-            bracket += prod
-        return alpha / (1.0 + eps) / bracket
+        # the products over m = k+1..n-1 for k = n-2, ..., 0 are one suffix cumulative product
+        bracket = 1.0 + np.cumprod(1.0 + (1.0 + 1.0 / eps) * t).sum()
+        return alpha / (1.0 + eps) / float(bracket)
 
     if epsilon != "auto":
         eps = float(epsilon)
         _check_positive("epsilon", eps)
         return value_at(eps)
+    if not np.any(t > 0):
+        return alpha / n
 
-    f = lambda t: value_at(math.exp(t))
+    f = lambda x: value_at(math.exp(x))
     phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = -12.0, 12.0
+    a, b = -math.log(2 * n + math.sqrt(2 * n / t.max())), math.log(n - 1)
     c, d = b - phi * (b - a), a + phi * (b - a)
     fc, fd = f(c), f(d)
     for _ in range(200):

@@ -30,7 +30,6 @@ from .errors import InputError
 from .measures import RealLine, _LabelLine
 from .processes import (
     GaussianKernelModel,
-    OUModel,
     TabularModel,
     gaussian_chain_joint,
     tabular_joint_law,
@@ -101,10 +100,6 @@ def _tabular_bound(q: TabularModel, p: TabularModel, n: int, s: float) -> Coupli
     return CouplingBound(math.fsum(steps) ** (1.0 / s), tuple(steps), s, "tabular-exact-steps")
 
 
-def _as_gaussian(model) -> GaussianKernelModel:
-    return model.as_gaussian_kernel() if isinstance(model, OUModel) else model
-
-
 def _abs_moment(m: float, v: float, s: float) -> float:
     """E|N(m, v)|^s in closed form (Winkelbauer 2012, absolute moments)."""
     if v <= 1e-32 * m * m:
@@ -171,10 +166,8 @@ def recursive_coupling_bound(p_model, q_model, n: int, s: float) -> CouplingBoun
     t0 = time.perf_counter()
     if isinstance(p_model, TabularModel) and isinstance(q_model, TabularModel):
         bound = _tabular_bound(q_model, p_model, n, s)
-    elif isinstance(p_model, (GaussianKernelModel, OUModel)) and isinstance(
-        q_model, (GaussianKernelModel, OUModel)
-    ):
-        bound = _gaussian_bound(_as_gaussian(q_model), _as_gaussian(p_model), n, s)
+    elif isinstance(p_model, GaussianKernelModel) and isinstance(q_model, GaussianKernelModel):
+        bound = _gaussian_bound(q_model, p_model, n, s)
     else:
         raise InputError("both chains must be tabular or both Gaussian, on the same state space")
     log.debug("coupling bound: method=%s n=%d s=%g wall=%.6fs",
@@ -204,9 +197,9 @@ def transport_inequality_audit(
     for q_model in perturbations:
         bound = recursive_coupling_bound(p_model, q_model, n, s)
         w_exact = None
-        if isinstance(p_model, (GaussianKernelModel, OUModel)):
-            qj = gaussian_chain_joint(_as_gaussian(q_model), n)
-            pj = gaussian_chain_joint(_as_gaussian(p_model), n)
+        if isinstance(p_model, GaussianKernelModel):
+            qj = gaussian_chain_joint(q_model, n)
+            pj = gaussian_chain_joint(p_model, n)
             ent = relative_entropy_gaussian(qj, pj)
             if s == 2.0:
                 w_exact = wasserstein_gaussian_w2(qj, pj)

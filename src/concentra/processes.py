@@ -66,29 +66,6 @@ class TabularModel:
 
 
 @dataclass(frozen=True)
-class OUModel:
-    """Time-discretized Ornstein-Uhlenbeck chain started at x0."""
-
-    rho: float
-    tau: float
-    x0: float = 0.0
-    kind: str = field(default="ou", init=False)
-
-    def __post_init__(self):
-        if self.tau <= 0:
-            raise InputError("tau must be positive")
-
-    def as_gaussian_kernel(self) -> "GaussianKernelModel":
-        c = ou_kappa(self.rho, self.tau, 1, self.x0)
-        return GaussianKernelModel(
-            theta=c["theta"],
-            sigma2=c["sigma2"],
-            init_mean=c["theta"] * self.x0,
-            init_var=c["sigma2"],
-        )
-
-
-@dataclass(frozen=True)
 class GaussianKernelModel:
     """Chain with kernel N(theta x, sigma2) and a Gaussian initial law."""
 
@@ -105,6 +82,30 @@ class GaussianKernelModel:
             object.__setattr__(self, "init_var", self.sigma2)
         elif self.init_var <= 0:
             raise InputError("init_var must be positive")
+
+
+@dataclass(frozen=True)
+class OUModel(GaussianKernelModel):
+    """Time-discretized Ornstein-Uhlenbeck chain started at x0: the Gaussian
+    kernel with theta = exp(-rho tau) and sigma2 = (1 - theta^2) / (2 rho)
+    (tau at rho = 0), whose first state is one kernel step from x0."""
+
+    theta: float = field(init=False)
+    sigma2: float = field(init=False)
+    init_mean: float = field(init=False)
+    init_var: float = field(init=False)
+    rho: float
+    tau: float
+    x0: float = 0.0
+    kind: str = field(default="ou", init=False)
+
+    def __post_init__(self):
+        c = ou_kappa(self.rho, self.tau, 1, self.x0)
+        object.__setattr__(self, "theta", c["theta"])
+        object.__setattr__(self, "sigma2", c["sigma2"])
+        object.__setattr__(self, "init_mean", c["theta"] * self.x0)
+        object.__setattr__(self, "init_var", c["sigma2"])
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -143,7 +144,7 @@ class ContractionNoiseModel:
     kind: str = field(default="contraction_noise", init=False)
 
 
-MarkovModel = TabularModel | OUModel | GaussianKernelModel | ARMAModel | ContractionNoiseModel
+MarkovModel = TabularModel | GaussianKernelModel | ARMAModel | ContractionNoiseModel
 
 
 @dataclass(frozen=True)
@@ -174,10 +175,7 @@ def simulate_joint(model: MarkovModel, n: int, N: int, seed: int = 0) -> SampleP
     if n < 1 or N < 1:
         raise InputError("n and N must be >= 1")
     rng = _rng(seed)
-    if isinstance(model, OUModel):
-        model_for_sim = model.as_gaussian_kernel()
-        values = _simulate_gaussian(model_for_sim, n, N, rng)
-    elif isinstance(model, GaussianKernelModel):
+    if isinstance(model, GaussianKernelModel):
         values = _simulate_gaussian(model, n, N, rng)
     elif isinstance(model, TabularModel):
         values = _simulate_tabular(model, n, N, rng)
@@ -233,14 +231,11 @@ def _simulate_contraction(model: ContractionNoiseModel, n, N, rng):
 
 def ou_transition(x: float, rho: float, tau: float) -> GaussianMeasure:
     """One-step law N(theta x, sigma2) of the discretized OU chain."""
-    c = ou_kappa(rho, tau, 1, x)
-    return GaussianMeasure([c["theta"] * x], [[c["sigma2"]]])
+    return kernel_law(OUModel(rho, tau), x)
 
 
 def kernel_law(model: MarkovModel, x):
     """Law of the next state given the current one, as a 1-D measure."""
-    if isinstance(model, OUModel):
-        return ou_transition(float(x), model.rho, model.tau)
     if isinstance(model, GaussianKernelModel):
         return GaussianMeasure([model.theta * float(x)], [[model.sigma2]])
     if isinstance(model, TabularModel):
@@ -260,16 +255,13 @@ def kernel_lipschitz_estimate(model: MarkovModel, probe_pairs: Sequence, s: floa
     A lower bound on the kernel's true Lipschitz constant; for Gaussian
     kernels with state-independent variance the ratio is exactly |theta|.
     """
+    labels = model.labels if isinstance(model, TabularModel) else None
     ratios = []
     for x, y in probe_pairs:
-        gap = abs(float(x) - float(y)) if not isinstance(model, TabularModel) else None
-        if isinstance(model, TabularModel):
-            if model.labels is None:
-                raise InputError("tabular kernel laws need real-valued labels")
-            gap = abs(model.labels[int(x)] - model.labels[int(y)])
+        a, b = kernel_law(model, x), kernel_law(model, y)
+        gap = abs(float(x) - float(y)) if labels is None else abs(labels[int(x)] - labels[int(y)])
         if gap == 0.0:
             continue
-        a, b = kernel_law(model, x), kernel_law(model, y)
         if isinstance(a, GaussianMeasure):
             # both laws have the kernel's variance: the translation coupling
             # is optimal, so W_s is the mean gap for every s
@@ -282,23 +274,17 @@ def kernel_lipschitz_estimate(model: MarkovModel, probe_pairs: Sequence, s: floa
     return float(max(ratios))
 
 
-def _gauss_hermite_nodes(model: GaussianKernelModel, x: float, order: int):
-    nodes, weights = hermegauss(order)
-    y = model.theta * float(x) + math.sqrt(model.sigma2) * nodes
-    return y, weights / math.sqrt(2.0 * math.pi)
-
-
-def _dual_exponent(s: float) -> float:
-    if s == 1.0:
-        return math.inf
-    return s / (s - 1.0)
-
-
-def _holder_norm(vec: np.ndarray, sp: float) -> float:
-    vec = np.abs(np.atleast_1d(vec))
-    if math.isinf(sp):
-        return float(vec.max())
-    return float((vec**sp).sum() ** (1.0 / sp))
+def _kernel_nodes(model: MarkovModel, x: float, order: int):
+    """Points and weights of the kernel law at x: Gauss-Hermite nodes of
+    the given order for a Gaussian kernel, the transition row over the
+    labels for a tabular one."""
+    if isinstance(model, GaussianKernelModel):
+        nodes, weights = hermegauss(order)
+        return model.theta * float(x) + math.sqrt(model.sigma2) * nodes, weights / math.sqrt(2.0 * math.pi)
+    if isinstance(model, TabularModel):
+        law = kernel_law(model, x)
+        return np.asarray(law.support), law.weights
+    raise InputError(f"unsupported model kind {model.kind!r}")
 
 
 def ms_estimate(
@@ -317,32 +303,22 @@ def ms_estimate(
     """
     if not (1.0 <= s <= 2.0):
         raise InputError("order s must lie in [1, 2]")
-    sp = _dual_exponent(s)
+    sp = math.inf if s == 1.0 else s / (s - 1.0)
     if probes is None:
         probes = [(-2.0,), (-1.0,), (0.0,), (1.0,), (2.0,)]
-    base = model.as_gaussian_kernel() if isinstance(model, OUModel) else model
     sup = 0.0
     for hist in probes:
         x_last = float(np.atleast_1d(hist)[-1])
-        if isinstance(base, GaussianKernelModel):
-            def integral(order):
-                ys, ws = _gauss_hermite_nodes(base, x_last, order)
-                vals = [_holder_norm(np.asarray(u_gradients(hist, y)), sp) ** 2 for y in ys]
-                return float(np.dot(ws, vals))
 
-            lo, hi = integral(quadrature_order), integral(2 * quadrature_order)
-            if abs(hi - lo) > 1e-6 * max(1.0, abs(hi)) and hi > 2.0 * lo:
-                raise InputError("quadrature diverged across node doubling")
-            sup = max(sup, hi)
-        elif isinstance(base, TabularModel):
-            law = kernel_law(base, x_last)
-            val = sum(
-                w * _holder_norm(np.asarray(u_gradients(hist, y)), sp) ** 2
-                for y, w in zip(law.support, law.weights)
-            )
-            sup = max(sup, float(val))
-        else:
-            raise InputError(f"unsupported model kind {base.kind!r}")
+        def integral(order):
+            ys, ws = _kernel_nodes(model, x_last, order)
+            vals = [np.linalg.norm(np.atleast_1d(u_gradients(hist, y)), sp) ** 2 for y in ys]
+            return float(np.dot(ws, vals))
+
+        lo, hi = integral(quadrature_order), integral(2 * quadrature_order)
+        if abs(hi - lo) > 1e-6 * max(1.0, abs(hi)) and hi > 2.0 * lo:
+            raise InputError("quadrature diverged across node doubling")
+        sup = max(sup, hi)
     return sup
 
 
@@ -361,32 +337,22 @@ def lambda_mgf_estimate(
     """
     if probes is None:
         probes = [-2.0, -1.0, 0.0, 1.0, 2.0]
-    base = model.as_gaussian_kernel() if isinstance(model, OUModel) else model
     if u_gradient is None:
-        if not isinstance(base, GaussianKernelModel):
+        if not isinstance(model, GaussianKernelModel):
             raise InputError("closed-form MGF needs a Gaussian kernel")
         # du/dx = -theta (y - theta x) / sigma2 is N(0, theta^2 / sigma2)
-        kappa = base.theta**2 / base.sigma2
+        kappa = model.theta**2 / model.sigma2
         return kappa, {"s": None, "x": None, "closed_form": True}
     best = 0.0
     witness = {"s": None, "x": None, "closed_form": False}
     for x in probes:
-        for sv in s_grid:
-            sv = float(sv)
+        ys, ws = _kernel_nodes(model, x, quadrature_order)
+        grads = np.array([float(np.atleast_1d(u_gradient((x,), y))[0]) for y in ys])
+        for sv in map(float, s_grid):
             if sv == 0.0:
                 continue
-            if isinstance(base, GaussianKernelModel):
-                ys, ws = _gauss_hermite_nodes(base, x, quadrature_order)
-                vals = np.array([math.exp(sv * float(np.atleast_1d(u_gradient((x,), y))[0])) for y in ys])
-                lam = float(np.dot(ws, vals))
-            elif isinstance(base, TabularModel):
-                law = kernel_law(base, x)
-                lam = sum(
-                    w * math.exp(sv * float(np.atleast_1d(u_gradient((x,), y))[0]))
-                    for y, w in zip(law.support, law.weights)
-                )
-            else:
-                raise InputError(f"unsupported model kind {base.kind!r}")
+            with np.errstate(over="ignore"):
+                lam = float(np.dot(ws, np.exp(sv * grads)))
             if not math.isfinite(lam):
                 raise InputError(f"divergent MGF at s = {sv}, x = {x}")
             cand = 2.0 * math.log(lam) / sv**2
@@ -421,19 +387,18 @@ def arma_joint_covariance(A, B, n: int) -> np.ndarray:
     return (out + out.T) / 2.0
 
 
-def gaussian_chain_joint(model: GaussianKernelModel | OUModel, n: int) -> GaussianMeasure:
+def gaussian_chain_joint(model: GaussianKernelModel, n: int) -> GaussianMeasure:
     """Exact joint Gaussian law of the first n states of a Gaussian chain."""
-    base = model.as_gaussian_kernel() if isinstance(model, OUModel) else model
     means = np.empty(n)
-    means[0] = base.init_mean
+    means[0] = model.init_mean
     for k in range(1, n):
-        means[k] = base.theta * means[k - 1]
+        means[k] = model.theta * means[k - 1]
     var = np.empty(n)
-    var[0] = base.init_var
+    var[0] = model.init_var
     for k in range(1, n):
-        var[k] = base.theta**2 * var[k - 1] + base.sigma2
+        var[k] = model.theta**2 * var[k - 1] + model.sigma2
     i = np.arange(n)
-    cov = base.theta ** np.abs(i[:, None] - i) * var[np.minimum(i[:, None], i)]
+    cov = model.theta ** np.abs(i[:, None] - i) * var[np.minimum(i[:, None], i)]
     return GaussianMeasure(means, cov)
 
 

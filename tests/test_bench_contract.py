@@ -71,3 +71,15 @@ def test_certify_best_constant_and_lsi_jobs_pass_their_checks(tmp_path):
     assert sum(job.kind == "best_constant" for job in jobs) == 2
     for job in jobs:
         job.check(job.run())
+
+
+def test_chains_verify_ou_jobs_pass_their_checks(tmp_path):
+    """verify-ou on the chains workload's own inputs (seed 0, the
+    benchmark's 30 s run, 8 decks) passes the benchmark's check on every
+    deck: F_n's law is exact, so no job may report a falsification. A
+    3-standard-error band on the MGF of F_n rejected 6 of these 8 jobs."""
+    _, decks = workloads.build("chains", 0, 30, str(tmp_path))
+    jobs = [job for deck in decks for job in deck if job.kind == "verify_ou"]
+    assert len(jobs) == 8
+    for job in jobs:
+        job.check(job.run())

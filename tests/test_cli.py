@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import chdtri, ndtri
+from scipy.stats import binom
 
 from concentra import arma_lsi_alpha
-from concentra.cli import main
+from concentra.cli import _normal_sample_checks, main
 
 TWO_POINT = json.dumps({"type": "discrete", "support": [0.0, 1.0], "weights": [0.5, 0.5]})
 
@@ -219,6 +221,59 @@ def test_verify_ou_analytic_mode(capsys):
     assert payload["kappa_n"] == 1.0
     assert payload["sigma2"] == 1.0
     assert payload["verdict"] == "pass"
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-strict JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_verify_ou_statistics_follow_their_null_law(capsys):
+    """F_n is exactly N(mean_Fn, kappa_n), so over 300 seeds each statistic
+    falls beyond its own 5 % two-sided critical values in a binomial share
+    of runs, and the 1e-6 verdict passes on every seed."""
+    n_samples, seeds = 200, 300
+    z5 = -ndtri(0.025)
+    lo5, hi5 = chdtri(n_samples - 1, 0.975), chdtri(n_samples - 1, 0.025)
+    beyond = {"mean": 0, "variance": 0}
+    for seed in range(seeds):
+        code, out, _ = run(capsys, "verify-ou", "--rho", "0.8", "--tau", "0.4", "--n", "6", "--x", "0.7",
+                           "--samples", str(n_samples), "--seed", str(seed))
+        assert code == 0
+        payload = _strict_json(out)
+        assert payload["verdict"] == "pass" and len(payload["mgf"]) == 6
+        _, mean, variance = payload["checks"]
+        beyond["mean"] += abs(mean["statistic"]) > z5
+        beyond["variance"] += not lo5 <= variance["statistic"] <= hi5
+    lo, hi = binom.ppf(1e-4, seeds, 0.05), binom.isf(1e-4, seeds, 0.05)
+    assert all(lo <= count <= hi for count in beyond.values()), beyond
+
+
+def test_verify_ou_tests_reject_a_wrong_law():
+    """At N = 1e5 both tests reject: a kappa_n 5 % too large, and a mean 6
+    standard errors off. The sample is standardized so that its mean and
+    variance are exactly those of the true law."""
+    n_samples, mean, var = 100_000, 0.3, 2.0
+    z = np.random.default_rng(1).standard_normal(n_samples)
+    sample = mean + math.sqrt(var) * (z - z.mean()) / z.std(ddof=1)
+    verdicts = lambda m, v: [c["pass"] for c in _normal_sample_checks(sample, m, v)]
+    assert verdicts(mean, var) == [True, True]
+    assert verdicts(mean, 1.05 * var) == [True, False]
+    se = math.sqrt(var / n_samples)
+    assert verdicts(mean + 6.0 * se, var) == [False, True]
+    assert verdicts(mean - 6.0 * se, var) == [False, True]
+
+
+@pytest.mark.parametrize("samples", ["1", "-3"])
+def test_verify_ou_rejects_too_few_samples(capsys, samples):
+    code, out, err = run(capsys, "verify-ou", "--rho", "1", "--tau", "0.5", "--n", "3", "--samples", samples)
+    assert code == 2 and out == ""
+    assert "--samples" in err
+    code, out, _ = run(capsys, "verify-ou", "--rho", "1", "--tau", "0.5", "--n", "3", "--samples", "2")
+    assert code in (0, 1)
+    assert [c["check"] for c in _strict_json(out)["checks"]] == ["cross-identity", "mean", "variance"]
 
 
 def test_verify_arma(capsys):

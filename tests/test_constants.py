@@ -148,16 +148,16 @@ def test_lsi_weak_general_auto_epsilon_beats_grid():
 @pytest.mark.parametrize("alpha", [0.01, 0.5, 1.0, 3.0, 100.0])
 def test_lsi_weak_general_auto_epsilon_two_step_closed_form(alpha):
     """At n = 2 the optimum over eps is alpha / (sqrt(c) + sqrt(2 + c))^2
-    with c = kappa_{2,1} / alpha (c >= 1e-8 keeps it inside the bracket)."""
-    for c in (1e-8, 1e-3, 0.1, 1.0, 10.0, 1e3, 1e5):
+    with c = kappa_{2,1} / alpha, attained at eps* = 1 / sqrt(1 + 2 / c)."""
+    for c in (1e-14, 1e-12, 1e-11, 1e-8, 1e-3, 0.1, 1.0, 10.0, 1e3, 1e5):
         got = lsi_weak_alpha_general(alpha, [[0.0, 0.0], [c * alpha, 0.0]], 2)
         assert got == pytest.approx(alpha / (math.sqrt(c) + math.sqrt(2.0 + c)) ** 2, rel=1e-14)
 
 
 def test_lsi_weak_general_zero_coupling_recovers_alpha_over_two():
     # with no coupling the bracket is n and the optimum sits at eps -> 0
-    got = lsi_weak_alpha_general(2.0, None, 1, epsilon="auto")
-    assert got == pytest.approx(2.0, rel=1e-4)
+    assert lsi_weak_alpha_general(2.0, None, 1, epsilon="auto") == 2.0
+    assert lsi_weak_alpha_general(2.0, np.triu(np.ones((4, 4))), 4, epsilon="auto") == 0.5
 
 
 def test_arma_scalar_closed_form():

@@ -18,6 +18,7 @@ from concentra import (
     ProductSpace,
     TabularModel,
     gaussian_chain_joint,
+    ou_kappa,
     recursive_coupling_bound,
     tabular_joint_law,
     transport_inequality_audit,
@@ -165,6 +166,25 @@ def test_ou_models_are_accepted():
     q = OUModel(1.0, 0.5, x0=1.0)
     bound = recursive_coupling_bound(p, q, 2, 2.0)
     assert bound.upper_bound > 0
+
+
+def test_ou_bound_and_audit_match_the_gaussian_kernel():
+    """OU chains give the step costs and audit entries of the Gaussian
+    kernels built from ou_kappa, bit for bit."""
+    def kernel(m):
+        c = ou_kappa(m.rho, m.tau, 1, m.x0)
+        return GaussianKernelModel(c["theta"], c["sigma2"], c["theta"] * m.x0, c["sigma2"])
+
+    p = OUModel(1.0, 0.5)
+    perturbs = [OUModel(0.7, 0.3, x0=1.0), OUModel(1.0, 0.5, x0=-0.5)]
+    for s in (1.0, 1.5, 2.0):
+        for q in perturbs:
+            want = recursive_coupling_bound(kernel(p), kernel(q), 5, s)
+            for pair in ((p, q), (p, kernel(q)), (kernel(p), q)):
+                got = recursive_coupling_bound(*pair, 5, s)
+                assert (got.upper_bound, got.step_costs) == (want.upper_bound, want.step_costs)
+        got = transport_inequality_audit(p, 1.0, s, 0.25, 4, perturbs)
+        assert got == transport_inequality_audit(kernel(p), 1.0, s, 0.25, 4, [kernel(q) for q in perturbs])
 
 
 def test_invalid_inputs_rejected():

@@ -56,7 +56,7 @@ def test_measure_round_trips():
 )
 def test_model_round_trips(model):
     back = jsonio.model_from_json(json.loads(json.dumps(jsonio.model_to_json(model))))
-    assert back.kind == model.kind
+    assert back.kind == model.kind and type(back) is type(model)
     if isinstance(model, ARMAModel):
         assert np.array_equal(back.A, model.A)
     elif isinstance(model, TabularModel):
