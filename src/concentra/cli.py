@@ -20,6 +20,7 @@ import logging
 import math
 import os
 import sys
+import time
 
 import numpy as np
 from scipy.special import chdtri, ndtri
@@ -57,23 +58,36 @@ def _load_json(arg: str) -> dict:
         return json.load(fh)
 
 
-def _emit(payload: dict, args, csv_rows=None, csv_header=None) -> None:
-    """Write results as JSON (default) or CSV with the config echoed."""
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
-        if args.format == "csv" and csv_rows is not None:
-            out.write("# " + json.dumps(payload.get("config", {}), sort_keys=True) + "\n")
-            if csv_header:
-                out.write(",".join(csv_header) + "\n")
-            for row in csv_rows:
-                out.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-                out.write("\n")
+def _emit(payload: dict, args, table=None, header=None) -> None:
+    """Write results as one line of compact JSON (default), or as CSV with
+    the config echoed.
+
+    A CSV ``table`` is an ndarray, formatted by one ``%`` template per row
+    built from its dtype (``%d`` for integer states, ``%.17g`` for floats),
+    or a sequence of tuple rows whose floats take ``%.17g`` and whose other
+    cells take ``str``. Both give exactly the text of ``_fmt`` per cell.
+    """
+    t0 = time.perf_counter()
+    if args.format == "csv" and table is not None:
+        lines = ["# " + json.dumps(payload.get("config", {}), sort_keys=True), ",".join(header)]
+        if isinstance(table, np.ndarray):
+            template = ",".join(["%d" if table.dtype.kind in "iu" else "%.17g"] * table.shape[1])
+            lines += [template % tuple(row) for row in table.tolist()]
         else:
-            json.dump(payload, out, indent=2, sort_keys=True)
-            out.write("\n")
-    finally:
-        if args.out:
-            out.close()
+            lines += [",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) for row in table]
+        lines.append("")
+        text, rows = "\n".join(lines), len(table)
+    else:
+        # dumps without indent is the only route onto the C encoder
+        text, rows = json.dumps(payload, sort_keys=True) + "\n", 1
+    if args.out:
+        with open(args.out, "w") as out:
+            out.write(text)
+    else:
+        sys.stdout.write(text)
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("emit %s: %d rows, %d bytes, %.1f ms", args.format, rows,
+                  len(text.encode()), 1e3 * (time.perf_counter() - t0))
 
 
 def _config(args, keys) -> dict:
@@ -97,7 +111,6 @@ _FORMULAS = {
 
 
 def _cmd_constants(args) -> int:
-    rows = []
     results = []
     if args.formula == "arma":  # n-independent: one value for the whole sweep
         if args.A is None or args.B is None:
@@ -127,10 +140,14 @@ def _cmd_constants(args) -> int:
                 value, regime, inputs = res.value, res.regime, res.inputs
             else:
                 value, regime, inputs = float(res), "", vals
-        rows.append((args.formula, json.dumps(inputs, sort_keys=True).replace(",", ";"), regime, value))
         results.append({"formula_id": args.formula, "inputs": inputs, "regime": regime, "value": value})
-    payload = {"config": _config(args, ("formula", "n")), "results": results}
-    _emit(payload, args, rows, ("formula_id", "inputs", "regime", "value"))
+    config = _config(args, ("formula", "n"))
+    if args.format == "json":
+        _emit({"config": config, "results": results}, args)
+    else:
+        rows = [(r["formula_id"], json.dumps(r["inputs"], sort_keys=True).replace(",", ";"),
+                 r["regime"], r["value"]) for r in results]
+        _emit({"config": config}, args, rows, ("formula_id", "inputs", "regime", "value"))
     return EXIT_PASS
 
 
@@ -233,8 +250,7 @@ def _cmd_simulate(args) -> int:
     if args.format == "json":
         _emit({"config": config, "paths": flat.tolist()}, args)
     else:
-        rows = flat.astype(float).tolist()
-        _emit({"config": config}, args, rows, tuple(f"x{k}" for k in range(flat.shape[1])))
+        _emit({"config": config}, args, flat, tuple(f"x{k}" for k in range(flat.shape[1])))
     return EXIT_PASS
 
 

@@ -11,6 +11,7 @@ avoid catastrophic cancellation at the regime boundary.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,8 +163,10 @@ def lsi_weak_alpha_general(
     For a fixed epsilon the value is
     (alpha / (1+eps)) * (1 + sum_{k=0}^{n-2} prod_{m=k+1}^{n-1} (1+K_m))^(-1)
     with K_j = (1 + 1/eps) * t_j and t_j = sum_{l=0}^{j-1} kappa_{n-l, n-j} / alpha.
-    ``epsilon="auto"`` maximizes over eps by golden-section search on
-    log(eps), and gives the eps -> 0 limit alpha / n when every t_j is 0.
+    The bracket is summed in the log domain, and ``epsilon="auto"``
+    maximizes the log value over eps by golden-section search on log(eps);
+    it gives the eps -> 0 limit alpha / n when every t_j is 0. A value
+    below the smallest normal double raises ``InputError``.
     The profile is unimodal: with u = 1 + 1/eps the value is
     alpha (u - 1) / (u P(u)), where P is a polynomial with nonnegative
     coefficients, so h(u) = u (u - 1) P'(u) / P(u) is non-decreasing and
@@ -177,24 +180,39 @@ def lsi_weak_alpha_general(
     kappa = np.zeros((n, n)) if kappa_matrix is None else np.asarray(kappa_matrix, dtype=float)
     if kappa.shape != (n, n):
         raise InputError(f"kappa matrix must be {n}x{n}")
-    if np.any(kappa < 0):
+    if not np.all(kappa >= 0):  # NaN fails too
         raise InputError("kappa entries must be nonnegative")
     # t_{n-1}, ..., t_1: t_j sums column n-1-j below the diagonal
     t = np.tril(kappa, -1).sum(axis=0)[:-1] / alpha
 
-    def value_at(eps: float) -> float:
-        # the products over m = k+1..n-1 for k = n-2, ..., 0 are one suffix cumulative product
-        bracket = 1.0 + np.cumprod(1.0 + (1.0 + 1.0 / eps) * t).sum()
-        return alpha / (1.0 + eps) / float(bracket)
+    def log_value_at(eps: float) -> float:
+        # the products over m = k+1..n-1 for k = n-2, ..., 0 are one suffix
+        # cumulative sum of logs; it is nondecreasing from 0, so its last
+        # entry is the shift of the bracket's log-sum-exp
+        logs = np.cumsum(np.log1p((1.0 + 1.0 / eps) * t))
+        top = float(logs[-1]) if logs.size else 0.0
+        if not math.isfinite(top):
+            return -math.inf
+        log_bracket = top + math.log(math.exp(-top) + float(np.exp(logs - top).sum()))
+        return math.log(alpha) - math.log1p(eps) - log_bracket
+
+    def positive(log_value: float) -> float:
+        value = math.exp(log_value)
+        if not value >= sys.float_info.min:
+            raise InputError(
+                f"the log-Sobolev constant underflows: its log is {log_value:.6g}, "
+                f"below the smallest normal double"
+            )
+        return value
 
     if epsilon != "auto":
         eps = float(epsilon)
         _check_positive("epsilon", eps)
-        return value_at(eps)
+        return positive(log_value_at(eps))
     if not np.any(t > 0):
         return alpha / n
 
-    f = lambda x: value_at(math.exp(x))
+    f = lambda x: log_value_at(math.exp(x))
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = -math.log(2 * n + math.sqrt(2 * n / t.max())), math.log(n - 1)
     c, d = b - phi * (b - a), a + phi * (b - a)
@@ -208,7 +226,7 @@ def lsi_weak_alpha_general(
             a, c, fc = c, d, fd
             d = a + phi * (b - a)
             fd = f(d)
-    return max(f((a + b) / 2.0), fc, fd)
+    return positive(max(f((a + b) / 2.0), fc, fd))
 
 
 def lsi_weak_alpha(alpha: float, R: float, n: int) -> RegimeConstant:

@@ -1,13 +1,16 @@
 import json
+import logging
 import math
+import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.special import chdtri, ndtri
 from scipy.stats import binom
 
-from concentra import arma_lsi_alpha
-from concentra.cli import _normal_sample_checks, main
+from concentra import arma_lsi_alpha, jsonio, simulate_joint
+from concentra.cli import _emit, _normal_sample_checks, main
 
 TWO_POINT = json.dumps({"type": "discrete", "support": [0.0, 1.0], "weights": [0.5, 0.5]})
 
@@ -170,6 +173,102 @@ def test_simulate_json_and_csv_give_the_same_paths(capsys, model):
     rows = [r for r in out_csv.strip().splitlines() if not r.startswith("#")][1:]
     csv_paths = [[float(v) for v in r.split(",")] for r in rows]
     assert json.loads(out_json)["paths"] == csv_paths
+
+
+def _per_cell_csv(config, header, rows):
+    """CSV by the per-cell rule: floats as %.17g, every other cell as str."""
+    lines = ["# " + json.dumps(config, sort_keys=True), ",".join(header)]
+    lines += [",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("model", [
+    {"kind": "ou", "rho": 0.7, "tau": 0.4, "x0": -0.3},
+    {"kind": "arma", "A": [[0.5, 0.1], [0.0, 0.4]], "B": [[1.0, 0.0], [0.3, 2.0]]},
+    {"kind": "tabular", "init": [0.2, 0.3, 0.5],
+     "transition": [[0.8, 0.1, 0.1], [0.2, 0.7, 0.1], [0.3, 0.3, 0.4]]},
+    {"kind": "tabular", "init": [0.2, 0.3, 0.5],
+     "transition": [[0.8, 0.1, 0.1], [0.2, 0.7, 0.1], [0.3, 0.3, 0.4]], "labels": [0.0, 0.7, 2.25]},
+])
+def test_simulate_csv_bytes_match_per_cell_oracle(capsys, model):
+    blob = json.dumps(model)
+    code, out, _ = run(capsys, "simulate", "--model", blob, "--n", "6", "--samples", "50", "--seed", "5")
+    assert code == 0
+    values = simulate_joint(jsonio.model_from_json(model), 6, 50, seed=5).values.reshape(50, -1)
+    rows = [[float(v) for v in row] for row in values]
+    config = {"model": blob, "n": 6, "samples": 50, "seed": 5}
+    assert out == _per_cell_csv(config, [f"x{k}" for k in range(values.shape[1])], rows)
+
+
+@pytest.mark.parametrize("argv", [
+    ("constants", "--formula", "gc-markov", "--kappa1", "1", "--L", "0.9", "--n", "1", "3", "50"),
+    ("constants", "--formula", "lsi-weak", "--alpha", "1.3", "--R", "2", "--n", "4", "9"),
+    ("constants", "--formula", "arma", "--A", "[[0.5,0.1],[0,0.4]]", "--B", "[[1,0],[0,2]]", "--n", "1", "7"),
+    ("constants", "--formula", "ou", "--rho", "0.7", "--tau", "0.3", "--x", "0.2", "--n", "1", "5"),
+])
+def test_constants_csv_bytes_match_per_cell_oracle(capsys, argv):
+    # the oracle rows come from the JSON results
+    code, out_json, _ = run(capsys, *argv)
+    assert code == 0
+    code, out_csv, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    payload = json.loads(out_json)
+    rows = [(r["formula_id"], json.dumps(r["inputs"], sort_keys=True).replace(",", ";"),
+             r["regime"], r["value"]) for r in payload["results"]]
+    header = ("formula_id", "inputs", "regime", "value")
+    assert out_csv == _per_cell_csv(payload["config"], header, rows)
+
+
+def test_verify_arma_csv_bytes_match_per_cell_oracle(capsys):
+    argv = ("verify-arma", "--A", "[[0.5,0.1],[0.0,0.4]]", "--n", "6")
+    code, out_json, _ = run(capsys, *argv)
+    assert code == 0
+    code, out_csv, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    payload = json.loads(out_json)
+    rows = [(c["n"], c["alpha"], c["exact_gaussian_alpha"], "pass" if c["pass"] else "fail")
+            for c in payload["checks"]]
+    header = ("n", "alpha", "exact_gaussian_alpha", "verdict")
+    assert out_csv == _per_cell_csv(payload["config"], header, rows)
+
+
+def _float_bits(obj):
+    if isinstance(obj, float):
+        return ("float", obj.hex())  # nan compares by position
+    if isinstance(obj, list):
+        return [_float_bits(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: _float_bits(v) for k, v in obj.items()}
+    return obj
+
+
+def test_emit_json_is_one_line_with_the_indented_values(capsys):
+    payload = {
+        "floats": [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1 + 0.2, np.float64(1.0 / 3.0)],
+        "nested": [[1.5, [2.5e-300, []]], {"b": -0.0, "a": "ç"}],
+        "config": {"name": "κ₁ — ü", "seed": 3},
+        "z": np.float64(-7.25e-17),
+    }
+    _emit(payload, SimpleNamespace(format="json", out=None))
+    out = capsys.readouterr().out
+    assert out.endswith("\n") and out.count("\n") == 1
+    parsed = json.loads(out)
+    assert list(parsed) == sorted(payload)
+    assert _float_bits(parsed) == _float_bits(json.loads(json.dumps(payload, indent=2, sort_keys=True)))
+
+
+@pytest.mark.parametrize("fmt, rows", [("csv", 4), ("json", 1)])
+def test_emit_logs_one_debug_line(capsys, caplog, tmp_path, fmt, rows):
+    model = json.dumps({"kind": "gaussian_kernel", "theta": 0.5, "sigma2": 1.0})
+    out_file = tmp_path / "paths.out"
+    with caplog.at_level(logging.DEBUG, logger="concentra"):
+        code, _, _ = run(capsys, "simulate", "--model", model, "--n", "3", "--samples", "4",
+                         "--format", fmt, "--out", str(out_file))
+    assert code == 0
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("emit ")]
+    assert len(lines) == 1
+    assert lines[0].startswith(f"emit {fmt}: {rows} rows, {os.path.getsize(out_file)} bytes, ")
+    assert lines[0].endswith(" ms")
 
 
 def test_couple_json_report(capsys):

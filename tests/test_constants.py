@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -160,6 +161,54 @@ def test_lsi_weak_general_zero_coupling_recovers_alpha_over_two():
     assert lsi_weak_alpha_general(2.0, np.triu(np.ones((4, 4))), 4, epsilon="auto") == 0.5
 
 
+@pytest.mark.parametrize("n, k", [(200, 10.0), (400, 1.0)])
+def test_lsi_weak_general_underflow_raises_input_error(n, k):
+    """The constant lies below the smallest normal double: an InputError,
+    never 0.0, and no overflow warning on the way."""
+    kappa = np.tril(np.full((n, n), k), -1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for eps in ("auto", 1e-3, 1.0, 1e3):
+            with pytest.raises(InputError, match="underflows"):
+                lsi_weak_alpha_general(1.0, kappa, n, epsilon=eps)
+
+
+def _float_golden_max(alpha, kappa, n):
+    """Float-domain maximum over eps: golden-section search of the loop
+    oracle on log(eps) over [e^-25, n]."""
+    f = lambda x: oracle_lsi_weak_general(alpha, kappa, n, math.exp(x))
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = -25.0, math.log(n)
+    c, d = b - phi * (b - a), a + phi * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(80):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + phi * (b - a)
+            fd = f(d)
+    return max(fc, fd)
+
+
+def test_lsi_weak_general_log_domain_matches_float_path():
+    # sizes where the float bracket stays finite
+    rng = np.random.default_rng(11)
+    for _ in range(12):
+        n = int(rng.integers(2, 61))
+        alpha = float(rng.uniform(0.1, 10.0))
+        kappa = np.tril(rng.uniform(0.0, rng.choice([0.01, 0.1, 0.5]), size=(n, n)), k=-1).tolist()
+        eps = float(10.0 ** rng.uniform(-3.0, 3.0))
+        assert lsi_weak_alpha_general(alpha, kappa, n, epsilon=eps) == pytest.approx(
+            oracle_lsi_weak_general(alpha, kappa, n, eps), rel=1e-12
+        )
+        assert lsi_weak_alpha_general(alpha, kappa, n) == pytest.approx(
+            _float_golden_max(alpha, kappa, n), rel=1e-12
+        )
+
+
 def test_arma_scalar_closed_form():
     for c in (0.04, 0.25, 0.64):
         expect = (1.0 - math.sqrt(c)) ** 2 * (1.0 - c) ** 2
@@ -218,6 +267,9 @@ def test_input_validation():
         gc_weak_kappa_general(1.0, 0.0, 2)
     with pytest.raises(InputError):
         lsi_weak_alpha_general(1.0, -np.ones((2, 2)), 2)
+    for eps in ("auto", 1.0):  # NaN coupling is not zero coupling
+        with pytest.raises(InputError, match="nonnegative"):
+            lsi_weak_alpha_general(1.0, [[0.0, 0.0], [math.nan, 0.0]], 2, epsilon=eps)
 
 
 def test_regime_constant_str_and_float():
