@@ -15,6 +15,7 @@ them by Bonferroni.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -96,18 +97,7 @@ def _config(args, keys) -> dict:
 
 # ---------------------------------------------------------------- constants
 
-_FORMULAS = {
-    "gc-markov": (constants.gc_markov_kappa, ("kappa1", "L", "n")),
-    "gc-weak": (constants.gc_weak_kappa, ("kappa1", "R", "n")),
-    "gc-general": (constants.gc_weak_kappa_general, ("kappa1", "M", "n")),
-    "ts-markov": (constants.ts_markov_alpha, ("alpha", "L", "s", "n")),
-    "ts-weak": (constants.ts_weak_alpha, ("alpha", "R", "s", "n")),
-    "ts-general": (constants.ts_general_alpha, ("alpha", "M", "s", "n")),
-    "lsi-markov": (constants.lsi_markov_alpha, ("alpha", "L", "n")),
-    "lsi-weak": (constants.lsi_weak_alpha, ("alpha", "R", "n")),
-    "lsi-kernel": (constants.lsi_markov_kernel_alpha, ("alpha", "kappa", "n")),
-    "lsi-contraction": (constants.contraction_noise_alpha, ("alpha", "L", "n")),
-}
+_FORMULAS = constants.FORMULAS
 
 
 def _cmd_constants(args) -> int:
@@ -129,17 +119,12 @@ def _cmd_constants(args) -> int:
             regime = ""
         else:
             fn, names = _FORMULAS[args.formula]
-            vals = {}
-            for name in names:
-                v = n if name == "n" else getattr(args, name)
-                if v is None:
-                    raise InputError(f"formula {args.formula} needs --{name}")
-                vals[name] = v
-            res = fn(**vals)
-            if isinstance(res, constants.RegimeConstant):
-                value, regime, inputs = res.value, res.regime, res.inputs
-            else:
-                value, regime, inputs = float(res), "", vals
+            values = [n if name == "n" else getattr(args, name) for name in names]
+            if None in values:
+                raise InputError(f"formula {args.formula} needs --{names[values.index(None)]}")
+            res = fn(*values)
+            inputs = dict(zip(names, values))
+            value, regime = float(res), getattr(res, "regime", "")
         results.append({"formula_id": args.formula, "inputs": inputs, "regime": regime, "value": value})
     config = _config(args, ("formula", "n"))
     if args.format == "json":
@@ -378,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constants", help="evaluate closed-form inequality constants")
     p.add_argument("--formula", required=True, choices=sorted(_FORMULAS) + ["arma", "ou"])
-    p.add_argument("--n", type=int, nargs="+", default=[1])
+    p.add_argument("--n", type=int, nargs="+", default=(1,))
     for name in ("kappa1", "alpha", "L", "R", "M", "s", "kappa", "rho", "tau", "x"):
         p.add_argument(f"--{name}", type=float, default=None)
     p.add_argument("--A", default=None)
@@ -445,12 +430,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser for every main call: parse_args leaves it unchanged
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
     level = os.environ.get("CONCENTRA_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.fn(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,6 +11,7 @@ avoid catastrophic cancellation at the regime boundary.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -31,8 +32,6 @@ class RegimeConstant:
 
     value: float
     regime: str
-    inputs: dict
-    formula_id: str
 
     def __post_init__(self):
         if not self.value > 0:
@@ -44,14 +43,24 @@ class RegimeConstant:
         return float(self.value)
 
 
-def _check_positive(name: str, value: float) -> None:
-    if not value > 0:
-        raise InputError(f"{name} must be positive, got {value}")
+_POSITIVE = frozenset({"kappa1", "alpha", "M", "epsilon", "tau", "tol"})
 
 
-def _check_count(n: int) -> None:
-    if n < 1:
-        raise InputError(f"step count must be >= 1, got {n}")
+def _check(**params) -> None:
+    """Validate each input by its parameter name: ``n`` is an integer >= 1,
+    ``s`` lies in [1, 2], the names in ``_POSITIVE`` are finite and > 0,
+    and every other parameter is finite and >= 0. NaN fails every rule."""
+    for name, v in params.items():
+        if name == "n":
+            ok, rule = isinstance(v, numbers.Integral) and v is not True and v >= 1, "an integer >= 1"
+        elif name == "s":
+            ok, rule = 1.0 <= v <= 2.0, "in [1, 2]"
+        elif name in _POSITIVE:
+            ok, rule = 0.0 < v < math.inf, "finite and > 0"
+        else:
+            ok, rule = 0.0 <= v < math.inf, "finite and >= 0"
+        if not ok:
+            raise InputError(f"{name} must be {rule}, got {v!r}")
 
 
 def geometric_sum(ratio: float, terms: int) -> float:
@@ -63,95 +72,57 @@ def geometric_sum(ratio: float, terms: int) -> float:
 
 def gc_markov_kappa(kappa1: float, L: float, n: int) -> float:
     """Concentration constant kappa_1 * sum_m (sum_{k<m} L^k)^2 for a
-    homogeneous chain with an L-Lipschitz kernel."""
-    _check_positive("kappa1", kappa1)
-    if L < 0:
-        raise InputError("Lipschitz constant must be nonnegative")
-    _check_count(n)
+    homogeneous chain with an L-Lipschitz kernel; the weak form takes the
+    summed dependence coefficient R in place of L."""
+    _check(kappa1=kappa1, L=L, n=n)
     return kappa1 * math.fsum(geometric_sum(L, m) ** 2 for m in range(1, n + 1))
 
 
-def gc_weak_kappa(kappa1: float, R: float, n: int) -> float:
-    """Same double sum with the summed dependence coefficient R in place
-    of the one-step Lipschitz constant."""
-    return gc_markov_kappa(kappa1, R, n)
+gc_weak_kappa = gc_markov_kappa
 
 
 def gc_weak_kappa_general(kappa1: float, M: float, n: int) -> float:
     """Coarse bound kappa_1 (1+M)^(2n) / M^2 when the dependence
     coefficients are merely bounded by M > 0."""
-    _check_positive("kappa1", kappa1)
-    _check_count(n)
-    if M <= 0:
-        raise InputError("M must be positive; use the R-form for R = 0")
+    _check(kappa1=kappa1, M=M, n=n)
     return kappa1 * (1.0 + M) ** (2 * n) / M**2
-
-
-def _ts_regimes(alpha: float, R: float, s: float, n: int, formula_id: str) -> RegimeConstant:
-    inputs = {"alpha": alpha, "R": R, "s": s, "n": n}
-    if R < 1.0:
-        value = n ** (1.0 - 2.0 / s) * (1.0 - R ** (1.0 / s)) ** 2 * alpha
-        regime = CONTRACTIVE
-    elif R == 1.0:
-        # critical branch normalized to carry the same alpha factor as its
-        # neighbours; (n+1) exponent from the gamma = 1 + 1/n choice
-        value = _E ** (2.0 / s - 2.0) * (n + 1) ** (-2.0 / s - 1.0) * alpha
-        regime = CRITICAL
-    else:
-        value = ((R - 1.0) / (_E ** (s - 1.0) * R**n)) ** (2.0 / s) * alpha / (n + 1)
-        regime = EXPANSIVE
-    return RegimeConstant(value, regime, inputs, formula_id)
 
 
 def ts_markov_alpha(alpha: float, L: float, s: float, n: int) -> RegimeConstant:
     """Order-s transport constant for a homogeneous chain whose kernel is
-    L-Lipschitz into (Prob_s, W_s); constant in n when s = 2 and L < 1."""
-    _check_positive("alpha", alpha)
-    if L < 0:
-        raise InputError("Lipschitz constant must be nonnegative")
-    if not (1.0 <= s <= 2.0):
-        raise InputError("order s must lie in [1, 2]")
-    _check_count(n)
-    return _ts_regimes(alpha, L, s, n, "ts-markov")
+    L-Lipschitz into (Prob_s, W_s), or (the weak form) under the summed
+    dependence bound sum rho_j <= L; constant in n when s = 2 and L < 1."""
+    _check(alpha=alpha, L=L, s=s, n=n)
+    if L < 1.0:
+        return RegimeConstant(n ** (1.0 - 2.0 / s) * (1.0 - L ** (1.0 / s)) ** 2 * alpha, CONTRACTIVE)
+    if L == 1.0:
+        # critical branch normalized to carry the same alpha factor as its
+        # neighbours; (n+1) exponent from the gamma = 1 + 1/n choice
+        return RegimeConstant(_E ** (2.0 / s - 2.0) * (n + 1) ** (-2.0 / s - 1.0) * alpha, CRITICAL)
+    value = ((L - 1.0) / (_E ** (s - 1.0) * L**n)) ** (2.0 / s) * alpha / (n + 1)
+    return RegimeConstant(value, EXPANSIVE)
 
 
-def ts_weak_alpha(alpha: float, R: float, s: float, n: int) -> RegimeConstant:
-    """Transport constant under the summed dependence bound sum rho_j <= R."""
-    _check_positive("alpha", alpha)
-    if R < 0:
-        raise InputError("R must be nonnegative")
-    if not (1.0 <= s <= 2.0):
-        raise InputError("order s must lie in [1, 2]")
-    _check_count(n)
-    return _ts_regimes(alpha, R, s, n, "ts-weak")
+ts_weak_alpha = ts_markov_alpha
 
 
 def ts_general_alpha(alpha: float, M: float, s: float, n: int) -> float:
     """Transport constant alpha ((n e)^(1-s) M / (1+M)^n)^(2/s) when the
     dependence coefficients are merely bounded by M > 0."""
-    _check_positive("alpha", alpha)
-    if M <= 0:
-        raise InputError("M must be positive")
-    if not (1.0 <= s <= 2.0):
-        raise InputError("order s must lie in [1, 2]")
-    _check_count(n)
+    _check(alpha=alpha, M=M, s=s, n=n)
     return alpha * ((n * _E) ** (1.0 - s) * M / (1.0 + M) ** n) ** (2.0 / s)
 
 
 def lsi_markov_alpha(alpha: float, L: float, n: int) -> RegimeConstant:
     """Log-Sobolev constant for a chain whose kernel energy has
     off-diagonal Hessian blocks bounded by L in operator norm."""
-    _check_positive("alpha", alpha)
-    if L < 0:
-        raise InputError("L must be nonnegative")
-    _check_count(n)
-    inputs = {"alpha": alpha, "L": L, "n": n}
+    _check(alpha=alpha, L=L, n=n)
     if L < alpha:
-        return RegimeConstant((alpha - L) ** 2 / alpha, CONTRACTIVE, inputs, "lsi-markov")
+        return RegimeConstant((alpha - L) ** 2 / alpha, CONTRACTIVE)
     if L == alpha:
-        return RegimeConstant(alpha / (n * (n + 1) * (_E - 1.0)), CRITICAL, inputs, "lsi-markov")
+        return RegimeConstant(alpha / (n * (n + 1) * (_E - 1.0)), CRITICAL)
     value = (alpha / L) ** (2 * n) * (L**2 - alpha**2) / (alpha * _E * (n + 1))
-    return RegimeConstant(value, EXPANSIVE, inputs, "lsi-markov")
+    return RegimeConstant(value, EXPANSIVE)
 
 
 def lsi_weak_alpha_general(
@@ -175,8 +146,7 @@ def lsi_weak_alpha_general(
     maximizer lies in 1 / (2n + sqrt(2n / t_max)) <= eps <= n - 1
     (at n = 2 it is eps* = 1 / sqrt(1 + 2 / t_1)).
     """
-    _check_positive("alpha", alpha)
-    _check_count(n)
+    _check(alpha=alpha, n=n)
     kappa = np.zeros((n, n)) if kappa_matrix is None else np.asarray(kappa_matrix, dtype=float)
     if kappa.shape != (n, n):
         raise InputError(f"kappa matrix must be {n}x{n}")
@@ -207,7 +177,7 @@ def lsi_weak_alpha_general(
 
     if epsilon != "auto":
         eps = float(epsilon)
-        _check_positive("epsilon", eps)
+        _check(epsilon=eps)
         return positive(log_value_at(eps))
     if not np.any(t > 0):
         return alpha / n
@@ -230,48 +200,45 @@ def lsi_weak_alpha_general(
 
 
 def lsi_weak_alpha(alpha: float, R: float, n: int) -> RegimeConstant:
-    """Log-Sobolev constant under sum_l sqrt(rho_l) <= sqrt(R); at R = 0
-    the product law keeps the one-step constant alpha."""
-    _check_positive("alpha", alpha)
-    if R < 0:
-        raise InputError("R must be nonnegative")
-    _check_count(n)
-    inputs = {"alpha": alpha, "R": R, "n": n}
+    """Log-Sobolev constant under sum_l sqrt(rho_l) <= sqrt(R), or (the
+    kernel form) for a homogeneous kernel whose coupling MGF is sub-Gaussian
+    with parameter R = kappa; at R = 0 the product keeps the constant alpha."""
+    _check(alpha=alpha, R=R, n=n)
     if R < alpha:
-        value = (math.sqrt(alpha) - math.sqrt(R)) ** 2
-        return RegimeConstant(value, CONTRACTIVE, inputs, "lsi-weak")
+        return RegimeConstant((math.sqrt(alpha) - math.sqrt(R)) ** 2, CONTRACTIVE)
     if R == alpha:
-        return RegimeConstant(alpha / (n * (n + 1) * (_E - 1.0)), CRITICAL, inputs, "lsi-weak")
-    value = (alpha / R) ** n * (R - alpha) / (_E * (n + 1))
-    return RegimeConstant(value, EXPANSIVE, inputs, "lsi-weak")
+        return RegimeConstant(alpha / (n * (n + 1) * (_E - 1.0)), CRITICAL)
+    return RegimeConstant((alpha / R) ** n * (R - alpha) / (_E * (n + 1)), EXPANSIVE)
 
 
-def lsi_markov_kernel_alpha(alpha: float, kappa: float, n: int) -> RegimeConstant:
-    """Log-Sobolev constant for a homogeneous kernel whose coupling MGF is
-    sub-Gaussian with parameter kappa; same display as the weak form at
-    R = kappa."""
-    rc = lsi_weak_alpha(alpha, kappa, n)
-    return RegimeConstant(
-        rc.value, rc.regime, {"alpha": alpha, "kappa": kappa, "n": n}, "lsi-kernel"
-    )
+lsi_markov_kernel_alpha = lsi_weak_alpha
 
 
 def contraction_noise_alpha(alpha: float, L: float, n: int) -> RegimeConstant:
     """Log-Sobolev constant for Z_{j+1} = Theta(Z_j) + Y_{j+1} with an
     L-Lipschitz map and LSI(alpha) noise."""
-    _check_positive("alpha", alpha)
-    if L < 0:
-        raise InputError("L must be nonnegative")
-    _check_count(n)
-    inputs = {"alpha": alpha, "L": L, "n": n}
+    _check(alpha=alpha, L=L, n=n)
     if L < 1.0:
-        return RegimeConstant((1.0 - L) ** 2 * alpha, CONTRACTIVE, inputs, "lsi-contraction")
+        return RegimeConstant((1.0 - L) ** 2 * alpha, CONTRACTIVE)
     if L == 1.0:
-        return RegimeConstant(
-            alpha / (n * (n + 1) * (_E - 1.0)), CRITICAL, inputs, "lsi-contraction"
-        )
-    value = (L - 1.0) * alpha / (L**n * _E * (n + 1))
-    return RegimeConstant(value, EXPANSIVE, inputs, "lsi-contraction")
+        return RegimeConstant(alpha / (n * (n + 1) * (_E - 1.0)), CRITICAL)
+    return RegimeConstant((L - 1.0) * alpha / (L**n * _E * (n + 1)), EXPANSIVE)
+
+
+# formula id -> (function, parameter names in call order); the weak and
+# kernel ids reuse the Markov or weak formula under their own names
+FORMULAS = {
+    "gc-markov": (gc_markov_kappa, ("kappa1", "L", "n")),
+    "gc-weak": (gc_markov_kappa, ("kappa1", "R", "n")),
+    "gc-general": (gc_weak_kappa_general, ("kappa1", "M", "n")),
+    "ts-markov": (ts_markov_alpha, ("alpha", "L", "s", "n")),
+    "ts-weak": (ts_markov_alpha, ("alpha", "R", "s", "n")),
+    "ts-general": (ts_general_alpha, ("alpha", "M", "s", "n")),
+    "lsi-markov": (lsi_markov_alpha, ("alpha", "L", "n")),
+    "lsi-weak": (lsi_weak_alpha, ("alpha", "R", "n")),
+    "lsi-kernel": (lsi_weak_alpha, ("alpha", "kappa", "n")),
+    "lsi-contraction": (contraction_noise_alpha, ("alpha", "L", "n")),
+}
 
 
 def arma_lsi_alpha(A, B, tol: float = 1e-15, max_terms: int = 100000) -> float:
@@ -287,7 +254,7 @@ def arma_lsi_alpha(A, B, tol: float = 1e-15, max_terms: int = 100000) -> float:
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if A.shape[0] != A.shape[1] or A.shape != B.shape:
         raise InputError("A and B must be square matrices of equal size")
-    _check_positive("tol", tol)
+    _check(tol=tol)
     rho = float(np.max(np.abs(np.linalg.eigvals(A))))
     norm_b = float(np.linalg.norm(B, 2))
     if rho >= 1.0:
@@ -333,8 +300,7 @@ def ou_kappa(rho: float, tau: float, n: int, x: float = 0.0) -> dict:
     constant kappa_n = sigma2 sum_j (sum_i theta^i)^2 for the additive
     functional sum_j x_j, and its mean x sum_{i=1}^n theta^i.
     """
-    _check_positive("tau", tau)
-    _check_count(n)
+    _check(tau=tau, n=n)
     theta = math.exp(-rho * tau)
     if rho == 0.0:
         sigma2 = tau

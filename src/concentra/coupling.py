@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma, hyp1f1
 
-from .constants import ts_weak_alpha
+from .constants import ts_markov_alpha
 from .entropy import relative_entropy_discrete, relative_entropy_gaussian
 from .errors import InputError
 from .measures import RealLine, _LabelLine
@@ -192,7 +192,7 @@ def transport_inequality_audit(
     relative entropy, and the slack against sqrt(2 Ent / alpha_n) with
     alpha_n derived from the declared hypothesis constants.
     """
-    alpha_n = ts_weak_alpha(alpha_hyp, L_hyp, s, n).value
+    alpha_n = ts_markov_alpha(alpha_hyp, L_hyp, s, n).value
     entries = []
     for q_model in perturbations:
         bound = recursive_coupling_bound(p_model, q_model, n, s)

@@ -1,3 +1,5 @@
+import argparse
+import inspect
 import json
 import logging
 import math
@@ -9,8 +11,9 @@ import pytest
 from scipy.special import chdtri, ndtri
 from scipy.stats import binom
 
-from concentra import arma_lsi_alpha, jsonio, simulate_joint
-from concentra.cli import _emit, _normal_sample_checks, main
+from concentra import arma_lsi_alpha, cli, jsonio, simulate_joint
+from concentra.cli import _emit, _normal_sample_checks, build_parser, main
+from concentra.constants import FORMULAS
 
 TWO_POINT = json.dumps({"type": "discrete", "support": [0.0, 1.0], "weights": [0.5, 0.5]})
 
@@ -200,12 +203,24 @@ def test_simulate_csv_bytes_match_per_cell_oracle(capsys, model):
     assert out == _per_cell_csv(config, [f"x{k}" for k in range(values.shape[1])], rows)
 
 
-@pytest.mark.parametrize("argv", [
+# one invocation per `constants --formula` id
+CONSTANTS_ARGV = [
     ("constants", "--formula", "gc-markov", "--kappa1", "1", "--L", "0.9", "--n", "1", "3", "50"),
     ("constants", "--formula", "lsi-weak", "--alpha", "1.3", "--R", "2", "--n", "4", "9"),
     ("constants", "--formula", "arma", "--A", "[[0.5,0.1],[0,0.4]]", "--B", "[[1,0],[0,2]]", "--n", "1", "7"),
     ("constants", "--formula", "ou", "--rho", "0.7", "--tau", "0.3", "--x", "0.2", "--n", "1", "5"),
-])
+    ("constants", "--formula", "gc-weak", "--kappa1", "2", "--R", "1.5", "--n", "2", "6"),
+    ("constants", "--formula", "gc-general", "--kappa1", "1", "--M", "0.4", "--n", "1", "5"),
+    ("constants", "--formula", "ts-markov", "--alpha", "1", "--L", "1.4", "--s", "1.5", "--n", "1", "4"),
+    ("constants", "--formula", "ts-weak", "--alpha", "2", "--R", "1", "--s", "2", "--n", "3", "8"),
+    ("constants", "--formula", "ts-general", "--alpha", "1", "--M", "0.3", "--s", "1", "--n", "2", "5"),
+    ("constants", "--formula", "lsi-markov", "--alpha", "1", "--L", "0.4", "--n", "1", "6"),
+    ("constants", "--formula", "lsi-kernel", "--alpha", "1", "--kappa", "1", "--n", "3"),
+    ("constants", "--formula", "lsi-contraction", "--alpha", "0.7", "--L", "1.2", "--n", "2", "7"),
+]
+
+
+@pytest.mark.parametrize("argv", CONSTANTS_ARGV)
 def test_constants_csv_bytes_match_per_cell_oracle(capsys, argv):
     # the oracle rows come from the JSON results
     code, out_json, _ = run(capsys, *argv)
@@ -217,6 +232,52 @@ def test_constants_csv_bytes_match_per_cell_oracle(capsys, argv):
              r["regime"], r["value"]) for r in payload["results"]]
     header = ("formula_id", "inputs", "regime", "value")
     assert out_csv == _per_cell_csv(payload["config"], header, rows)
+
+
+@pytest.mark.parametrize("argv", [a for a in CONSTANTS_ARGV if a[2] in FORMULAS], ids=lambda a: a[2])
+def test_constants_inputs_echo_the_row_names(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    names = FORMULAS[argv[2]][1]
+    for r in json.loads(out)["results"]:
+        assert list(r["inputs"]) == sorted(names)
+        assert all(r["inputs"][k] == float(argv[argv.index(f"--{k}") + 1]) for k in names if k != "n")
+
+
+def _constants_parser():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices["constants"]
+
+
+def test_formula_table_matches_constants_flags():
+    assert cli._FORMULAS is FORMULAS
+    flags = {a.dest: a for a in _constants_parser()._actions}
+    assert set(flags["formula"].choices) - {"arma", "ou"} == set(FORMULAS)
+    positional = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+    for formula, (fn, names) in FORMULAS.items():
+        assert set(names) <= set(flags), formula
+        params = inspect.signature(fn).parameters.values()
+        assert sum(p.kind in positional for p in params) == len(names), formula
+    assert {a[2] for a in CONSTANTS_ARGV} == set(flags["formula"].choices)
+
+
+def test_main_reuses_one_parser_without_leaking_state(capsys):
+    argvs = [
+        ("constants", "--formula", "ts-weak", "--alpha", "1", "--R", "0.5", "--s", "2"),
+        ("simulate", "--model", json.dumps({"kind": "ou", "rho": 0.5, "tau": 1.0, "x0": 0.0}),
+         "--n", "3", "--samples", "4", "--seed", "2"),
+        ("verify-ou", "--rho", "0.7", "--tau", "0.3", "--n", "4", "--format", "csv"),
+    ]
+    fresh = []
+    for argv in argvs:
+        args = build_parser().parse_args(list(argv))
+        assert args.fn(args) == 0
+        fresh.append(capsys.readouterr().out)
+    for argv, want in zip(argvs + argvs, fresh + fresh):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out == want
+    assert json.loads(fresh[0])["config"]["n"] == [1]  # the --n default is not mutated
+    assert cli._parser() is cli._parser()
 
 
 def test_verify_arma_csv_bytes_match_per_cell_oracle(capsys):

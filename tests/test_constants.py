@@ -20,7 +20,7 @@ from concentra import (
     ts_markov_alpha,
     ts_weak_alpha,
 )
-from concentra.constants import geometric_sum
+from concentra.constants import FORMULAS, geometric_sum
 
 from oracles import (
     oracle_contraction,
@@ -272,8 +272,22 @@ def test_input_validation():
             lsi_weak_alpha_general(1.0, [[0.0, 0.0], [math.nan, 0.0]], 2, epsilon=eps)
 
 
+_VALID = {"kappa1": 1.0, "alpha": 1.0, "L": 0.5, "R": 0.5, "M": 0.5, "kappa": 0.5, "s": 1.5, "n": 3}
+
+
+@pytest.mark.parametrize("formula, name", [
+    pytest.param(formula, name, id=f"{formula}-{name}")
+    for formula, (_, names) in sorted(FORMULAS.items()) for name in names
+])
+def test_every_formula_rejects_nonfinite_inputs_and_bad_counts(formula, name):
+    fn, names = FORMULAS[formula]
+    assert math.isfinite(float(fn(*(_VALID[k] for k in names))))
+    bad = [math.nan, math.inf, -math.inf] + ([0, 2.5, True] if name == "n" else [])
+    for v in bad:
+        with pytest.raises(InputError):
+            fn(*(v if k == name else _VALID[k] for k in names))
+
+
 def test_regime_constant_str_and_float():
     rc = ts_markov_alpha(1.0, 0.5, 2.0, 3)
     assert float(rc) == rc.value
-    assert rc.inputs["n"] == 3
-    assert rc.formula_id == "ts-markov"
