@@ -10,6 +10,7 @@ avoid catastrophic cancellation at the regime boundary.
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import sys
@@ -44,12 +45,14 @@ class RegimeConstant:
 
 
 _POSITIVE = frozenset({"kappa1", "alpha", "M", "epsilon", "tau", "tol"})
+_REAL = frozenset({"rho"})
 
 
 def _check(**params) -> None:
     """Validate each input by its parameter name: ``n`` is an integer >= 1,
     ``s`` lies in [1, 2], the names in ``_POSITIVE`` are finite and > 0,
-    and every other parameter is finite and >= 0. NaN fails every rule."""
+    those in ``_REAL`` are finite, and every other parameter is finite and
+    >= 0. NaN fails every rule."""
     for name, v in params.items():
         if name == "n":
             ok, rule = isinstance(v, numbers.Integral) and v is not True and v >= 1, "an integer >= 1"
@@ -57,10 +60,30 @@ def _check(**params) -> None:
             ok, rule = 1.0 <= v <= 2.0, "in [1, 2]"
         elif name in _POSITIVE:
             ok, rule = 0.0 < v < math.inf, "finite and > 0"
+        elif name in _REAL:
+            ok, rule = -math.inf < v < math.inf, "finite"
         else:
             ok, rule = 0.0 <= v < math.inf, "finite and >= 0"
         if not ok:
             raise InputError(f"{name} must be {rule}, got {v!r}")
+
+
+def _finite(fn):
+    """Make ``fn`` raise ``InputError`` where it overflows in floating point
+    (an ``ArithmeticError`` or a non-finite result); ``fn`` checks its own
+    inputs first, so this only fires on finite inputs."""
+
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            out = fn(*args, **kwargs)
+        except ArithmeticError as exc:
+            raise InputError(f"{fn.__name__}{args} overflows in floating point: {exc}") from None
+        if all(map(math.isfinite, out.values())) if isinstance(out, dict) else math.isfinite(out):
+            return out
+        raise InputError(f"{fn.__name__}{args} overflows in floating point: {out}")
+
+    return checked
 
 
 def geometric_sum(ratio: float, terms: int) -> float:
@@ -70,6 +93,7 @@ def geometric_sum(ratio: float, terms: int) -> float:
     return (ratio**terms - 1.0) / (ratio - 1.0)
 
 
+@_finite
 def gc_markov_kappa(kappa1: float, L: float, n: int) -> float:
     """Concentration constant kappa_1 * sum_m (sum_{k<m} L^k)^2 for a
     homogeneous chain with an L-Lipschitz kernel; the weak form takes the
@@ -81,6 +105,7 @@ def gc_markov_kappa(kappa1: float, L: float, n: int) -> float:
 gc_weak_kappa = gc_markov_kappa
 
 
+@_finite
 def gc_weak_kappa_general(kappa1: float, M: float, n: int) -> float:
     """Coarse bound kappa_1 (1+M)^(2n) / M^2 when the dependence
     coefficients are merely bounded by M > 0."""
@@ -88,6 +113,7 @@ def gc_weak_kappa_general(kappa1: float, M: float, n: int) -> float:
     return kappa1 * (1.0 + M) ** (2 * n) / M**2
 
 
+@_finite
 def ts_markov_alpha(alpha: float, L: float, s: float, n: int) -> RegimeConstant:
     """Order-s transport constant for a homogeneous chain whose kernel is
     L-Lipschitz into (Prob_s, W_s), or (the weak form) under the summed
@@ -106,6 +132,7 @@ def ts_markov_alpha(alpha: float, L: float, s: float, n: int) -> RegimeConstant:
 ts_weak_alpha = ts_markov_alpha
 
 
+@_finite
 def ts_general_alpha(alpha: float, M: float, s: float, n: int) -> float:
     """Transport constant alpha ((n e)^(1-s) M / (1+M)^n)^(2/s) when the
     dependence coefficients are merely bounded by M > 0."""
@@ -113,6 +140,7 @@ def ts_general_alpha(alpha: float, M: float, s: float, n: int) -> float:
     return alpha * ((n * _E) ** (1.0 - s) * M / (1.0 + M) ** n) ** (2.0 / s)
 
 
+@_finite
 def lsi_markov_alpha(alpha: float, L: float, n: int) -> RegimeConstant:
     """Log-Sobolev constant for a chain whose kernel energy has
     off-diagonal Hessian blocks bounded by L in operator norm."""
@@ -199,6 +227,7 @@ def lsi_weak_alpha_general(
     return positive(max(f((a + b) / 2.0), fc, fd))
 
 
+@_finite
 def lsi_weak_alpha(alpha: float, R: float, n: int) -> RegimeConstant:
     """Log-Sobolev constant under sum_l sqrt(rho_l) <= sqrt(R), or (the
     kernel form) for a homogeneous kernel whose coupling MGF is sub-Gaussian
@@ -214,6 +243,7 @@ def lsi_weak_alpha(alpha: float, R: float, n: int) -> RegimeConstant:
 lsi_markov_kernel_alpha = lsi_weak_alpha
 
 
+@_finite
 def contraction_noise_alpha(alpha: float, L: float, n: int) -> RegimeConstant:
     """Log-Sobolev constant for Z_{j+1} = Theta(Z_j) + Y_{j+1} with an
     L-Lipschitz map and LSI(alpha) noise."""
@@ -292,6 +322,7 @@ def arma_lsi_alpha(A, B, tol: float = 1e-15, max_terms: int = 100000) -> float:
     return ((1.0 - math.sqrt(rho)) / max(1.0, norm_b)) ** 2 * series ** (-2.0)
 
 
+@_finite
 def ou_kappa(rho: float, tau: float, n: int, x: float = 0.0) -> dict:
     """Exact constants of the time-discretized Ornstein-Uhlenbeck chain.
 
@@ -300,7 +331,7 @@ def ou_kappa(rho: float, tau: float, n: int, x: float = 0.0) -> dict:
     constant kappa_n = sigma2 sum_j (sum_i theta^i)^2 for the additive
     functional sum_j x_j, and its mean x sum_{i=1}^n theta^i.
     """
-    _check(tau=tau, n=n)
+    _check(rho=rho, tau=tau, n=n)
     theta = math.exp(-rho * tau)
     if rho == 0.0:
         sigma2 = tau

@@ -1,6 +1,7 @@
 """Exact Wasserstein distances.
 
-Four routes are provided: the transportation LP on finite supports, the
+Four routes are provided: the transportation LP on finite supports
+(exact shortlist column generation, see ``solve_transport_lp``), the
 monotone (quantile) coupling on the real line, the closed form for W2
 between Gaussians, and the Kantorovich-Rubinstein dual LP for W1. On the
 real line with s >= 1 the cost |x - y|**s is convex in x - y, so the
@@ -12,7 +13,9 @@ tolerance; there is no entropic approximation.
 """
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +27,7 @@ from .errors import InputError, SolverError
 from .measures import DiscreteMeasure, GaussianMeasure, RealLine, _point_key
 
 PLAN_ATOL = 1e-10
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -67,7 +71,8 @@ def cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, s: float, space=None) 
     return space.pairwise(mu.support, nu.support) ** s
 
 
-_COLGEN_THRESHOLD = 40_000
+_SHORTLIST = 16
+_COLGEN_THRESHOLD = 40_000  # read only by the bench tracer, to label large solves
 _LP_OPTIONS = {
     "presolve": False,
     "primal_feasibility_tolerance": 1e-10,
@@ -78,8 +83,8 @@ _LP_OPTIONS = {
 def _solve_restricted(cost, w_row, w_col, idx_i, idx_j):
     """Dual-simplex solve over the columns (idx_i[k], idx_j[k]) only.
 
-    Returns the plan entries and the dual potentials (u, v), with the
-    dropped last column constraint's dual fixed at zero.
+    Returns the plan entries, the dual potentials (u, v) with the dropped
+    last column constraint's dual fixed at zero, and HiGHS's ``nit``.
     """
     nr, nc = cost.shape
     m = idx_i.size
@@ -106,7 +111,7 @@ def _solve_restricted(cost, w_row, w_col, idx_i, idx_j):
     duals = np.asarray(res.eqlin.marginals)
     u = duals[:nr]
     v = np.append(duals[nr:], 0.0)
-    return res.x, u, v
+    return res.x, u, v, res.nit
 
 
 def _northwest_corner(w_rows: np.ndarray, w_col: np.ndarray):
@@ -134,57 +139,46 @@ def _northwest_corner(w_rows: np.ndarray, w_col: np.ndarray):
     return np.minimum(i, nr - 1), np.minimum(j, nc - 1), mass
 
 
-def _northwest_band(w_row, w_col, width=2):
-    """Column index set: the north-west-corner plan plus a diagonal band."""
-    i, j, _ = (a[0] for a in _northwest_corner(w_row[None, :], w_col))
-    band = j[:, None] + np.arange(-width, width + 1)[None, :]
-    rows = np.broadcast_to(i[:, None], band.shape)
-    keep = (band >= 0) & (band < w_col.size)
-    return set(zip(rows[keep].tolist(), band[keep].tolist()))
-
-
 def solve_transport_lp(cost: np.ndarray, w_row: np.ndarray, w_col: np.ndarray):
-    """Minimum-cost transportation plan between two weight vectors.
+    """Minimum-cost transportation plan between two weight vectors, by
+    exact shortlist column generation (Gottschlich & Schuhmacher, PLoS ONE
+    9(10):e110214, 2014).
 
-    Solved as a sparse LP with the HiGHS dual simplex. Small instances are
-    solved over all columns at once; large ones use exact column
-    generation: a restricted LP seeded from the north-west-corner plan is
-    re-solved with the columns whose reduced cost (from the dual
-    potentials) is negative, until none remain — so the result carries the
-    same optimality certificate as the full solve.
+    The first restricted LP holds the north-west-corner plan, which keeps
+    it feasible, and each row's and each column's ``_SHORTLIST`` cheapest
+    cells, so a side with no more atoms than that starts with every cell.
+    Each round solves the active cells with the HiGHS dual simplex and adds
+    every inactive cell whose reduced cost ``cost - u - v`` is below
+    -1e-11. A round that adds none is the full LP's optimality certificate;
+    the active set only grows, so the loop ends. Returns
+    ``(fsum(plan * cost), plan)``.
     """
+    t0 = time.perf_counter()
     nr, nc = cost.shape
-    if nr * nc <= _COLGEN_THRESHOLD:
-        idx_i, idx_j = np.divmod(np.arange(nr * nc), nc)
-        x, _, _ = _solve_restricted(cost, w_row, w_col, idx_i, idx_j)
-        plan = x.reshape(nr, nc)
-        plan[plan < 0] = 0.0
-        value = math.fsum((plan * cost).ravel())
-        return value, plan
-    active = _northwest_band(w_row, w_col)
-    for _ in range(50):
-        idx_i = np.fromiter((i for i, _ in active), dtype=int, count=len(active))
-        idx_j = np.fromiter((j for _, j in active), dtype=int, count=len(active))
-        x, u, v = _solve_restricted(cost, w_row, w_col, idx_i, idx_j)
-        reduced = cost - u[:, None] - v[None, :]
-        viol_i, viol_j = np.nonzero(reduced < -1e-11)
-        new = set(zip(viol_i.tolist(), viol_j.tolist())) - active
-        if not new:
-            plan = np.zeros((nr, nc))
-            plan[idx_i, idx_j] = np.maximum(x, 0.0)
-            value = math.fsum((plan[idx_i, idx_j] * cost[idx_i, idx_j]).ravel())
-            return value, plan
-        # cap growth per round: keep the most violating columns
-        if len(new) > nr + nc:
-            order = np.argsort(reduced[viol_i, viol_j])
-            ranked = [
-                p
-                for p in zip(viol_i[order].tolist(), viol_j[order].tolist())
-                if p not in active
-            ]
-            new = set(ranked[: nr + nc])
-        active |= new
-    raise SolverError("column generation did not converge")
+    mask = np.zeros((nr, nc), dtype=bool)
+    i, j, _ = (a[0] for a in _northwest_corner(w_row[None, :], w_col))
+    mask[i, j] = True
+    for axis in (0, 1):
+        k = min(_SHORTLIST, cost.shape[axis])
+        cheapest = np.argpartition(cost, k - 1, axis=axis)
+        np.put_along_axis(mask, cheapest[:k] if axis == 0 else cheapest[:, :k], True, axis=axis)
+    rounds = iterations = 0
+    while True:
+        idx_i, idx_j = np.nonzero(mask)
+        x, u, v, nit = _solve_restricted(cost, w_row, w_col, idx_i, idx_j)
+        rounds += 1
+        iterations += nit
+        new = (cost - u[:, None] - v[None, :] < -1e-11) & ~mask
+        if not new.any():
+            break
+        mask |= new
+    x = np.maximum(x, 0.0)
+    plan = np.zeros((nr, nc))
+    plan[idx_i, idx_j] = x
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("transport LP %dx%d: %d rounds, %d active cells, %d iterations, %.1f ms",
+                  nr, nc, rounds, idx_i.size, iterations, 1e3 * (time.perf_counter() - t0))
+    return math.fsum(x * cost[idx_i, idx_j]), plan
 
 
 def _monotone_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure):

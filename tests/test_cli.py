@@ -68,6 +68,18 @@ def test_constants_missing_flag_is_input_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--formula", "gc-general", "--kappa1", "1", "--M", "1e200", "--n", "3"),
+    ("--formula", "ou", "--rho", "nan", "--tau", "1", "--n", "3"),
+    ("--formula", "ou", "--rho", "inf", "--tau", "1", "--n", "3"),
+    ("--formula", "ou", "--rho", "-1000", "--tau", "1", "--n", "3"),
+], ids=["gc-general-overflow", "ou-nan-rho", "ou-inf-rho", "ou-overflow"])
+def test_constants_overflow_and_nonfinite_rho_are_input_errors(capsys, argv):
+    code, out, err = run(capsys, "constants", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_wasserstein_identical_measures(capsys):
     code, out, _ = run(capsys, "wasserstein", "--mu", TWO_POINT, "--nu", TWO_POINT, "--s", "2")
     assert code == 0

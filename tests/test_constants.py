@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -286,6 +287,42 @@ def test_every_formula_rejects_nonfinite_inputs_and_bad_counts(formula, name):
     for v in bad:
         with pytest.raises(InputError):
             fn(*(v if k == name else _VALID[k] for k in names))
+
+
+_EXTREME = {"n": (1, 3, 200), "s": (1.0, 2.0)}
+
+
+@pytest.mark.parametrize("formula", sorted(FORMULAS))
+def test_every_formula_overflow_is_input_error(formula):
+    """From finite inputs, every row gives a finite value or raises
+    InputError, never OverflowError, ZeroDivisionError or inf."""
+    fn, names = FORMULAS[formula]
+    grids = [_EXTREME.get(k, (1e-200, 0.5, 2.0, 1e200, 1e308)) for k in names]
+    for args in itertools.product(*grids):
+        try:
+            value = float(fn(*args))
+        except InputError:
+            continue
+        assert math.isfinite(value), (formula, args)
+
+
+@pytest.mark.parametrize("fn, args", [
+    (gc_markov_kappa, (1e308, 10.0, 5)),  # inf result
+    (gc_weak_kappa_general, (1.0, 1e200, 3)),  # OverflowError
+    (gc_weak_kappa_general, (1.0, 1e-200, 3)),  # M**2 underflows to 0: ZeroDivisionError
+    (ts_markov_alpha, (1.0, 1e10, 2.0, 40)),
+    (ou_kappa, (-1000.0, 1.0, 3)),
+])
+def test_overflow_repros_raise_input_error(fn, args):
+    with pytest.raises(InputError, match="overflows in floating point"):
+        fn(*args)
+
+
+@pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf])
+def test_ou_rejects_nonfinite_rho(rho):
+    with pytest.raises(InputError, match="rho must be finite"):
+        ou_kappa(rho, 1.0, 3)
+    assert math.isfinite(ou_kappa(-0.5, 1.0, 3)["kappa_n"])  # any finite rho is valid
 
 
 def test_regime_constant_str_and_float():

@@ -1,8 +1,9 @@
+import logging
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
 from scipy.optimize import linprog
 
@@ -14,9 +15,12 @@ from concentra import (
     GaussianMeasure,
     InputError,
     ProductSpace,
+    TabularModel,
+    TransportPlan,
     gaussian_chain_joint,
     kantorovich_dual_w1,
     solve_transport_lp,
+    tabular_joint_law,
     wasserstein_1d,
     wasserstein_exact,
     wasserstein_gaussian_w2,
@@ -113,8 +117,33 @@ def test_real_line_plan_is_lp_optimal(n, m, s, zeros, seed):
     assert value == pytest.approx(max(plan.cost, 0.0) ** (1.0 / s), rel=1e-12)
 
 
+def _dense_lp(cost, w_row, w_col):
+    """Oracle: the transportation LP over every cell, with the full
+    Kronecker-product constraint matrix. The default 1e-7 feasibility
+    tolerances shift the optimum by ~1e-7 when weights span many orders of
+    magnitude, so both are tightened to 1e-10."""
+    n, m = cost.shape
+    a_eq = sparse.vstack(
+        [sparse.kron(sparse.eye(n), np.ones((1, m))), sparse.kron(np.ones((1, n)), sparse.eye(m))]
+    )
+    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([w_row, w_col]),
+                  bounds=(0, None), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10})
+    assert res.success
+    return res.fun
+
+
+def _check_against_dense_lp(cost, w_row, w_col, s):
+    value, plan = solve_transport_lp(cost, w_row, w_col)
+    n, m = cost.shape
+    mu = DiscreteMeasure(tuple(range(n)), w_row)
+    nu = DiscreteMeasure(tuple(range(m)), w_col)
+    TransportPlan(mu, nu, plan, value, s).validate(cost)
+    assert value == pytest.approx(_dense_lp(cost, w_row, w_col), rel=1e-12, abs=1e-12)
+
+
 def test_column_generation_matches_full_lp():
-    """Above the column-generation threshold the optimum equals a dense LP's."""
+    """Over 210 x 200 plane points, column generation attains a dense LP's optimum."""
     rng = np.random.default_rng(3)
     n, m = 210, 200
     p, q = rng.normal(size=(n, 2)), rng.normal(size=(m, 2))
@@ -123,13 +152,82 @@ def test_column_generation_matches_full_lp():
     cost = np.abs(p[:, None, :] - q[None, :, :]).sum(axis=-1)
     _, plan = wasserstein_exact(mu, nu, 1.0)
     plan.validate(cost)
-    a_eq = sparse.vstack(
-        [sparse.kron(sparse.eye(n), np.ones((1, m))), sparse.kron(np.ones((1, n)), sparse.eye(m))]
+    assert plan.cost == pytest.approx(_dense_lp(cost, mu.weights, nu.weights), abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=60),
+    st.integers(min_value=1, max_value=60),
+    st.sampled_from([1.0, 1.5, 2.0]),
+    st.integers(min_value=0, max_value=5),
+    st.sampled_from(["plane", "grid", "line"]),
+    st.integers(min_value=0, max_value=10_000),
+)
+@example(1, 37, 1.0, 0, "plane", 0)
+@example(45, 1, 2.0, 3, "grid", 1)
+@example(60, 60, 1.5, 5, "grid", 2)
+@example(60, 55, 1.0, 2, "line", 3)
+def test_solve_transport_lp_matches_dense_lp(n, m, s, zeros, points, seed):
+    """Shortlist column generation attains the dense LP's optimum: wide and
+    tall shapes, zero-weight atoms, tied costs from integer grid points,
+    and a line whose column atoms sit in a narrow shifted band, where the
+    optimum moves mass past each row's cheapest cells."""
+    rng = np.random.default_rng(seed)
+    if points == "grid":
+        p, q = rng.integers(0, 4, size=(n, 2)), rng.integers(0, 4, size=(m, 2))
+    elif points == "plane":
+        p, q = rng.normal(size=(n, 2)), rng.normal(size=(m, 2))
+    else:
+        p, q = rng.normal(size=(n, 1)), 0.3 * rng.normal(size=(m, 1)) + 1.5
+    cost = np.abs(p[:, None, :] - q[None, :, :]).sum(axis=-1).astype(float) ** s
+    _check_against_dense_lp(cost, _weights_with_zeros(rng, n, zeros), _weights_with_zeros(rng, m, zeros), s)
+
+
+def test_audit_joint_laws_match_dense_lp():
+    """The 256 x 256 product-metric joint laws of two 4-state chains over 4
+    steps (the exact W_s of the tabular audit), with heavily tied costs."""
+    rng = np.random.default_rng(11)
+    models = [
+        TabularModel(rng.dirichlet(np.ones(4)), np.vstack([rng.dirichlet(np.ones(4)) for _ in range(4)]))
+        for _ in range(2)
+    ]
+    for s in (1.0, 2.0):
+        q, p = (tabular_joint_law(model, 4, s) for model in models)
+        assert (len(q), len(p)) == (256, 256)
+        cost = q.space.pairwise(q.support, p.support) ** s
+        _check_against_dense_lp(cost, q.weights, p.weights, s)
+
+
+def test_solve_transport_lp_is_deterministic():
+    rng = np.random.default_rng(4)
+    p, q = rng.integers(0, 5, size=(90, 2)), rng.integers(0, 5, size=(80, 2))
+    cost = np.abs(p[:, None, :] - q[None, :, :]).sum(axis=-1).astype(float)
+    w_row, w_col = _weights_with_zeros(rng, 90, 4), _weights_with_zeros(rng, 80, 4)
+    (v1, plan1), (v2, plan2) = (solve_transport_lp(cost, w_row, w_col) for _ in range(2))
+    assert v1 == v2
+    assert plan1.tobytes() == plan2.tobytes()
+
+
+@pytest.mark.parametrize("n, full", [(5, True), (60, False)])
+def test_solve_transport_lp_logs_one_debug_line(caplog, n, full):
+    rng = np.random.default_rng(n)
+    cost = rng.uniform(size=(n, n + 1))
+    with caplog.at_level(logging.DEBUG, logger="concentra.transport"):
+        solve_transport_lp(cost, rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n + 1)))
+    (record,) = [r for r in caplog.records if r.name == "concentra.transport"]
+    message = record.getMessage()
+    assert message.startswith(f"transport LP {n}x{n + 1}: ")
+    rounds, cells, iterations, ms = (
+        float(part.split()[0]) for part in message.split(": ", 1)[1].split(", ")
     )
-    b_eq = np.concatenate([mu.weights, nu.weights])
-    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    assert res.success
-    assert plan.cost == pytest.approx(res.fun, abs=1e-9)
+    assert (rounds == 1) if full else (rounds >= 1)
+    assert (cells == n * (n + 1)) if full else (cells < n * (n + 1))
+    assert iterations >= 1 and ms >= 0
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="concentra.transport"):
+        solve_transport_lp(cost, np.full(n, 1 / n), np.full(n + 1, 1 / (n + 1)))
+    assert not [r for r in caplog.records if r.name == "concentra.transport"]
 
 
 @settings(max_examples=60, deadline=None)
