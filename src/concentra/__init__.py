@@ -51,7 +51,6 @@ from .processes import (
     OUModel,
     SamplePaths,
     TabularModel,
-    arma_joint_covariance,
     gaussian_chain_joint,
     kernel_law,
     kernel_lipschitz_estimate,

@@ -34,7 +34,7 @@ from .processes import (
     ARMAModel,
     OUModel,
     TabularModel,
-    arma_joint_covariance,
+    gaussian_chain_joint,
     simulate_joint,
 )
 from .transport import wasserstein_exact, wasserstein_gaussian_w2
@@ -324,10 +324,12 @@ def _cmd_verify_arma(args) -> int:
     A = np.asarray(_load_json(args.A), float)
     B = np.asarray(_load_json(args.B), float) if args.B else np.eye(A.shape[0])
     alpha = constants.arma_lsi_alpha(A, B)
+    model = ARMAModel(A, B)
+    # horizon k's law is the leading km x km block of horizon n's
+    sigma, m = gaussian_chain_joint(model, args.n).cov, model.dim
     checks = []
     for k in range(1, args.n + 1):
-        sigma = arma_joint_covariance(A, B, k)
-        exact = 1.0 / float(np.max(np.linalg.eigvalsh(sigma)))
+        exact = 1.0 / float(np.max(np.linalg.eigvalsh(sigma[: k * m, : k * m])))
         checks.append({
             "n": k,
             "alpha": alpha,

@@ -69,9 +69,9 @@ def _check(**params) -> None:
 
 
 def _finite(fn):
-    """Make ``fn`` raise ``InputError`` where it overflows in floating point
-    (an ``ArithmeticError`` or a non-finite result); ``fn`` checks its own
-    inputs first, so this only fires on finite inputs."""
+    """Make ``fn`` raise ``InputError`` where it under- or overflows: an
+    ``ArithmeticError``, a non-finite dict entry, or a constant outside
+    0 < value < inf. ``fn`` checks its own inputs first."""
 
     @functools.wraps(fn)
     def checked(*args, **kwargs):
@@ -79,9 +79,9 @@ def _finite(fn):
             out = fn(*args, **kwargs)
         except ArithmeticError as exc:
             raise InputError(f"{fn.__name__}{args} overflows in floating point: {exc}") from None
-        if all(map(math.isfinite, out.values())) if isinstance(out, dict) else math.isfinite(out):
+        if all(map(math.isfinite, out.values())) if isinstance(out, dict) else 0.0 < float(out) < math.inf:
             return out
-        raise InputError(f"{fn.__name__}{args} overflows in floating point: {out}")
+        raise InputError(f"{fn.__name__}{args} under- or overflows in floating point: {out}")
 
     return checked
 
@@ -327,13 +327,13 @@ def ou_kappa(rho: float, tau: float, n: int, x: float = 0.0) -> dict:
     """Exact constants of the time-discretized Ornstein-Uhlenbeck chain.
 
     Returns theta = exp(-rho tau), the innovation variance sigma2
-    ((1 - theta^2) / (2 rho), or tau at rho = 0), the concentration
-    constant kappa_n = sigma2 sum_j (sum_i theta^i)^2 for the additive
-    functional sum_j x_j, and its mean x sum_{i=1}^n theta^i.
+    ((1 - theta^2) / (2 rho), or its limit tau where theta rounds to 1),
+    the concentration constant kappa_n = sigma2 sum_j (sum_i theta^i)^2 for
+    the additive functional sum_j x_j, and its mean x sum_{i=1}^n theta^i.
     """
     _check(rho=rho, tau=tau, n=n)
     theta = math.exp(-rho * tau)
-    if rho == 0.0:
+    if theta == 1.0:  # 1 - theta^2 would cancel to 0 for a nonzero rho
         sigma2 = tau
     else:
         sigma2 = (1.0 - theta**2) / (2.0 * rho)

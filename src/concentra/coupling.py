@@ -10,9 +10,10 @@ For tabular chains the coupling is a Markov chain on the state pairs whose
 kernel couples each pair's rows by the monotone plan on a line (also at
 s = 1, where optimal plans are not unique), else by one LP per pair.
 Gaussian chains need no discretization: on the real line the
-step-optimal coupling is comonotone, so both chains are driven by the
-same standard normal innovations and every step's gap is exactly
-Gaussian; its s-th absolute moment has a closed form.
+step-optimal coupling is comonotone, so both chains share their standard
+normal innovations, the pair (gap, P-state) is a linear-Gaussian chain
+whose moments come from the recursion in ``processes``, and each step's
+gap is exactly Gaussian with a closed-form s-th absolute moment.
 """
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ from .measures import RealLine, _LabelLine
 from .processes import (
     GaussianKernelModel,
     TabularModel,
+    _linear_moments,
     gaussian_chain_joint,
     tabular_joint_law,
 )
@@ -116,30 +118,25 @@ def _abs_moment(m: float, v: float, s: float) -> float:
 def _gaussian_bound(q: GaussianKernelModel, p: GaussianKernelModel, n: int, s: float) -> CouplingBound:
     """Exact cost of the comonotone coupling of two Gaussian chains.
 
-    X^q_k = theta_q X^q_{k-1} + sigma_q Z_k and X^p_k likewise share Z_k
-    (X_1 uses the initial laws), so the gap D_k = X^q_k - X^p_k is
-    N(m_k, v_k). The pair's 2x2 covariance is carried as Var D_k,
-    Cov(D_k, X^p_k) and Var X^p_k, which keeps v_k exactly 0 when the
-    kernels and initial variances agree. Raises ``InputError`` when a
-    moment or the total overflows.
+    X^q_k = theta_q X^q_{k-1} + sigma_q Y_k and X^p_k likewise share Y_k
+    (X_1 uses the initial laws), so (D_k, X^p_k) with D_k = X^q_k - X^p_k
+    is a 2-state linear chain, D_k = theta_q D_{k-1} + (theta_q - theta_p)
+    X^p_{k-1} + (sigma_q - sigma_p) Y_k, whose moment recursion gives the
+    gap law N(m_k, v_k); v_k stays exactly 0 when the kernels and initial
+    variances agree. Raises ``InputError`` when a moment or the total overflows.
     """
-    d_theta = q.theta - p.theta
-    sq, sp = math.sqrt(q.init_var), math.sqrt(p.init_var)
-    m, mp = q.init_mean - p.init_mean, p.init_mean
-    v, c, vp = (sq - sp) ** 2, (sq - sp) * sp, p.init_var
     sq, sp = math.sqrt(q.sigma2), math.sqrt(p.sigma2)
-    d_sigma = sq - sp
+    rq, rp = math.sqrt(q.init_var), math.sqrt(p.init_var)
+    with np.errstate(over="ignore", invalid="ignore"):
+        means, covs = _linear_moments(
+            np.array([[q.theta, q.theta - p.theta], [0.0, p.theta]]),
+            np.array([[sq - sp], [sp]]),
+            np.array([q.init_mean - p.init_mean, p.init_mean]),
+            np.array([[rq - rp], [rp]]),
+            n,
+        )
     try:
-        steps = [_abs_moment(m, v, s)]
-        for _ in range(1, n):
-            # D_k = theta_q D_{k-1} + d_theta X^p_{k-1} + d_sigma Z_k
-            m, mp = q.theta * m + d_theta * mp, p.theta * mp
-            v, c, vp = (
-                max(q.theta**2 * v + 2 * q.theta * d_theta * c + d_theta**2 * vp, 0.0) + d_sigma**2,
-                q.theta * p.theta * c + d_theta * p.theta * vp + d_sigma * sp,
-                p.theta**2 * vp + p.sigma2,
-            )
-            steps.append(_abs_moment(m, v, s))
+        steps = [_abs_moment(float(mk[0]), max(float(ck[0, 0]), 0.0), s) for mk, ck in zip(means, covs)]
         total = math.fsum(steps)
     except OverflowError:
         total = math.inf
@@ -193,19 +190,19 @@ def transport_inequality_audit(
     alpha_n derived from the declared hypothesis constants.
     """
     alpha_n = ts_markov_alpha(alpha_hyp, L_hyp, s, n).value
+    gaussian = isinstance(p_model, GaussianKernelModel)
+    p_joint = gaussian_chain_joint(p_model, n) if gaussian else tabular_joint_law(p_model, n, s)
     entries = []
     for q_model in perturbations:
         bound = recursive_coupling_bound(p_model, q_model, n, s)
         w_exact = None
-        if isinstance(p_model, GaussianKernelModel):
-            qj = gaussian_chain_joint(q_model, n)
-            pj = gaussian_chain_joint(p_model, n)
-            ent = relative_entropy_gaussian(qj, pj)
+        if gaussian:
+            q_joint = gaussian_chain_joint(q_model, n)
+            ent = relative_entropy_gaussian(q_joint, p_joint)
             if s == 2.0:
-                w_exact = wasserstein_gaussian_w2(qj, pj)
+                w_exact = wasserstein_gaussian_w2(q_joint, p_joint)
         else:
             q_joint = tabular_joint_law(q_model, n, s)
-            p_joint = tabular_joint_law(p_model, n, s)
             ent = relative_entropy_discrete(q_joint, p_joint)
             w_exact = wasserstein_exact(q_joint, p_joint, s, space=q_joint.space)[0]
         w_used = bound.upper_bound if w_exact is None else w_exact

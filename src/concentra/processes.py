@@ -1,9 +1,13 @@
 """Markov process models, joint-law simulation and hypothesis estimators.
 
-Models are horizon-free descriptions (initial law plus kernel). The
-estimators report sup-type hypothesis quantities over declared probe
-sets, so they are lower bounds on the true constants: the verification
-stance is "no violation found at this resolution", never a proof.
+Models are horizon-free descriptions (initial law plus kernel).
+Gaussian-kernel (so OU) and ARMA chains share one ``linear_form``,
+X_1 = mean1 + root1 Y_1 and X_{k+1} = A X_k + B Y_{k+1} with standard
+Gaussian Y: one moment recursion gives their joint laws (and the Gaussian
+coupling's gap moments) and one sampler their paths. The estimators
+report sup-type hypothesis quantities over declared probe sets, so they
+are lower bounds on the true constants: the verification stance is "no
+violation found at this resolution", never a proof.
 """
 from __future__ import annotations
 
@@ -83,6 +87,13 @@ class GaussianKernelModel:
         elif self.init_var <= 0:
             raise InputError("init_var must be positive")
 
+    @property
+    def linear_form(self):
+        """(A, B, mean1, root1) with X_1 = mean1 + root1 Y_1 and
+        X_{k+1} = A X_k + B Y_{k+1}, here as 1x1 matrices."""
+        return (np.array([[self.theta]]), np.array([[math.sqrt(self.sigma2)]]),
+                np.array([self.init_mean]), np.array([[math.sqrt(self.init_var)]]))
+
 
 @dataclass(frozen=True)
 class OUModel(GaussianKernelModel):
@@ -127,6 +138,11 @@ class ARMAModel:
     @property
     def dim(self) -> int:
         return self.A.shape[0]
+
+    @property
+    def linear_form(self):
+        """(A, B, mean1, root1) with X_1 = Z_0 = mean1 + root1 Y_1: (A, B, 0, I)."""
+        return self.A, self.B, np.zeros(self.dim), np.eye(self.dim)
 
 
 @dataclass(frozen=True)
@@ -175,12 +191,12 @@ def simulate_joint(model: MarkovModel, n: int, N: int, seed: int = 0) -> SampleP
     if n < 1 or N < 1:
         raise InputError("n and N must be >= 1")
     rng = _rng(seed)
-    if isinstance(model, GaussianKernelModel):
-        values = _simulate_gaussian(model, n, N, rng)
+    if isinstance(model, (GaussianKernelModel, ARMAModel)):
+        values = _simulate_linear(*model.linear_form, n, N, rng)
+        if isinstance(model, GaussianKernelModel):
+            values = values[..., 0]
     elif isinstance(model, TabularModel):
         values = _simulate_tabular(model, n, N, rng)
-    elif isinstance(model, ARMAModel):
-        values = _simulate_arma(model, n, N, rng)
     elif isinstance(model, ContractionNoiseModel):
         values = _simulate_contraction(model, n, N, rng)
     else:
@@ -188,13 +204,14 @@ def simulate_joint(model: MarkovModel, n: int, N: int, seed: int = 0) -> SampleP
     return SamplePaths(values, int(seed), model)
 
 
-def _simulate_gaussian(model: GaussianKernelModel, n, N, rng):
-    eps = rng.standard_normal((N, n))
-    out = np.empty((N, n))
-    out[:, 0] = model.init_mean + math.sqrt(model.init_var) * eps[:, 0]
-    sigma = math.sqrt(model.sigma2)
+def _simulate_linear(A, B, mean1, root1, n, N, rng):
+    """(N, n, m) paths of X_1 = mean1 + root1 Y_1, X_{k+1} = A X_k + B Y_{k+1},
+    from one (N, n, m) draw of the innovations Y."""
+    eps = rng.standard_normal((N, n, B.shape[1]))
+    out = (eps.reshape(N * n, -1) @ B.T).reshape(N, n, -1)
+    out[:, 0] = mean1 + eps[:, 0] @ root1.T
     for k in range(1, n):
-        out[:, k] = model.theta * out[:, k - 1] + sigma * eps[:, k]
+        out[:, k] += out[:, k - 1] @ A.T
     return out
 
 
@@ -206,17 +223,6 @@ def _simulate_tabular(model: TabularModel, n, N, rng):
     for k in range(1, n):
         rows = cum[out[:, k - 1]]
         out[:, k] = (u[:, k, None] >= rows).sum(axis=1)
-    return out
-
-
-def _simulate_arma(model: ARMAModel, n, N, rng):
-    m = model.dim
-    z = rng.standard_normal((N, m))
-    out = np.empty((N, n, m))
-    out[:, 0] = z
-    for k in range(1, n):
-        y = rng.standard_normal((N, m))
-        out[:, k] = out[:, k - 1] @ model.A.T + y @ model.B.T
     return out
 
 
@@ -362,44 +368,36 @@ def lambda_mgf_estimate(
     return best, witness
 
 
-def arma_joint_covariance(A, B, n: int) -> np.ndarray:
-    """Covariance of the stacked vector (Z_0, ..., Z_{n-1}), Z_0 ~ N(0, I).
+def _linear_moments(A, B, mean1, root1, n: int):
+    """Means m_k and covariances S_k of X_1..X_n for X_1 = mean1 + root1 Y_1
+    and X_{k+1} = A X_k + B Y_{k+1}: m_{k+1} = A m_k, S_1 = root1 root1^T
+    and S_{k+1} = A S_k A^T + B B^T."""
+    means, covs, noise = [mean1], [root1 @ root1.T], B @ B.T
+    for _ in range(n - 1):
+        means.append(A @ means[-1])
+        covs.append(A @ covs[-1] @ A.T + noise)
+    return means, covs
 
-    Marginal covariances follow S_{j+1} = A S_j A^T + B B^T from S_0 = I,
-    and Cov(Z_i, Z_j) = A^(i-j) S_j for i >= j.
-    """
+
+def gaussian_chain_joint(model: GaussianKernelModel | ARMAModel, n: int) -> GaussianMeasure:
+    """Exact joint Gaussian law of the stacked first n states of a
+    Gaussian-kernel, OU or ARMA chain, with Cov(X_i, X_j) = A^(i-j) S_j
+    for i >= j."""
+    if not isinstance(model, (GaussianKernelModel, ARMAModel)):
+        raise InputError(f"no Gaussian joint law for model kind {model.kind!r}")
     if n < 1:
         raise InputError("n must be >= 1")
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
+    A, B, mean1, root1 = model.linear_form
+    means, covs = _linear_moments(A, B, mean1, root1, n)
     m = A.shape[0]
-    sigmas = [np.eye(m)]
-    for _ in range(n - 1):
-        sigmas.append(A @ sigmas[-1] @ A.T + B @ B.T)
     out = np.zeros((n * m, n * m))
     for j in range(n):
-        out[j * m : (j + 1) * m, j * m : (j + 1) * m] = sigmas[j]
-        block = sigmas[j]
+        out[j * m : (j + 1) * m, j * m : (j + 1) * m] = block = covs[j]
         for i in range(j + 1, n):
             block = A @ block
             out[i * m : (i + 1) * m, j * m : (j + 1) * m] = block
             out[j * m : (j + 1) * m, i * m : (i + 1) * m] = block.T
-    return (out + out.T) / 2.0
-
-
-def gaussian_chain_joint(model: GaussianKernelModel, n: int) -> GaussianMeasure:
-    """Exact joint Gaussian law of the first n states of a Gaussian chain."""
-    means = np.empty(n)
-    means[0] = model.init_mean
-    for k in range(1, n):
-        means[k] = model.theta * means[k - 1]
-    var = np.empty(n)
-    var[0] = model.init_var
-    for k in range(1, n):
-        var[k] = model.theta**2 * var[k - 1] + model.sigma2
-    i = np.arange(n)
-    cov = model.theta ** np.abs(i[:, None] - i) * var[np.minimum(i[:, None], i)]
-    return GaussianMeasure(means, cov)
+    return GaussianMeasure(np.concatenate(means), (out + out.T) / 2.0)
 
 
 def tabular_joint_law(model: TabularModel, n: int, s: float = 1.0) -> DiscreteMeasure:

@@ -1,6 +1,7 @@
 """Independent direct-summation oracles for the closed-form constants,
 a traversal oracle for the Lipschitz polytope vertices, quadrature
-oracles for the comonotone coupling of two Gaussian chains, and a
+oracles for the comonotone coupling of two Gaussian chains, the joint
+law of a linear-Gaussian chain as the image of its innovations, a
 pair-by-pair recursion for the step-optimal coupling of two tabular
 chains, prefix-marginal differences for the chain rule of relative
 entropy, and bisection of a checker's verdicts for the critical
@@ -162,6 +163,21 @@ def chain_noise_matrix(theta, sigma2, init_var, n):
             a[k, j] = theta * a[k - 1, j]
         a[k, k] = math.sqrt(sigma2)
     return a
+
+
+def linear_gaussian_joint(A, B, mean1, root1, n):
+    """Mean and covariance of the stacked (X_1..X_n) for X_1 = mean1 + root1 Y_1
+    and X_k = A X_{k-1} + B Y_k: the covariance is L L^T of the linear map L
+    from the stacked innovations (Y_1..Y_n) to the path, and the means are
+    A^(k-1) mean1 by matrix powers."""
+    m, r = np.shape(root1)
+    lin = np.zeros((n * m, n * r))
+    lin[:m, :r] = root1
+    for k in range(1, n):
+        lin[k * m : (k + 1) * m] = A @ lin[(k - 1) * m : k * m]
+        lin[k * m : (k + 1) * m, k * r : (k + 1) * r] += B
+    mean = np.concatenate([np.linalg.matrix_power(A, k) @ mean1 for k in range(n)])
+    return mean, lin @ lin.T
 
 
 def comonotone_gap_laws(q, p, n):

@@ -5,6 +5,7 @@ import time
 import numpy as np
 
 from concentra import (
+    ARMAModel,
     DiscreteMeasure,
     FiniteMetricSpace,
     GaussianKernelModel,
@@ -13,12 +14,12 @@ from concentra import (
     ProductSpace,
     REAL_LINE,
     TabularModel,
-    arma_joint_covariance,
     arma_lsi_alpha,
     best_constant,
     check_gc,
     check_lsi_grid,
     chain_rule_decompose,
+    gaussian_chain_joint,
     gc_markov_kappa,
     gc_weak_kappa_general,
     kantorovich_dual_w1,
@@ -161,7 +162,7 @@ def test_a6_arma_lsi_bound():
         a *= rng.uniform(0.2, 0.9) / max(abs(np.linalg.eigvals(a)))
         alpha = arma_lsi_alpha(a, np.eye(m))
         for n in range(1, 11):
-            exact = 1.0 / float(np.max(np.linalg.eigvalsh(arma_joint_covariance(a, np.eye(m), n))))
+            exact = 1.0 / float(np.max(np.linalg.eigvalsh(gaussian_chain_joint(ARMAModel(a, np.eye(m)), n).cov)))
             worst = max(worst, alpha - exact)
             ok = ok and alpha <= exact + 1e-9
     elapsed = time.perf_counter() - t0

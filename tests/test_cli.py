@@ -11,7 +11,7 @@ import pytest
 from scipy.special import chdtri, ndtri
 from scipy.stats import binom
 
-from concentra import arma_lsi_alpha, cli, jsonio, simulate_joint
+from concentra import ARMAModel, arma_lsi_alpha, cli, gaussian_chain_joint, jsonio, simulate_joint
 from concentra.cli import _emit, _normal_sample_checks, build_parser, main
 from concentra.constants import FORMULAS
 
@@ -73,7 +73,8 @@ def test_constants_missing_flag_is_input_error(capsys):
     ("--formula", "ou", "--rho", "nan", "--tau", "1", "--n", "3"),
     ("--formula", "ou", "--rho", "inf", "--tau", "1", "--n", "3"),
     ("--formula", "ou", "--rho", "-1000", "--tau", "1", "--n", "3"),
-], ids=["gc-general-overflow", "ou-nan-rho", "ou-inf-rho", "ou-overflow"])
+    ("--formula", "ts-general", "--alpha", "1", "--M", "1e-300", "--s", "1", "--n", "3"),
+], ids=["gc-general-overflow", "ou-nan-rho", "ou-inf-rho", "ou-overflow", "ts-general-underflow"])
 def test_constants_overflow_and_nonfinite_rho_are_input_errors(capsys, argv):
     code, out, err = run(capsys, "constants", *argv)
     assert code == 2 and out == ""
@@ -456,6 +457,22 @@ def test_verify_arma(capsys):
     assert len(payload["checks"]) == 6
     code, _, err = run(capsys, "verify-arma", "--A", "[[1.5,0],[0,0.5]]")
     assert code == 2
+
+
+def test_verify_arma_reads_each_horizon_from_one_joint_law(capsys):
+    """Horizon k's exact constant equals that of the law built at k, bit for bit."""
+    a, b = [[0.6, 0.2, 0.0], [-0.1, 0.3, 0.4], [0.2, 0.0, -0.5]], [[1.0, 0.0, 0.0], [0.5, 0.7, 0.0], [0.0, -0.3, 1.2]]
+    code, out, _ = run(capsys, "verify-arma", "--A", json.dumps(a), "--B", json.dumps(b), "--n", "7")
+    assert code == 0
+    model = ARMAModel(np.array(a), np.array(b))
+    for k, check in enumerate(json.loads(out)["checks"], start=1):
+        cov = gaussian_chain_joint(model, k).cov
+        assert check["n"] == k and check["exact_gaussian_alpha"] == 1.0 / float(np.max(np.linalg.eigvalsh(cov)))
+
+
+def test_verify_arma_rejects_an_empty_horizon(capsys):
+    code, out, err = run(capsys, "verify-arma", "--A", "[[0.5]]", "--n", "0")
+    assert code == 2 and out == "" and "n must be >= 1" in err
 
 
 def test_emitted_json_round_trips_as_input(capsys, tmp_path):

@@ -239,6 +239,14 @@ def test_ou_example_values():
     assert flat["sigma2"] == 1.0 and flat["kappa_n"] == 1.0
 
 
+@pytest.mark.parametrize("rho", [5e-324, 1e-300, -1e-17])
+def test_ou_rho_below_round_off_gives_the_rho_zero_variance(rho):
+    """theta = exp(-rho tau) rounds to 1, where (1 - theta^2) / (2 rho)
+    cancels to 0 but the exact variance is tau to double precision."""
+    out = ou_kappa(rho, 0.5, 3)
+    assert out["theta"] == 1.0 and out["sigma2"] == 0.5 and out["kappa_n"] == ou_kappa(0.0, 0.5, 3)["kappa_n"]
+
+
 def test_ou_against_direct_summation():
     for rho in (0.0, 0.3, 1.0):
         for tau in (0.5, 1.0):
@@ -294,8 +302,8 @@ _EXTREME = {"n": (1, 3, 200), "s": (1.0, 2.0)}
 
 @pytest.mark.parametrize("formula", sorted(FORMULAS))
 def test_every_formula_overflow_is_input_error(formula):
-    """From finite inputs, every row gives a finite value or raises
-    InputError, never OverflowError, ZeroDivisionError or inf."""
+    """From finite inputs, every row gives a positive finite value or
+    raises InputError, never OverflowError, ZeroDivisionError, 0 or inf."""
     fn, names = FORMULAS[formula]
     grids = [_EXTREME.get(k, (1e-200, 0.5, 2.0, 1e200, 1e308)) for k in names]
     for args in itertools.product(*grids):
@@ -303,7 +311,7 @@ def test_every_formula_overflow_is_input_error(formula):
             value = float(fn(*args))
         except InputError:
             continue
-        assert math.isfinite(value), (formula, args)
+        assert 0.0 < value < math.inf, (formula, args)
 
 
 @pytest.mark.parametrize("fn, args", [
@@ -312,6 +320,7 @@ def test_every_formula_overflow_is_input_error(formula):
     (gc_weak_kappa_general, (1.0, 1e-200, 3)),  # M**2 underflows to 0: ZeroDivisionError
     (ts_markov_alpha, (1.0, 1e10, 2.0, 40)),
     (ou_kappa, (-1000.0, 1.0, 3)),
+    (ts_general_alpha, (1.0, 1e-300, 1.0, 3)),  # underflows to 0.0
 ])
 def test_overflow_repros_raise_input_error(fn, args):
     with pytest.raises(InputError, match="overflows in floating point"):

@@ -2,6 +2,7 @@ import itertools
 import logging
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from concentra import (
     wasserstein_exact,
     wasserstein_gaussian_w2,
 )
+from concentra import coupling
 from concentra.coupling import _abs_moment, _tabular_cost
 
 
@@ -153,6 +155,15 @@ def test_gaussian_repro_pairs_not_below_exact():
     assert recursive_coupling_bound(p, q, 3, 2.0).upper_bound >= exact
 
 
+@pytest.mark.parametrize("s", [1.0, 1.5, 2.0])
+def test_gaussian_overflow_is_input_error_without_numpy_warning(s):
+    p, q = GaussianKernelModel(1e200, 1.0), GaussianKernelModel(0.5, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="overflows"):
+            recursive_coupling_bound(p, q, 4, s)
+
+
 def test_bound_logs_one_debug_line(caplog):
     p = GaussianKernelModel(0.5, 1.0)
     with caplog.at_level(logging.DEBUG, logger="concentra.coupling"):
@@ -210,6 +221,23 @@ def test_gaussian_audit_mean_shifts_pass():
     for e in report["entries"]:
         assert e["w_exact"] is not None  # closed form used at s = 2
         assert e["entropy"] >= 0.0
+
+
+@pytest.mark.parametrize("builder", ["gaussian_chain_joint", "tabular_joint_law"])
+def test_audit_builds_the_reference_law_once(monkeypatch, builder):
+    """One joint law per perturbation plus one for the reference chain P."""
+    if builder == "gaussian_chain_joint":
+        p = GaussianKernelModel(0.5, 1.0)
+        perturbs = [GaussianKernelModel(0.5, 1.0, init_mean=c) for c in (-1.0, 0.5, 2.0)]
+    else:
+        p = TabularModel(np.array([0.5, 0.5]), np.array([[0.7, 0.3], [0.4, 0.6]]))
+        perturbs = [TabularModel(np.array([w, 1.0 - w]), p.transition) for w in (0.3, 0.8)]
+    calls = []
+    build = getattr(coupling, builder)
+    monkeypatch.setattr(coupling, builder, lambda *args: calls.append(args[0]) or build(*args))
+    transport_inequality_audit(p, 1.0, 2.0, 0.25, 3, perturbs)
+    assert len(calls) == len(perturbs) + 1
+    assert sum(model is p for model in calls) == 1
 
 
 def test_tabular_audit_runs_and_reports():

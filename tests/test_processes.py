@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from concentra import (
     ARMAModel,
@@ -10,7 +11,6 @@ from concentra import (
     InputError,
     OUModel,
     TabularModel,
-    arma_joint_covariance,
     gaussian_chain_joint,
     kernel_law,
     kernel_lipschitz_estimate,
@@ -21,6 +21,8 @@ from concentra import (
     simulate_joint,
     tabular_joint_law,
 )
+
+import oracles
 
 
 def test_tabular_model_validation():
@@ -80,6 +82,26 @@ def test_gaussian_simulation_moments():
     assert paths.values[:, 1].var() == pytest.approx(1.0625, abs=0.02)
 
 
+def test_gaussian_and_ou_paths_are_pinned():
+    """A seed's Gaussian-kernel and OU paths do not move: pinned values."""
+    cases = [
+        (GaussianKernelModel(0.5, 1.0, init_mean=2.0, init_var=0.25), [
+            [2.1639361966834376, 0.37372358764392577, 0.3767484022455857],
+            [2.7259080400908866, 0.14382760274182194, 0.042358611288821846],
+            [2.015298914601182, 1.8413374287981128, 0.8751985312339693],
+            [1.9687831612222184, 1.1849644124171266, -0.7779436719268602],
+        ]),
+        (OUModel(1.0, 0.5, x0=1.0), [
+            [0.7908580229999418, 0.08150996674976463, 0.15619109945585558],
+            [1.422730606557741, 0.1775461434260368, 0.09107147665655552],
+            [0.623732526332969, 0.8470059309554916, 0.4881720752957572],
+            [0.5714309215310485, 0.45935089279218055, -0.4918325948758826],
+        ]),
+    ]
+    for model, want in cases:
+        assert simulate_joint(model, 3, 4, seed=9).values.tolist() == want
+
+
 def test_tabular_simulation_matches_joint_law():
     model = TabularModel(np.array([0.6, 0.4]), np.array([[0.7, 0.3], [0.2, 0.8]]))
     paths = simulate_joint(model, 2, 300_000, seed=3)
@@ -98,8 +120,18 @@ def test_arma_simulation_covariance():
     paths = simulate_joint(model, 3, 200_000, seed=5)
     flat = paths.values.reshape(paths.n_paths, 3)
     emp = np.cov(flat.T)
-    want = arma_joint_covariance(model.A, model.B, 3)
+    want = gaussian_chain_joint(ARMAModel(model.A, model.B), 3).cov
     assert np.max(np.abs(emp - want)) < 0.03
+
+
+def test_arma_2d_simulation_covariance():
+    model = ARMAModel(np.array([[0.5, 0.1], [-0.2, 0.4]]), np.array([[1.0, 0.0], [0.3, 0.8]]))
+    paths = simulate_joint(model, 3, 200_000, seed=6)
+    assert paths.values.shape == (200_000, 3, 2)
+    flat = paths.values.reshape(paths.n_paths, 6)
+    mean, want = oracles.linear_gaussian_joint(model.A, model.B, np.zeros(2), np.eye(2), 3)
+    assert np.max(np.abs(flat.mean(axis=0) - mean)) < 0.03
+    assert np.max(np.abs(np.cov(flat.T) - want)) < 0.03
 
 
 def test_contraction_model_simulation():
@@ -219,7 +251,7 @@ def test_arma_joint_covariance_properties():
     rng = np.random.default_rng(0)
     a = rng.normal(size=(2, 2))
     a *= 0.6 / max(abs(np.linalg.eigvals(a)))
-    cov = arma_joint_covariance(a, np.eye(2), 4)
+    cov = gaussian_chain_joint(ARMAModel(a, np.eye(2)), 4).cov
     assert cov.shape == (8, 8)
     assert np.allclose(cov, cov.T)
     assert np.min(np.linalg.eigvalsh(cov)) > 0
@@ -229,7 +261,7 @@ def test_arma_joint_covariance_properties():
 def test_gaussian_chain_joint_matches_arma_scalar():
     model = GaussianKernelModel(0.5, 1.0, init_mean=0.0, init_var=1.0)
     joint = gaussian_chain_joint(model, 4)
-    want = arma_joint_covariance(np.array([[0.5]]), np.array([[1.0]]), 4)
+    want = gaussian_chain_joint(ARMAModel(np.array([[0.5]]), np.array([[1.0]])), 4).cov
     assert np.max(np.abs(joint.cov - want)) < 1e-12
     assert np.max(np.abs(joint.mean)) == 0.0
 
@@ -253,6 +285,45 @@ def test_gaussian_chain_joint_mean_recursion():
     model = GaussianKernelModel(0.5, 1.0, init_mean=2.0)
     joint = gaussian_chain_joint(model, 3)
     assert np.allclose(joint.mean, [2.0, 1.0, 0.5])
+
+
+@st.composite
+def _linear_chains(draw):
+    """A Gaussian-kernel, OU or ARMA chain, with its linear form
+    (A, B, mean1, root1) written out from the model's parameters."""
+    kind = draw(st.sampled_from(["gaussian_kernel", "ou", "arma"]))
+    if kind == "arma":
+        m = draw(st.integers(1, 3))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        a = rng.normal(size=(m, m))
+        a *= draw(st.floats(0.0, 1.5)) / max(abs(np.linalg.eigvals(a)))
+        b = rng.normal(size=(m, m))
+        return ARMAModel(a, b), (a, b, np.zeros(m), np.eye(m))
+    if kind == "ou":
+        model = OUModel(draw(st.floats(-0.4, 2.0)), draw(st.floats(0.05, 1.0)), draw(st.floats(-3.0, 3.0)))
+    else:
+        model = GaussianKernelModel(draw(st.floats(-1.5, 1.5)), draw(st.floats(0.05, 3.0)),
+                                    draw(st.floats(-3.0, 3.0)), draw(st.floats(0.05, 3.0)))
+    form = ([[model.theta]], [[math.sqrt(model.sigma2)]], [model.init_mean], [[math.sqrt(model.init_var)]])
+    return model, tuple(np.array(x) for x in form)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_linear_chains(), st.integers(1, 12))
+def test_gaussian_chain_joint_matches_innovation_map_oracle(chain, n):
+    model, form = chain
+    joint = gaussian_chain_joint(model, n)
+    mean, cov = oracles.linear_gaussian_joint(*form, n)
+    tol = 1e-12 * max(1.0, np.abs(cov).max())
+    assert np.max(np.abs(joint.mean - mean)) <= tol
+    assert np.max(np.abs(joint.cov - cov)) <= tol
+
+
+def test_gaussian_chain_joint_rejects_other_kinds_and_empty_horizons():
+    with pytest.raises(InputError):
+        gaussian_chain_joint(_tabular_chain(), 3)
+    with pytest.raises(InputError):
+        gaussian_chain_joint(GaussianKernelModel(0.5, 1.0), 0)
 
 
 def test_tabular_joint_law_size_guard():
