@@ -33,7 +33,7 @@ from scipy.special import logsumexp
 from .entropy import relative_entropy_discrete
 from .errors import InputError
 from .measures import DiscreteMeasure, RealLine, _point_key
-from .transport import _northwest_corner, _resolve_space, solve_transport_lp, wasserstein_exact
+from .transport import _northwest_corner, _resolve_space, _TransportModel, wasserstein_exact
 
 GC = "GC"
 TS = "T_s"
@@ -281,17 +281,20 @@ def _transport_terms(rows, off, mu: DiscreteMeasure, s: float) -> tuple[np.ndarr
     ws = np.zeros(len(rows))
     ent = np.full(len(rows), math.inf)
     line = isinstance(mu.resolved_space(), RealLine)
-    cost = None if line else _support_distances(mu) ** s
     for b in _blocks(len(rows), 2 * len(mu)):
         e = _row_entropy(rows[b], mu.weights)
         live = np.isfinite(e) & ~off[b]
-        block = rows[b][live]
         if line:
-            ws[b][live] = _line_wasserstein(block, mu, s)
-        else:
-            raw = [solve_transport_lp(cost, row, mu.weights)[0] for row in block]
-            ws[b][live] = np.maximum(raw, 0.0) ** (1.0 / s)
+            ws[b][live] = _line_wasserstein(rows[b][live], mu, s)
         ent[b][live] = e[live]
+    if not line:
+        # one LP per distinct row, so equal rows score alike and the first
+        # stays the witness; every LP runs on one model, hot-started row to row
+        live = np.isfinite(ent)
+        distinct, inverse = np.unique(rows[live], axis=0, return_inverse=True)
+        model = _TransportModel(_support_distances(mu) ** s)
+        raw = np.array([model.solve(row, mu.weights)[0] for row in distinct])
+        ws[live] = np.maximum(raw, 0.0)[inverse.reshape(-1)] ** (1.0 / s)
     return ws, ent
 
 

@@ -327,16 +327,17 @@ def ou_kappa(rho: float, tau: float, n: int, x: float = 0.0) -> dict:
     """Exact constants of the time-discretized Ornstein-Uhlenbeck chain.
 
     Returns theta = exp(-rho tau), the innovation variance sigma2
-    ((1 - theta^2) / (2 rho), or its limit tau where theta rounds to 1),
+    ((1 - theta^2) / (2 rho), formed as -expm1(-2 rho tau) / (2 rho) so
+    that it does not cancel for small rho tau, or its limit tau where theta
+    rounds to 1),
     the concentration constant kappa_n = sigma2 sum_j (sum_i theta^i)^2 for
     the additive functional sum_j x_j, and its mean x sum_{i=1}^n theta^i.
     """
     _check(rho=rho, tau=tau, n=n)
     theta = math.exp(-rho * tau)
-    if theta == 1.0:  # 1 - theta^2 would cancel to 0 for a nonzero rho
-        sigma2 = tau
-    else:
-        sigma2 = (1.0 - theta**2) / (2.0 * rho)
+    # where theta rounds to 1, tau is within 1.1e-16 of sigma2, while a
+    # subnormal 2 rho tau would lose digits (rho = 5e-324, tau = 0.3 gives 0.5)
+    sigma2 = tau if theta == 1.0 else -math.expm1(-2.0 * rho * tau) / (2.0 * rho)
     kappa_n = sigma2 * math.fsum(geometric_sum(theta, n - j) ** 2 for j in range(n))
     mean_fn = x * math.fsum(theta**i for i in range(1, n + 1))
     return {"theta": theta, "sigma2": sigma2, "kappa_n": kappa_n, "mean_Fn": mean_fn}

@@ -36,8 +36,7 @@ from .processes import (
     gaussian_chain_joint,
     tabular_joint_law,
 )
-from .transport import (_northwest_corner, solve_transport_lp, wasserstein_exact,
-                        wasserstein_gaussian_w2)
+from .transport import _northwest_corner, _TransportModel, wasserstein_exact, wasserstein_gaussian_w2
 
 log = logging.getLogger(__name__)
 
@@ -69,7 +68,8 @@ def _tabular_cost(model_q: TabularModel, model_p: TabularModel, s: float) -> np.
 def _pair_plans(q_rows: np.ndarray, p_rows: np.ndarray, space, cost: np.ndarray):
     """Optimal plans from each row of q_rows to each row of p_rows as flat
     (pair, a, b, mass), pair = r * len(p_rows) + c: on a line by one
-    north-west-corner walk per row of p_rows in label order, else by LPs."""
+    north-west-corner walk per row of p_rows in label order, else by LPs on
+    one HiGHS model, hot-started pair to pair."""
     nq, npr = len(q_rows), len(p_rows)
     parts = []
     if isinstance(space, (RealLine, _LabelLine)):
@@ -79,8 +79,9 @@ def _pair_plans(q_rows: np.ndarray, p_rows: np.ndarray, space, cost: np.ndarray)
             i, j, mass = _northwest_corner(q_rows[:, order], p_rows[c, order])
             parts.append((np.repeat(np.arange(nq) * npr + c, i.shape[1]), order[i], order[j], mass))
     else:
+        model = _TransportModel(cost)
         for r, c in np.ndindex(nq, npr):
-            _, plan = solve_transport_lp(cost, q_rows[r], p_rows[c])
+            _, plan = model.solve(q_rows[r], p_rows[c])
             a, b = np.nonzero(plan)
             parts.append((np.full(a.size, r * npr + c), a, b, plan[a, b]))
     return [np.concatenate([np.ravel(part[k]) for part in parts]) for k in range(4)]

@@ -1,7 +1,8 @@
 """Exact Wasserstein distances.
 
 Four routes are provided: the transportation LP on finite supports
-(exact shortlist column generation, see ``solve_transport_lp``), the
+(exact shortlist column generation on one hot-started HiGHS model, called
+directly through SciPy's bundled bindings; see ``solve_transport_lp``), the
 monotone (quantile) coupling on the real line, the closed form for W2
 between Gaussians, and the Kantorovich-Rubinstein dual LP for W1. On the
 real line with s >= 1 the cost |x - y|**s is convex in x - y, so the
@@ -9,7 +10,8 @@ north-west-corner plan along the sorted supports is an optimal coupling
 (Peyre & Cuturi, *Computational Optimal Transport*, 2019, section 2.6);
 ``wasserstein_exact`` returns that plan there and solves the LP elsewhere.
 All routes are exact up to floating-point rounding and LP solver
-tolerance; there is no entropic approximation.
+tolerance; there is no entropic approximation. Only the
+Kantorovich-Rubinstein dual goes through ``scipy.optimize.linprog``.
 """
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh
 from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as _highs  # private; shipped since SciPy 1.15
 
 from .errors import InputError, SolverError
 from .measures import DiscreteMeasure, GaussianMeasure, RealLine, _point_key
@@ -73,45 +76,16 @@ def cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, s: float, space=None) 
 
 _SHORTLIST = 16
 _COLGEN_THRESHOLD = 40_000  # read only by the bench tracer, to label large solves
-_LP_OPTIONS = {
-    "presolve": False,
-    "primal_feasibility_tolerance": 1e-10,
-    "dual_feasibility_tolerance": 1e-10,
-}
-
-
-def _solve_restricted(cost, w_row, w_col, idx_i, idx_j):
-    """Dual-simplex solve over the columns (idx_i[k], idx_j[k]) only.
-
-    Returns the plan entries, the dual potentials (u, v) with the dropped
-    last column constraint's dual fixed at zero, and HiGHS's ``nit``.
-    """
-    nr, nc = cost.shape
-    m = idx_i.size
-    keep = idx_j < nc - 1
-    rows = np.concatenate([idx_i, nr + idx_j[keep]])
-    cols = np.concatenate([np.arange(m), np.arange(m)[keep]])
-    a_eq = sparse.csr_matrix(
-        (np.ones(rows.size), (rows, cols)), shape=(nr + nc - 1, m)
-    )
-    b_eq = np.concatenate([w_row, w_col[:-1]])
-    # presolve falsely reports infeasibility on restricted column sets with
-    # very small marginal weights; the default 1e-7 feasibility tolerance
-    # leaks visible cost error when weights span many orders of magnitude
-    res = linprog(
-        cost[idx_i, idx_j],
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=(0, None),
-        method="highs",
-        options=_LP_OPTIONS,
-    )
-    if not res.success:
-        raise SolverError(f"transport LP failed: {res.status} {res.message}")
-    duals = np.asarray(res.eqlin.marginals)
-    u = duals[:nr]
-    v = np.append(duals[nr:], 0.0)
-    return res.x, u, v, res.nit
+# presolve falsely reports infeasibility on restricted column sets with very
+# small marginal weights; the default 1e-7 feasibility tolerances leak visible
+# cost error when weights span many orders of magnitude
+_HIGHS_OPTIONS = (
+    ("output_flag", False),
+    ("presolve", "off"),
+    ("primal_feasibility_tolerance", 1e-10),
+    ("dual_feasibility_tolerance", 1e-10),
+    ("simplex_strategy", 1),  # dual simplex
+)
 
 
 def _northwest_corner(w_rows: np.ndarray, w_col: np.ndarray):
@@ -139,46 +113,113 @@ def _northwest_corner(w_rows: np.ndarray, w_col: np.ndarray):
     return np.minimum(i, nr - 1), np.minimum(j, nc - 1), mass
 
 
+class _TransportModel:
+    """The restricted transportation LP over one cost matrix, held as one
+    HiGHS model and solved for one marginal pair after another.
+
+    Its rows are the row-marginal constraints and every column-marginal
+    constraint but the last, which the others imply; its columns are the
+    active cells, in the order they were added. A new pair changes the row
+    bounds and adds its north-west-corner cells, which keep the LP
+    feasible; a round adds the priced-in cells. So every ``run``
+    hot-starts from the last optimal basis, which stays dual feasible when
+    bounds change and primal feasible when cells are added. The active
+    cells only grow, so the stopping certificate holds for every pair.
+    """
+
+    def __init__(self, cost: np.ndarray):
+        self.cost = cost
+        self.active = np.zeros(cost.shape, dtype=bool)
+        self.cells = (np.zeros(0, dtype=np.intp),) * 2
+        self.rhs = None
+        self.highs = _highs._Highs()
+        for name, value in _HIGHS_OPTIONS:
+            self.highs.setOptionValue(name, value)
+
+    def _add_cells(self, new: np.ndarray) -> None:
+        """Append the cells of the boolean mask ``new`` as model columns."""
+        i, j = np.nonzero(new)
+        if not i.size:
+            return
+        self.active |= new
+        self.cells = tuple(np.concatenate(pair) for pair in zip(self.cells, (i, j)))
+        nr, nc = self.cost.shape
+        # column (i, j) has a 1 in row i and, unless j is the dropped last column, in row nr + j
+        keep = j < nc - 1
+        starts = np.zeros(i.size, dtype=np.int32)
+        np.cumsum(1 + keep[:-1], out=starts[1:])
+        index = np.empty(i.size + np.count_nonzero(keep), dtype=np.int32)
+        index[starts] = i
+        index[starts[keep] + 1] = nr + j[keep]
+        self.highs.addCols(i.size, self.cost[i, j], np.zeros(i.size), np.full(i.size, np.inf),
+                           index.size, starts, index, np.ones(index.size))
+
+    def solve(self, w_row: np.ndarray, w_col: np.ndarray):
+        """``(fsum(plan * cost), plan)`` for one marginal pair; see
+        ``solve_transport_lp``."""
+        t0 = time.perf_counter()
+        highs, cost = self.highs, self.cost
+        nr, nc = cost.shape
+        rhs = np.concatenate([w_row, w_col[:-1]])
+        new = np.zeros((nr, nc), dtype=bool)
+        i, j, _ = (a[0] for a in _northwest_corner(w_row[None, :], w_col))
+        new[i, j] = True
+        if self.rhs is None:
+            no_entries = np.zeros(rhs.size, dtype=np.int32)
+            highs.addRows(rhs.size, rhs, rhs, 0, no_entries, no_entries[:0], np.zeros(0))
+            for axis in (0, 1):
+                k = min(_SHORTLIST, cost.shape[axis])
+                cheapest = np.argpartition(cost, k - 1, axis=axis)
+                np.put_along_axis(new, cheapest[:k] if axis == 0 else cheapest[:, :k], True, axis=axis)
+        else:
+            for r in np.flatnonzero(rhs != self.rhs):
+                highs.changeRowBounds(int(r), rhs[r], rhs[r])
+        self.rhs = rhs
+        new &= ~self.active
+        rounds = iterations = 0
+        while True:
+            self._add_cells(new)
+            highs.run()
+            status = highs.getModelStatus()
+            if status != _highs.HighsModelStatus.kOptimal:
+                raise SolverError(f"transport LP failed: HiGHS model status {highs.modelStatusToString(status)}")
+            rounds += 1
+            # HiGHS counts the iterations of each run from zero
+            iterations += highs.getInfo().simplex_iteration_count
+            solution = highs.getSolution()
+            duals = np.asarray(solution.row_dual)
+            u, v = duals[:nr], np.append(duals[nr:], 0.0)
+            new = (cost - u[:, None] - v[None, :] < -1e-11) & ~self.active
+            if not new.any():
+                break
+        x = np.maximum(np.asarray(solution.col_value), 0.0)
+        ci, cj = self.cells
+        plan = np.zeros((nr, nc))
+        plan[ci, cj] = x
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug("transport LP %dx%d: %d rounds, %d active cells, %d iterations, %.1f ms",
+                      nr, nc, rounds, ci.size, iterations, 1e3 * (time.perf_counter() - t0))
+        return math.fsum(x * cost[ci, cj]), plan
+
+
 def solve_transport_lp(cost: np.ndarray, w_row: np.ndarray, w_col: np.ndarray):
     """Minimum-cost transportation plan between two weight vectors, by
     exact shortlist column generation (Gottschlich & Schuhmacher, PLoS ONE
-    9(10):e110214, 2014).
+    9(10):e110214, 2014) on one HiGHS model.
 
     The first restricted LP holds the north-west-corner plan, which keeps
     it feasible, and each row's and each column's ``_SHORTLIST`` cheapest
     cells, so a side with no more atoms than that starts with every cell.
-    Each round solves the active cells with the HiGHS dual simplex and adds
-    every inactive cell whose reduced cost ``cost - u - v`` is below
-    -1e-11. A round that adds none is the full LP's optimality certificate;
-    the active set only grows, so the loop ends. Returns
-    ``(fsum(plan * cost), plan)``.
+    Each round solves the active cells with the HiGHS dual simplex (called
+    directly, presolve off, feasibility tolerances 1e-10) and adds every
+    inactive cell whose reduced cost ``cost - u - v`` is below -1e-11; the
+    next round hot-starts from the last optimal basis. A round that adds
+    none is the full LP's optimality certificate; the active set only
+    grows, so the loop ends. Returns ``(fsum(plan * cost), plan)``. Raises
+    ``SolverError`` naming the HiGHS model status when a round is not
+    solved to optimality, e.g. for marginals of different totals.
     """
-    t0 = time.perf_counter()
-    nr, nc = cost.shape
-    mask = np.zeros((nr, nc), dtype=bool)
-    i, j, _ = (a[0] for a in _northwest_corner(w_row[None, :], w_col))
-    mask[i, j] = True
-    for axis in (0, 1):
-        k = min(_SHORTLIST, cost.shape[axis])
-        cheapest = np.argpartition(cost, k - 1, axis=axis)
-        np.put_along_axis(mask, cheapest[:k] if axis == 0 else cheapest[:, :k], True, axis=axis)
-    rounds = iterations = 0
-    while True:
-        idx_i, idx_j = np.nonzero(mask)
-        x, u, v, nit = _solve_restricted(cost, w_row, w_col, idx_i, idx_j)
-        rounds += 1
-        iterations += nit
-        new = (cost - u[:, None] - v[None, :] < -1e-11) & ~mask
-        if not new.any():
-            break
-        mask |= new
-    x = np.maximum(x, 0.0)
-    plan = np.zeros((nr, nc))
-    plan[idx_i, idx_j] = x
-    if log.isEnabledFor(logging.DEBUG):
-        log.debug("transport LP %dx%d: %d rounds, %d active cells, %d iterations, %.1f ms",
-                  nr, nc, rounds, idx_i.size, iterations, 1e3 * (time.perf_counter() - t0))
-    return math.fsum(x * cost[idx_i, idx_j]), plan
+    return _TransportModel(cost).solve(w_row, w_col)
 
 
 def _monotone_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure):

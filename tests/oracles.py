@@ -4,8 +4,9 @@ oracles for the comonotone coupling of two Gaussian chains, the joint
 law of a linear-Gaussian chain as the image of its innovations, a
 pair-by-pair recursion for the step-optimal coupling of two tabular
 chains, prefix-marginal differences for the chain rule of relative
-entropy, and bisection of a checker's verdicts for the critical
-constants of the certificates.
+entropy, bisection of a checker's verdicts for the critical
+constants of the certificates, and the transport LP over every cell
+posed through SciPy's ``linprog``.
 
 These deliberately avoid the library's closed forms: every sum is an
 explicit loop, every power a literal, so a regression in the formulas
@@ -15,6 +16,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.optimize import linprog
 
 
 def oracle_gc_markov(kappa1, L, n):
@@ -86,7 +88,17 @@ def oracle_contraction(alpha, L, n):
 
 def oracle_ou(rho, tau, n, x):
     theta = math.exp(-rho * tau)
-    sigma2 = tau if rho == 0.0 else (1.0 - theta * theta) / (2.0 * rho)
+    y = 2.0 * rho * tau
+    if abs(y) < 1.0:
+        # sigma2 = tau (1 - e^-y) / y, summed as its power series
+        # sum_k (-y)^k / (k + 1)!, which cannot cancel as rho tau -> 0
+        series, term = 0.0, 1.0
+        for k in range(1, 40):
+            series += term
+            term *= -y / (k + 1)
+        sigma2 = tau * series
+    else:
+        sigma2 = (1.0 - theta * theta) / (2.0 * rho)
     kappa = 0.0
     for j in range(n):
         inner = 0.0
@@ -224,11 +236,28 @@ def tabular_state_cost(model, s):
     return cost
 
 
+def all_cells_transport_lp(cost, w_row, w_col):
+    """The transport LP over every cell exactly as SciPy's ``linprog``
+    poses and solves it: cells as columns in row-major order, one equality
+    row per row marginal and per column marginal but the last (the totals
+    imply it), presolve off, feasibility tolerances 1e-10. Returns
+    ``(fsum(plan * cost), plan)``."""
+    nr, nc = cost.shape
+    a_eq = np.vstack([np.kron(np.eye(nr), np.ones(nc)), np.kron(np.ones(nr), np.eye(nc))[:-1]])
+    res = linprog(
+        cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([w_row, w_col[:-1]]), bounds=(0, None),
+        method="highs",
+        options={"presolve": False, "primal_feasibility_tolerance": 1e-10,
+                 "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.success, res.message
+    plan = np.maximum(res.x.reshape(nr, nc), 0.0)
+    return math.fsum((plan * cost).ravel()), plan
+
+
 def dense_transport(cost, w_row, w_col):
     """Optimal transport cost and plan between two weight vectors, as one
     dense LP over all cells."""
-    from scipy.optimize import linprog
-
     nr, nc = cost.shape
     a_eq = np.vstack([np.kron(np.eye(nr), np.ones(nc)), np.kron(np.ones(nr), np.eye(nc))])
     res = linprog(

@@ -247,6 +247,19 @@ def test_ou_rho_below_round_off_gives_the_rho_zero_variance(rho):
     assert out["theta"] == 1.0 and out["sigma2"] == 0.5 and out["kappa_n"] == ou_kappa(0.0, 0.5, 3)["kappa_n"]
 
 
+@pytest.mark.parametrize("rho, tau", [
+    (1e-14, 1.0), (1e-12, 1.0), (3e-9, 0.5), (-2e-10, 2.0), (0.2, 0.5), (5e-324, 0.3), (1e-310, 0.3),
+])
+def test_ou_variance_does_not_cancel_for_small_rho_tau(rho, tau):
+    """sigma2 = (1 - theta^2) / (2 rho) loses digits to cancellation when
+    0 < |rho tau| << 1: at rho = 1e-14 it gave 0.99920 for 1 - 1e-14. A
+    subnormal 2 rho tau must not lose them either."""
+    got = ou_kappa(rho, tau, 1)["sigma2"]
+    assert got == pytest.approx(oracle_ou(rho, tau, 1, 0.0)["sigma2"], rel=4e-16)
+    if (rho, tau) == (1e-14, 1.0):
+        assert abs(got - (1.0 - 1e-14)) <= 1e-15
+
+
 def test_ou_against_direct_summation():
     for rho in (0.0, 0.3, 1.0):
         for tau in (0.5, 1.0):

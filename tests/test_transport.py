@@ -15,6 +15,7 @@ from concentra import (
     GaussianMeasure,
     InputError,
     ProductSpace,
+    SolverError,
     TabularModel,
     TransportPlan,
     gaussian_chain_joint,
@@ -25,7 +26,11 @@ from concentra import (
     wasserstein_exact,
     wasserstein_gaussian_w2,
 )
+from concentra import transport
 from concentra.measures import _point_key
+from concentra.transport import _TransportModel
+
+import oracles
 
 
 def brute_force_w1_2x2(w_mu, w_nu, d):
@@ -210,7 +215,18 @@ def test_solve_transport_lp_is_deterministic():
 
 
 @pytest.mark.parametrize("n, full", [(5, True), (60, False)])
-def test_solve_transport_lp_logs_one_debug_line(caplog, n, full):
+def test_solve_transport_lp_logs_one_debug_line(caplog, monkeypatch, n, full):
+    """One line per LP. The 60 x 61 LP takes 2 rounds; HiGHS counts each
+    hot-started run's iterations from zero, so the line sums every run's."""
+    runs = []
+
+    class RecordingHighs(transport._highs._Highs):
+        def run(self):
+            status = super().run()
+            runs.append(self.getInfo().simplex_iteration_count)
+            return status
+
+    monkeypatch.setattr(transport._highs, "_Highs", RecordingHighs)
     rng = np.random.default_rng(n)
     cost = rng.uniform(size=(n, n + 1))
     with caplog.at_level(logging.DEBUG, logger="concentra.transport"):
@@ -221,13 +237,110 @@ def test_solve_transport_lp_logs_one_debug_line(caplog, n, full):
     rounds, cells, iterations, ms = (
         float(part.split()[0]) for part in message.split(": ", 1)[1].split(", ")
     )
-    assert (rounds == 1) if full else (rounds >= 1)
+    assert (rounds == 1) if full else (rounds >= 2)
     assert (cells == n * (n + 1)) if full else (cells < n * (n + 1))
-    assert iterations >= 1 and ms >= 0
+    assert rounds == len(runs) and iterations == sum(runs)
+    # each round after the first prices in a cell of negative reduced cost
+    assert iterations >= rounds and ms >= 0
     caplog.clear()
     with caplog.at_level(logging.INFO, logger="concentra.transport"):
         solve_transport_lp(cost, np.full(n, 1 / n), np.full(n + 1, 1 / (n + 1)))
     assert not [r for r in caplog.records if r.name == "concentra.transport"]
+
+
+def _debug_rounds(caplog, solve):
+    """Run ``solve`` and return its value and the rounds of its DEBUG line."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="concentra.transport"):
+        value = solve()
+    (record,) = [r for r in caplog.records if r.name == "concentra.transport"]
+    return value, int(record.getMessage().split(": ", 1)[1].split()[0])
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (3, 4), (16, 40), (40, 16), (7, 1), (1, 30)])
+@pytest.mark.parametrize("points", ["plane", "grid"])
+def test_one_round_lp_is_bit_identical_to_linprog(caplog, n, m, points):
+    """With a side of at most _SHORTLIST atoms every cell is active from the
+    start, so one round solves the LP that ``linprog`` solves over every
+    cell, with the same settings: the plan agrees bit for bit."""
+    rng = np.random.default_rng(n * 100 + m)
+    for s in (1.0, 1.5, 2.0):
+        if points == "grid":
+            p, q = rng.integers(0, 4, size=(n, 2)), rng.integers(0, 4, size=(m, 2))
+        else:
+            p, q = rng.normal(size=(n, 2)), rng.normal(size=(m, 2))
+        cost = np.abs(p[:, None, :] - q[None, :, :]).sum(axis=-1).astype(float) ** s
+        w_row, w_col = _weights_with_zeros(rng, n, 2), _weights_with_zeros(rng, m, 2)
+        (value, plan), rounds = _debug_rounds(caplog, lambda: solve_transport_lp(cost, w_row, w_col))
+        want_value, want_plan = oracles.all_cells_transport_lp(cost, w_row, w_col)
+        assert rounds == 1
+        assert plan.tobytes() == want_plan.tobytes() and value == want_value
+
+
+def _tiny_weights(rng, n):
+    """Dirichlet weights with three zeros and three atoms of 1e-14, 1e-13
+    and 1e-12 (before normalising)."""
+    w = rng.dirichlet(np.ones(n))
+    pick = rng.choice(n, 6, replace=False)
+    w[pick[:3]] = 0.0
+    w[pick[3:]] = (1e-14, 1e-13, 1e-12)
+    return w / w.sum()
+
+
+def test_hot_started_rounds_match_dense_lp_with_tiny_weights(caplog):
+    """Weights spanning 1e-14..1 with zeros, the case behind presolve off
+    and the 1e-10 tolerances: LPs that take several hot-started rounds
+    attain the optimum of the LP over every cell."""
+    n, m = 60, 70
+    multi = 0
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        p, q = rng.normal(size=(n, 2)), rng.normal(size=(m, 2))
+        cost = np.abs(p[:, None, :] - q[None, :, :]).sum(axis=-1)
+        w_row, w_col = _tiny_weights(rng, n), _tiny_weights(rng, m)
+        (value, plan), rounds = _debug_rounds(caplog, lambda: solve_transport_lp(cost, w_row, w_col))
+        mu, nu = DiscreteMeasure(tuple(range(n)), w_row), DiscreteMeasure(tuple(range(m)), w_col)
+        TransportPlan(mu, nu, plan, value, 1.0).validate(cost)
+        want, _ = oracles.all_cells_transport_lp(cost, w_row, w_col)
+        assert value == pytest.approx(want, rel=1e-12, abs=1e-12)
+        multi += rounds >= 2
+    assert multi >= 6
+
+
+@pytest.mark.parametrize("n, m", [(6, 6), (30, 35)])
+def test_reused_model_matches_cold_solves(n, m):
+    """One model solved for pair after pair, hot-started from the last
+    optimal basis, agrees row by row with a cold LP per pair."""
+    rng = np.random.default_rng(n)
+    p, q = rng.normal(size=(n, 2)), rng.normal(size=(m, 2))
+    cost = np.sqrt(((p[:, None, :] - q[None, :, :]) ** 2).sum(axis=-1))
+    model = _TransportModel(cost)
+    w_fixed = _weights_with_zeros(rng, m, 1)
+    for k in range(40):
+        w_row = _weights_with_zeros(rng, n, k % 3)
+        w_col = w_fixed if k % 2 else _weights_with_zeros(rng, m, k % 4)
+        value, plan = model.solve(w_row, w_col)
+        mu, nu = DiscreteMeasure(tuple(range(n)), w_row), DiscreteMeasure(tuple(range(m)), w_col)
+        TransportPlan(mu, nu, plan, value, 1.0).validate(cost)
+        want, _ = oracles.all_cells_transport_lp(cost, w_row, w_col)
+        assert value == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("n, m", [(3, 4), (30, 40)])
+def test_infeasible_marginals_raise_solver_error(n, m):
+    """Marginals of different totals leave the LP infeasible: a fresh and a
+    reused model raise SolverError naming the HiGHS model status, and the
+    reused model still solves the next feasible pair."""
+    rng = np.random.default_rng(m)
+    cost = rng.uniform(size=(n, m))
+    w_row, w_col = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
+    with pytest.raises(SolverError, match="HiGHS model status Infeasible"):
+        solve_transport_lp(cost, w_row, 2.0 * w_col)
+    model = _TransportModel(cost)
+    want = model.solve(w_row, w_col)[0]
+    with pytest.raises(SolverError, match="HiGHS model status Infeasible"):
+        model.solve(w_row, 2.0 * w_col)
+    assert model.solve(w_row, w_col)[0] == pytest.approx(want, rel=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
