@@ -101,31 +101,28 @@ _FORMULAS = constants.FORMULAS
 
 
 def _cmd_constants(args) -> int:
-    results = []
+    ns = args.n
     if args.formula == "arma":  # n-independent: one value for the whole sweep
         if args.A is None or args.B is None:
             raise InputError("the arma formula needs --A and --B")
-        arma_inputs = {"A": _load_json(args.A), "B": _load_json(args.B)}
-        arma_value = constants.arma_lsi_alpha(arma_inputs["A"], arma_inputs["B"])
-    for n in args.n:
-        if args.formula == "arma":
-            value, inputs, regime = arma_value, arma_inputs, ""
-        elif args.formula == "ou":
-            if args.rho is None or args.tau is None:
-                raise InputError("the ou formula needs --rho and --tau")
-            out = constants.ou_kappa(args.rho, args.tau, n, args.x or 0.0)
-            value = out["kappa_n"]
-            inputs = {"rho": args.rho, "tau": args.tau, "n": n, "x": args.x or 0.0, **out}
-            regime = ""
-        else:
-            fn, names = _FORMULAS[args.formula]
-            values = [n if name == "n" else getattr(args, name) for name in names]
-            if None in values:
-                raise InputError(f"formula {args.formula} needs --{names[values.index(None)]}")
-            res = fn(*values)
-            inputs = dict(zip(names, values))
-            value, regime = float(res), getattr(res, "regime", "")
-        results.append({"formula_id": args.formula, "inputs": inputs, "regime": regime, "value": value})
+        inputs = {"A": _load_json(args.A), "B": _load_json(args.B)}
+        rows = [(constants.arma_lsi_alpha(inputs["A"], inputs["B"]), inputs, "")] * len(ns)
+    elif args.formula == "ou":
+        if args.rho is None or args.tau is None:
+            raise InputError("the ou formula needs --rho and --tau")
+        x = args.x or 0.0
+        rows = [(out["kappa_n"], {"rho": args.rho, "tau": args.tau, "n": n, "x": x, **out}, "")
+                for n, out in zip(ns, constants.ou_kappas(args.rho, args.tau, ns, x))]
+    else:
+        names = _FORMULAS[args.formula][1]
+        params = {name: getattr(args, name) for name in names if name != "n"}
+        missing = [name for name, v in params.items() if v is None]
+        if missing:
+            raise InputError(f"formula {args.formula} needs --{missing[0]}")
+        rows = [(float(res), {**params, "n": n}, getattr(res, "regime", ""))
+                for n, res in zip(ns, constants.sweep(args.formula, params, ns))]
+    results = [{"formula_id": args.formula, "inputs": inputs, "regime": regime, "value": value}
+               for value, inputs, regime in rows]
     config = _config(args, ("formula", "n"))
     if args.format == "json":
         _emit({"config": config, "results": results}, args)

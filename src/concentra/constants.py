@@ -4,17 +4,26 @@ Every function evaluates one of the closed-form constants for the joint
 law of a dependent process: Gaussian-concentration constants, transport
 constants for order-s costs with their contractive / critical / expansive
 regimes, and logarithmic Sobolev constants for Lipschitz-driven,
-ARMA-type and kernel-coupled chains. Geometric sums switch from the
-closed form to direct summation when the ratio is within 1e-9 of 1, to
-avoid catastrophic cancellation at the regime boundary.
+ARMA-type and kernel-coupled chains. Geometric sums are exactly
+``terms`` at ratio 1, and switch from the closed form to direct summation
+when the ratio is otherwise within 1e-9 of 1, to avoid catastrophic
+cancellation at the regime boundary.
+
+A sweep over many n costs O(max n): ``sweep`` (and ``gc_markov_kappas``,
+``ou_kappas``) build the summed forms' per-m terms once, up to the largest
+n, and take each n's value as an exact prefix sum, equal bit for bit to
+``math.fsum`` of that prefix. The scalar ``gc_markov_kappa`` and
+``ou_kappa`` are the one-n case of the same code.
 """
 from __future__ import annotations
 
 import functools
 import math
 import numbers
+import reprlib
 import sys
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
@@ -68,38 +77,109 @@ def _check(**params) -> None:
             raise InputError(f"{name} must be {rule}, got {v!r}")
 
 
+def _representable(out) -> bool:
+    if isinstance(out, dict):
+        return all(map(math.isfinite, out.values()))
+    return 0.0 < float(out) < math.inf
+
+
 def _finite(fn):
     """Make ``fn`` raise ``InputError`` where it under- or overflows: an
     ``ArithmeticError``, a non-finite dict entry, or a constant outside
-    0 < value < inf. ``fn`` checks its own inputs first."""
+    0 < value < inf, in its result or in any entry of a sweep's list.
+    ``fn`` checks its own inputs first."""
 
     @functools.wraps(fn)
     def checked(*args, **kwargs):
         try:
             out = fn(*args, **kwargs)
         except ArithmeticError as exc:
-            raise InputError(f"{fn.__name__}{args} overflows in floating point: {exc}") from None
-        if all(map(math.isfinite, out.values())) if isinstance(out, dict) else 0.0 < float(out) < math.inf:
+            raise InputError(f"{fn.__name__}{reprlib.repr(args)} overflows in floating point: {exc}") from None
+        bad = [v for v in (out if isinstance(out, list) else [out]) if not _representable(v)]
+        if not bad:
             return out
-        raise InputError(f"{fn.__name__}{args} under- or overflows in floating point: {out}")
+        raise InputError(f"{fn.__name__}{reprlib.repr(args)} under- or overflows in floating point: {bad[0]}")
 
     return checked
 
 
+def _grow(partials: list, x: float) -> None:
+    """Add x exactly to ``partials``, a nonoverlapping expansion in
+    increasing magnitude (Shewchuk's partials, the inner loop of
+    ``math.fsum``)."""
+    i = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[i] = lo
+            i += 1
+        x = hi
+    partials[i:] = [x]
+
+
+def _prefix_fsums(terms, ns) -> dict:
+    """{n: math.fsum of the first n of ``terms``} for every n >= 0 in
+    ``ns``, bit for bit, in one pass over the iterable ``terms``. fsum is
+    correctly rounded, so any exact expansion of a prefix gives the same
+    value: the running prefix is carried as its partials, and the longest
+    prefix is one fsum over those and the rest of the stream, so a single
+    n costs what fsum costs."""
+    wanted = sorted(set(ns))
+    if not wanted:
+        return {}
+    it, partials, done, sums = iter(terms), [], 0, {}
+    for n in wanted[:-1]:
+        for x in islice(it, n - done):
+            _grow(partials, x)
+        sums[n] = math.fsum(partials)
+        done = n
+    sums[wanted[-1]] = math.fsum(chain(partials, islice(it, wanted[-1] - done)))
+    return sums
+
+
 def geometric_sum(ratio: float, terms: int) -> float:
-    """sum_{k=0}^{terms-1} ratio**k, stable near ratio = 1."""
+    """sum_{k=0}^{terms-1} ratio**k: exactly ``terms`` at ratio 1 (the
+    fsum of that many ones), the fsum of the powers elsewhere within 1e-9
+    of 1, else the closed form."""
+    if ratio == 1.0:
+        return float(terms)
     if abs(ratio - 1.0) <= 1e-9:
         return math.fsum(ratio**k for k in range(terms))
     return (ratio**terms - 1.0) / (ratio - 1.0)
 
 
+def _squared_geometric_sums(ratio: float, ns) -> dict:
+    """{n: fsum over m = 1..n of geometric_sum(ratio, m) ** 2} for every n
+    in ``ns``, in one pass over m <= max(ns); within 1e-9 of ratio 1 (but
+    not at it) the geometric sums are themselves the running fsums of the
+    powers."""
+    top = max(ns, default=0)
+    if ratio != 1.0 and abs(ratio - 1.0) <= 1e-9:
+        sums = _prefix_fsums((ratio**k for k in range(top)), range(1, top + 1)).values()
+    else:
+        sums = (geometric_sum(ratio, m) for m in range(1, top + 1))
+    return _prefix_fsums((g**2 for g in sums), ns)
+
+
 @_finite
+def gc_markov_kappas(kappa1: float, L: float, ns) -> list:
+    """``gc_markov_kappa(kappa1, L, n)`` for every n in ``ns``, in
+    O(max(ns)) steps."""
+    _check(kappa1=kappa1, L=L)
+    for n in ns:
+        _check(n=n)
+    sums = _squared_geometric_sums(L, ns)
+    return [kappa1 * sums[n] for n in ns]
+
+
 def gc_markov_kappa(kappa1: float, L: float, n: int) -> float:
     """Concentration constant kappa_1 * sum_m (sum_{k<m} L^k)^2 for a
     homogeneous chain with an L-Lipschitz kernel; the weak form takes the
     summed dependence coefficient R in place of L."""
-    _check(kappa1=kappa1, L=L, n=n)
-    return kappa1 * math.fsum(geometric_sum(L, m) ** 2 for m in range(1, n + 1))
+    return gc_markov_kappas(kappa1, L, (n,))[0]
 
 
 gc_weak_kappa = gc_markov_kappa
@@ -269,6 +349,19 @@ FORMULAS = {
     "lsi-kernel": (lsi_weak_alpha, ("alpha", "kappa", "n")),
     "lsi-contraction": (contraction_noise_alpha, ("alpha", "L", "n")),
 }
+# the rows whose value sums over m <= n; the others are closed form in n
+_SUMMED = frozenset({"gc-markov", "gc-weak"})
+
+
+def sweep(formula: str, params: dict, ns) -> list:
+    """``FORMULAS[formula]`` at every n in ``ns``, in one call; ``params``
+    maps the row's other parameter names to their values. The summed rows
+    build their terms once, up to max(ns), and the closed-form rows cost
+    O(1) per n, so a sweep over n = 1..N is O(N)."""
+    fn, names = FORMULAS[formula]
+    if formula in _SUMMED:
+        return gc_markov_kappas(*(params[k] for k in names if k != "n"), ns)
+    return [fn(*(n if k == "n" else params[k] for k in names)) for n in ns]
 
 
 def arma_lsi_alpha(A, B, tol: float = 1e-15, max_terms: int = 100000) -> float:
@@ -323,6 +416,22 @@ def arma_lsi_alpha(A, B, tol: float = 1e-15, max_terms: int = 100000) -> float:
 
 
 @_finite
+def ou_kappas(rho: float, tau: float, ns, x: float = 0.0) -> list:
+    """``ou_kappa(rho, tau, n, x)`` for every n in ``ns``, in O(max(ns))
+    steps."""
+    _check(rho=rho, tau=tau)
+    for n in ns:
+        _check(n=n)
+    theta = math.exp(-rho * tau)
+    # where theta rounds to 1, tau is within 1.1e-16 of sigma2, while a
+    # subnormal 2 rho tau would lose digits (rho = 5e-324, tau = 0.3 gives 0.5)
+    sigma2 = tau if theta == 1.0 else -math.expm1(-2.0 * rho * tau) / (2.0 * rho)
+    kappa = _squared_geometric_sums(theta, ns)
+    mean = _prefix_fsums((theta**i for i in range(1, max(ns, default=0) + 1)), ns)
+    return [{"theta": theta, "sigma2": sigma2, "kappa_n": sigma2 * kappa[n], "mean_Fn": x * mean[n]}
+            for n in ns]
+
+
 def ou_kappa(rho: float, tau: float, n: int, x: float = 0.0) -> dict:
     """Exact constants of the time-discretized Ornstein-Uhlenbeck chain.
 
@@ -333,11 +442,4 @@ def ou_kappa(rho: float, tau: float, n: int, x: float = 0.0) -> dict:
     the concentration constant kappa_n = sigma2 sum_j (sum_i theta^i)^2 for
     the additive functional sum_j x_j, and its mean x sum_{i=1}^n theta^i.
     """
-    _check(rho=rho, tau=tau, n=n)
-    theta = math.exp(-rho * tau)
-    # where theta rounds to 1, tau is within 1.1e-16 of sigma2, while a
-    # subnormal 2 rho tau would lose digits (rho = 5e-324, tau = 0.3 gives 0.5)
-    sigma2 = tau if theta == 1.0 else -math.expm1(-2.0 * rho * tau) / (2.0 * rho)
-    kappa_n = sigma2 * math.fsum(geometric_sum(theta, n - j) ** 2 for j in range(n))
-    mean_fn = x * math.fsum(theta**i for i in range(1, n + 1))
-    return {"theta": theta, "sigma2": sigma2, "kappa_n": kappa_n, "mean_Fn": mean_fn}
+    return ou_kappas(rho, tau, (n,), x)[0]

@@ -193,6 +193,30 @@ def _point_key(p):
     return p
 
 
+def _distinct(support: tuple) -> bool:
+    """Whether the points are pairwise distinct under ``_point_key``
+    equality (so 1 == 1.0 and 0.0 == -0.0).
+
+    A support that converts to a nonempty 1-D or 2-D integer or float
+    array without NaN is checked by one sort, its rows compared as whole
+    points. A float conversion never splits points that are equal, so if
+    the sort finds no repeat there is none; any repeat it finds (float
+    conversion can merge distinct large ints), and every other support
+    (ragged, object, string or NaN-holding), is settled by the keys."""
+    try:
+        points = np.asarray(support)
+    except ValueError:  # ragged
+        points = None
+    if (points is not None and points.dtype.kind in "iuf" and points.ndim in (1, 2) and points.size
+            and not (points.dtype.kind == "f" and np.isnan(points).any())):
+        rows = points.reshape(len(points), -1)
+        rows = rows[np.lexsort(rows.T[::-1])]
+        if np.all(np.any(rows[1:] != rows[:-1], axis=1)):
+            return True
+    keys = [_point_key(p) for p in support]
+    return len(set(keys)) == len(keys)
+
+
 @dataclass(frozen=True)
 class DiscreteMeasure:
     """Finitely supported probability measure.
@@ -225,8 +249,7 @@ class DiscreteMeasure:
         total = float(np.sum(w))
         if abs(total - 1.0) > WEIGHT_SLACK:
             raise InputError(f"weights sum to {total!r}, not 1")
-        keys = [_point_key(p) for p in support]
-        if len(set(keys)) != len(keys):
+        if not _distinct(support):
             raise InputError("support points must be pairwise distinct")
         if abs(total - 1.0) > len(w) * np.finfo(float).eps:
             w = w / total

@@ -1,7 +1,8 @@
 """Independent direct-summation oracles for the closed-form constants,
 a traversal oracle for the Lipschitz polytope vertices, quadrature
 oracles for the comonotone coupling of two Gaussian chains, the joint
-law of a linear-Gaussian chain as the image of its innovations, a
+law of a linear-Gaussian chain as the image of its innovations, the
+path-major sampler of a linear-Gaussian chain, a
 pair-by-pair recursion for the step-optimal coupling of two tabular
 chains, prefix-marginal differences for the chain rule of relative
 entropy, bisection of a checker's verdicts for the critical
@@ -255,30 +256,15 @@ def all_cells_transport_lp(cost, w_row, w_col):
     return math.fsum((plan * cost).ravel()), plan
 
 
-def dense_transport(cost, w_row, w_col):
-    """Optimal transport cost and plan between two weight vectors, as one
-    dense LP over all cells."""
-    nr, nc = cost.shape
-    a_eq = np.vstack([np.kron(np.eye(nr), np.ones(nc)), np.kron(np.ones(nr), np.eye(nc))])
-    res = linprog(
-        cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([w_row, w_col]), bounds=(0, None),
-        method="highs",
-        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
-    )
-    assert res.success, res.message
-    plan = np.maximum(res.x.reshape(nr, nc), 0.0)
-    return math.fsum((plan * cost).ravel()), plan
-
-
 def stepwise_coupling_costs(q, p, n, s):
     """Step costs of the step-optimal coupling of tabular chains Q and P.
 
     The coupled history is carried as dict atoms {(i, j): mass} over the
     reached state pairs; each reached pair's kernel rows are coupled by
-    one dense LP, and step k is charged sum mass * plan cost.
+    one LP over every cell, and step k is charged sum mass * plan cost.
     """
     cost = tabular_state_cost(q, s)
-    d1, plan = dense_transport(cost, q.init, p.init)
+    d1, plan = all_cells_transport_lp(cost, q.init, p.init)
     k = q.n_states
     atoms = {(i, j): plan[i, j] for i in range(k) for j in range(k) if plan[i, j] > 0}
     steps = [d1]
@@ -287,7 +273,7 @@ def stepwise_coupling_costs(q, p, n, s):
         dk, nxt = [], {}
         for (i, j), w in atoms.items():
             if (i, j) not in plans:
-                plans[(i, j)] = dense_transport(cost, q.transition[i], p.transition[j])
+                plans[(i, j)] = all_cells_transport_lp(cost, q.transition[i], p.transition[j])
             ck, pk = plans[(i, j)]
             dk.append(w * ck)
             for a in range(k):
@@ -363,3 +349,15 @@ def bisect_boundary(passes, lo, hi, width=1e-10):
     trace.sort()
     assert sum(a[1] != b[1] for a, b in zip(trace, trace[1:])) == 1, "verdicts are not monotone"
     return 0.5 * (lo + hi)
+
+
+def simulate_linear_path_major(A, B, mean1, root1, n, N, rng):
+    """(N, n, m) paths of X_1 = mean1 + root1 Y_1, X_{k+1} = A X_k + B Y_{k+1}
+    from one (N, n, m) draw of Y, path-major: all the noise B Y in one
+    matrix product, then the recursion over the strided (N, m) columns."""
+    eps = rng.standard_normal((N, n, B.shape[1]))
+    out = (eps.reshape(N * n, -1) @ B.T).reshape(N, n, -1)
+    out[:, 0] = mean1 + eps[:, 0] @ root1.T
+    for k in range(1, n):
+        out[:, k] += out[:, k - 1] @ A.T
+    return out

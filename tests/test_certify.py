@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from concentra import (
 from concentra.certify import (
     Certificate,
     _line_wasserstein,
+    _logsumexp,
     default_lsi_family,
     default_t_grid,
     gc_slack,
@@ -46,6 +48,51 @@ def test_gc_slack_matches_scalar_oracle():
     for t in (-3.0, -0.5, 0.7, 2.0):
         got = gc_slack(TWO_POINT, 0.2, f, t)
         assert got == pytest.approx(scalar_gc_slack_oracle(0.2, t), abs=1e-12)
+
+
+def _mp_logsumexp(a):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        terms = [mpmath.exp(mpmath.mpf(float(x))) for x in a if x != -math.inf]
+        return float(mpmath.log(mpmath.fsum(terms))) if terms else -math.inf
+
+
+def test_logsumexp_within_two_ulp_of_mpmath():
+    """The slack kernel's log-sum-exp against 60-digit arithmetic, on
+    arrays with tied maxima, -inf entries and magnitudes from 1e-3 to 1e3,
+    one array at a time and along the last axis of a 3-D block."""
+    rng = np.random.default_rng(0)
+    arrays = []
+    for i in range(600):
+        k = int(rng.integers(1, 40))
+        a = rng.normal(size=k) * 10 ** rng.uniform(-3, 3)
+        if i % 3 == 0:
+            a[rng.integers(0, k, size=rng.integers(1, k + 1))] = a.max()
+        if i % 4 == 0:
+            a[rng.integers(0, k)] = -math.inf
+        arrays.append(a)
+    arrays += [np.full(5, 0.25), np.array([-math.inf, 0.0]), np.array([-1e308, 700.0, 700.0])]
+    for a in arrays:
+        got, want = float(_logsumexp(a)), _mp_logsumexp(a)
+        assert got == want or abs(got - want) <= 2 * math.ulp(want), a
+    block = rng.normal(size=(3, 4, 9)) * 5.0
+    block[0, :, 2] = block[0].max(axis=-1)
+    block[1, :, 0] = -math.inf
+    got = _logsumexp(block)
+    assert got.shape == (3, 4)
+    for idx in np.ndindex(3, 4):
+        want = _mp_logsumexp(block[idx])
+        assert abs(got[idx] - want) <= 2 * math.ulp(want)
+
+
+def test_logsumexp_edge_values():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _logsumexp(np.array([-math.inf, -math.inf])) == -math.inf
+        assert _logsumexp(np.array([math.inf, 1.0])) == math.inf
+        assert math.isnan(_logsumexp(np.array([math.nan, 1.0])))
+        assert _logsumexp(np.array([3.0])) == 3.0
+        assert _logsumexp(np.array([3.0, 3.0])) == 3.0 + math.log(2.0)
 
 
 def test_check_gc_two_point_boundary():

@@ -11,7 +11,7 @@ import pytest
 from scipy.special import chdtri, ndtri
 from scipy.stats import binom
 
-from concentra import ARMAModel, arma_lsi_alpha, cli, gaussian_chain_joint, jsonio, simulate_joint
+from concentra import ARMAModel, arma_lsi_alpha, cli, gaussian_chain_joint, jsonio, ou_kappa, simulate_joint
 from concentra.cli import _emit, _normal_sample_checks, build_parser, main
 from concentra.constants import FORMULAS
 
@@ -260,6 +260,53 @@ def test_constants_inputs_echo_the_row_names(capsys, argv):
 def _constants_parser():
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     return sub.choices["constants"]
+
+
+# each row's dependence parameter in its three regimes (lsi rows at alpha = 2),
+# plus ratio 1 exactly and within 1e-10 of it for the summed rows
+_SWEEP_REGIMES = {
+    "gc-markov": ("L", (0.6, 1.0, 1.3, 1.0 - 1e-10, 1.0 + 1e-10, 0.0)),
+    "gc-weak": ("R", (0.5, 1.0, 1.2, 1.0 + 1e-10)),
+    "gc-general": ("M", (0.3, 0.8, 1.5)),
+    "ts-markov": ("L", (0.5, 1.0, 1.4)),
+    "ts-weak": ("R", (0.7, 1.0, 1.1)),
+    "ts-general": ("M", (0.2, 0.7, 1.3)),
+    "lsi-markov": ("L", (0.5, 2.0, 3.0)),
+    "lsi-weak": ("R", (0.5, 2.0, 3.0)),
+    "lsi-kernel": ("kappa", (0.5, 2.0, 3.0)),
+    "lsi-contraction": ("L", (0.5, 1.0, 1.3)),
+}
+
+
+@pytest.mark.parametrize("formula, value", [
+    pytest.param(formula, v, id=f"{formula}-{v!r}")
+    for formula, (_, values) in sorted(_SWEEP_REGIMES.items()) for v in values
+])
+def test_constants_sweep_is_the_per_n_call_bit_for_bit(capsys, formula, value):
+    """A sweep over n = 1..200 prints, at every n, exactly the per-n
+    scalar call's value and regime."""
+    fn, names = FORMULAS[formula]
+    params = {"kappa1": 1.5, "alpha": 2.0, "s": 1.5, _SWEEP_REGIMES[formula][0]: value}
+    argv = ["constants", "--formula", formula, "--n", *map(str, range(1, 201))]
+    argv += [arg for k in names if k != "n" for arg in (f"--{k}", repr(params[k]))]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    for n, row in enumerate(json.loads(out)["results"], start=1):
+        res = fn(*(n if k == "n" else params[k] for k in names))
+        assert row["value"] == float(res) and row["regime"] == getattr(res, "regime", ""), n
+
+
+@pytest.mark.parametrize("rho, tau, x", [(0.5, 0.3, 0.0), (1.2, 0.9, 0.7), (0.0, 1.0, -0.4), (1e-10, 1.0, 0.3),
+                                         (-0.01, 0.5, 1.0)])
+def test_ou_sweep_is_the_per_n_call_bit_for_bit(capsys, rho, tau, x):
+    argv = ["constants", "--formula", "ou", "--n", *map(str, range(1, 201)),
+            "--rho", repr(rho), "--tau", repr(tau), "--x", repr(x)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    for n, row in enumerate(json.loads(out)["results"], start=1):
+        want = ou_kappa(rho, tau, n, x)
+        assert row["value"] == want["kappa_n"], n
+        assert row["inputs"] == {"rho": rho, "tau": tau, "n": n, "x": x, **want}, n
 
 
 def test_formula_table_matches_constants_flags():

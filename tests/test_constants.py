@@ -1,9 +1,11 @@
 import itertools
 import math
+import time
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from concentra import (
     InputError,
@@ -21,7 +23,7 @@ from concentra import (
     ts_markov_alpha,
     ts_weak_alpha,
 )
-from concentra.constants import FORMULAS, geometric_sum
+from concentra.constants import FORMULAS, _prefix_fsums, geometric_sum, gc_markov_kappas, ou_kappas, sweep
 
 from oracles import (
     oracle_contraction,
@@ -41,6 +43,79 @@ def test_geometric_sum_stable_near_one():
     assert geometric_sum(1.0 + 5e-10, 5) == pytest.approx(5.0, abs=1e-8)
     assert geometric_sum(0.5, 3) == pytest.approx(1.75, abs=1e-15)
     assert geometric_sum(2.0, 4) == pytest.approx(15.0, abs=1e-12)
+
+
+def test_geometric_sum_at_ratio_one_is_the_count_in_constant_time():
+    """At ratio 1 the sum is ``terms`` itself, the fsum of that many ones,
+    without summing them."""
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        assert geometric_sum(1.0, 10**6) == 1e6
+        times.append(time.perf_counter() - t0)
+    assert min(times) < 5e-3
+    assert geometric_sum(1.0, 7) == math.fsum(1.0 for _ in range(7))
+
+
+_FINITE = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(_FINITE, st.floats(min_value=-1e-300, max_value=1e-300),
+                          st.sampled_from([1e16, -1e16, 1.0, -1.0, 2.0**-60])), max_size=60),
+       st.lists(st.integers(min_value=0, max_value=60), min_size=1, max_size=8))
+def test_prefix_fsums_are_fsum_of_each_prefix(terms, ns):
+    """Exact prefix sums give fsum's bits for every prefix, under
+    cancellation and across magnitudes, in any order of the requested n."""
+    ns = [min(n, len(terms)) for n in ns]
+    got = _prefix_fsums(terms, ns)
+    assert set(got) == set(ns)
+    for n in ns:
+        want = math.fsum(terms[:n])
+        assert got[n] == want and math.copysign(1.0, got[n]) == math.copysign(1.0, want)
+
+
+def _fsum_geometric(ratio, terms):
+    """The reference geometric sum: the fsum of the powers within 1e-9 of
+    ratio 1, ratio 1 included, else the closed form."""
+    if abs(ratio - 1.0) <= 1e-9:
+        return math.fsum(ratio**k for k in range(terms))
+    return (ratio**terms - 1.0) / (ratio - 1.0)
+
+
+@pytest.mark.parametrize("L", [0.0, 1e-12, 0.6, 1.0 - 1e-10, 1.0, 1.0 + 1e-10, 1.0 + 2e-9, 1.3])
+def test_gc_and_ou_sums_are_fsums_of_their_terms(L):
+    """Every value of a sweep is the fsum of its per-m terms, bit for bit,
+    for the per-n call and for the whole sweep: ratio exactly 1, within
+    1e-10 of it (the direct sums) and the closed-form regimes."""
+    ns = list(range(1, 61)) + [200]
+    sweep_values = gc_markov_kappas(1.5, L, ns)
+    for n, got in zip(ns, sweep_values):
+        want = 1.5 * math.fsum(_fsum_geometric(L, m) ** 2 for m in range(1, n + 1))
+        assert got == want == gc_markov_kappa(1.5, L, n), n
+    if L > 0.0:
+        rho = -math.log(L)  # theta = exp(-rho) is L up to one rounding
+        for n, out in zip(ns, ou_kappas(rho, 1.0, ns, 0.7)):
+            theta = out["theta"]
+            assert out == ou_kappa(rho, 1.0, n, 0.7)
+            assert out["kappa_n"] == out["sigma2"] * math.fsum(_fsum_geometric(theta, m) ** 2 for m in range(1, n + 1))
+            assert out["mean_Fn"] == 0.7 * math.fsum(theta**i for i in range(1, n + 1))
+
+
+@pytest.mark.parametrize("formula", sorted(FORMULAS))
+def test_sweep_is_the_per_n_call(formula):
+    """``sweep`` gives each row's scalar value at every n, in any order and
+    with repeats, and validates every n."""
+    fn, names = FORMULAS[formula]
+    params = {k: _VALID[k] for k in names if k != "n"}
+    ns = [5, 1, 200, 5, 17]
+    got = sweep(formula, params, ns)
+    want = [fn(*(n if k == "n" else params[k] for k in names)) for n in ns]
+    assert [float(v) for v in got] == [float(v) for v in want]
+    assert [getattr(v, "regime", "") for v in got] == [getattr(v, "regime", "") for v in want]
+    for bad in (0, 2.5, True):
+        with pytest.raises(InputError):
+            sweep(formula, params, [1, bad])
 
 
 def test_gc_markov_examples():

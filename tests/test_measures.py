@@ -12,7 +12,7 @@ from concentra import (
     empirical_measure,
 )
 from concentra.coupling import _LabelLine
-from concentra.measures import moment_order_s, product_distance
+from concentra.measures import _distinct, _point_key, moment_order_s, product_distance
 
 
 def test_real_line_distance():
@@ -171,3 +171,57 @@ def test_rebuilt_measure_is_bit_identical(n, seed):
     again = DiscreteMeasure(support, mu.weights)
     assert np.array_equal(again.weights, mu.weights)
     assert np.array_equal(DiscreteMeasure(support, list(map(float, mu.weights))).weights, mu.weights)
+
+
+def _distinct_by_keys(support):
+    keys = [_point_key(p) for p in support]
+    return len(set(keys)) == len(keys)
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("support, distinct", [
+    ((1, 1.0), False),
+    ((0.0, -0.0), False),
+    ((True, 1), False),
+    ((np.float64(2.0), 2), False),
+    ((2**53, 2**53 + 1), True),  # distinct ints that float conversion merges
+    ((2**53 + 1, float(2**53)), True),
+    ((2**70, 2**70 + 1), True),
+    ((float("nan"), float("nan")), True),  # two NaN objects are two keys
+    ((_NAN, _NAN), False),  # one NaN object twice is one key
+    (((1.0, _NAN), (1.0, _NAN)), False),
+    (((1, 2), (1, 2.0)), False),
+    (((0.0, 1), (-0.0, 1)), False),
+    (((1, 2), (2, 1)), True),
+    ((np.array([1.0, 2.0]), (1.0, 2.0)), False),
+    (((1, 2), (3,)), True),  # ragged
+    ((1, (2, 3)), True),
+    (("a", "b"), True),
+    (("a", "a"), False),
+    ((1j, 2j), True),
+    (((), ()), False),
+    ((((1, 2), (3, 4)), ((1, 2), (3, 4))), False),
+    ((np.inf, np.inf), False),
+])
+def test_support_distinctness_follows_point_key_equality(support, distinct):
+    assert _distinct(support) == _distinct_by_keys(support) == distinct
+    if not distinct:
+        with pytest.raises(InputError, match="pairwise distinct"):
+            DiscreteMeasure(support, np.full(len(support), 1.0 / len(support)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=300), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=0, max_value=10_000))
+def test_sorted_distinctness_matches_the_keys(n, width, seed):
+    """Random integer and float supports on a coarse grid, so repeats are
+    common, and zeros of either sign: the one-sort check agrees with the
+    key set."""
+    rng = np.random.default_rng(seed)
+    grid = rng.integers(-3, 4, size=(n, width))
+    signed = np.copysign(grid * 0.5, rng.choice([-1.0, 1.0], size=grid.shape))
+    for points in (grid, signed, grid[:, 0], signed[:, 0]):
+        support = tuple(map(tuple, points.tolist())) if points.ndim == 2 else tuple(points.tolist())
+        assert _distinct(support) == _distinct_by_keys(support)

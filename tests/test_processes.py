@@ -21,6 +21,7 @@ from concentra import (
     simulate_joint,
     tabular_joint_law,
 )
+from concentra.processes import _BLOCK_PATHS, _rng, _simulate_linear
 
 import oracles
 
@@ -100,6 +101,29 @@ def test_gaussian_and_ou_paths_are_pinned():
     ]
     for model, want in cases:
         assert simulate_joint(model, 3, 4, seed=9).values.tolist() == want
+
+
+_LINEAR_CHAINS = [
+    OUModel(0.5, 0.3, x0=0.2),
+    GaussianKernelModel(-0.7, 0.5, init_mean=0.3, init_var=2.0),
+    GaussianKernelModel(0.0, 1.5),
+    ARMAModel([[0.5, 0.1], [0.2, -0.3]], [[1.0, 0.2], [0.0, 0.7]]),
+    ARMAModel(np.random.default_rng(1).normal(size=(3, 3)) * 0.4, np.random.default_rng(2).normal(size=(3, 3))),
+]
+
+
+@pytest.mark.parametrize("model", _LINEAR_CHAINS, ids=lambda m: f"{m.kind}-{m.linear_form[0].shape[0]}")
+def test_time_major_sampler_matches_path_major_oracle(model):
+    """The blocked time-major recursion gives the path-major sampler's
+    paths bit for bit, for every seed, one path, one step, a block's worth
+    of paths and block boundaries that leave a one- or two-path remainder."""
+    sizes = [(1, 1), (1, 6), (2, 4), (7, 3), (1000, 20), (3, 40), (_BLOCK_PATHS, 2),
+             (_BLOCK_PATHS + 1, 3), (2 * _BLOCK_PATHS + 2, 5), (2 * _BLOCK_PATHS, 1)]
+    for seed in (0, 1, 23):
+        for N, n in sizes:
+            want = oracles.simulate_linear_path_major(*model.linear_form, n, N, _rng(seed))
+            got = _simulate_linear(*model.linear_form, n, N, _rng(seed))
+            assert got.shape == want.shape and np.array_equal(got, want), (seed, N, n)
 
 
 def test_tabular_simulation_matches_joint_law():
