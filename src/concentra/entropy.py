@@ -14,21 +14,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .measures import DiscreteMeasure, GaussianMeasure, _point_key
+from .measures import DiscreteMeasure, GaussianMeasure, _matches
 from .processes import TabularModel
 
 
 def relative_entropy_discrete(nu: DiscreteMeasure, mu: DiscreteMeasure) -> float:
-    """sum nu_i log(nu_i / mu_i), with 0 log 0 = 0; +inf off the support of mu."""
-    mu_w = mu.as_dict()
-    terms = []
-    for p, w in zip(nu.support, nu.weights):
-        if w == 0.0:
-            continue
-        m = mu_w.get(_point_key(p), 0.0)
-        if m == 0.0:
-            return math.inf
-        terms.append(w * math.log(w / m))
+    """sum nu_i log(nu_i / mu_i), with 0 log 0 = 0; +inf off the support of mu.
+
+    The fsum of one term per atom of nu with positive weight, each
+    ``w * math.log(w / m)``."""
+    match = _matches(nu.support, mu.support)
+    live = nu.weights > 0.0
+    w = nu.weights[live]
+    m = np.where(match >= 0, mu.weights[match], 0.0)[live]
+    if not np.all(m > 0.0):
+        return math.inf
+    terms = w * np.array([math.log(r) for r in (w / m).tolist()])
     return max(math.fsum(terms), 0.0)
 
 

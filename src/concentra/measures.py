@@ -8,6 +8,7 @@ on construction.
 """
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -193,9 +194,23 @@ def _point_key(p):
     return p
 
 
-def _distinct(support: tuple) -> bool:
+def _numeric(support: tuple):
+    """The support as a nonempty 1-D or 2-D integer or float array (one
+    entry or row per point), or None when it converts to nothing of that
+    kind."""
+    try:
+        points = np.asarray(support)
+    except ValueError:  # ragged
+        return None
+    if points.dtype.kind in "iuf" and points.ndim in (1, 2) and points.size:
+        return points
+    return None
+
+
+def _distinct(support: tuple, points=None) -> bool:
     """Whether the points are pairwise distinct under ``_point_key``
-    equality (so 1 == 1.0 and 0.0 == -0.0).
+    equality (so 1 == 1.0 and 0.0 == -0.0); ``points`` is ``_numeric`` of
+    the support when the caller has it.
 
     A support that converts to a nonempty 1-D or 2-D integer or float
     array without NaN is checked by one sort, its rows compared as whole
@@ -203,18 +218,61 @@ def _distinct(support: tuple) -> bool:
     the sort finds no repeat there is none; any repeat it finds (float
     conversion can merge distinct large ints), and every other support
     (ragged, object, string or NaN-holding), is settled by the keys."""
-    try:
-        points = np.asarray(support)
-    except ValueError:  # ragged
-        points = None
-    if (points is not None and points.dtype.kind in "iuf" and points.ndim in (1, 2) and points.size
-            and not (points.dtype.kind == "f" and np.isnan(points).any())):
+    if points is None:
+        points = _numeric(support)
+    if points is not None and not (points.dtype.kind == "f" and np.isnan(points).any()):
         rows = points.reshape(len(points), -1)
         rows = rows[np.lexsort(rows.T[::-1])]
         if np.all(np.any(rows[1:] != rows[:-1], axis=1)):
             return True
     keys = [_point_key(p) for p in support]
     return len(set(keys)) == len(keys)
+
+
+def _finite_point(p) -> bool:
+    if isinstance(p, (float, np.floating)):
+        return math.isfinite(p)
+    if isinstance(p, np.ndarray):
+        return _finite_point(p.tolist())
+    if isinstance(p, (list, tuple)):
+        return all(_finite_point(q) for q in p)
+    return True
+
+
+def _finite(support: tuple, points) -> bool:
+    """Whether no point is, or holds, a NaN or infinite float; ``points``
+    is ``_numeric`` of the support."""
+    if points is not None:
+        return points.dtype.kind != "f" or bool(np.isfinite(points).all())
+    return all(_finite_point(p) for p in support)
+
+
+_EXACT_INTS = 2.0**53  # every int of smaller magnitude converts to float exactly
+
+
+def _matches(support: tuple, other: tuple) -> np.ndarray:
+    """For each point of ``support``, the index of the equal point of
+    ``other`` under ``_point_key`` equality, or -1; both are supports of
+    ``DiscreteMeasure``s, so pairwise distinct and finite.
+
+    Two supports that convert (``_numeric``) to arrays of one shape per
+    point are aligned by one sort of their stacked rows, where an equal
+    pair sits side by side. A float array whose entries all lie below
+    2**53 in magnitude holds every int exactly, so the sort merges no
+    distinct points; any other pair of supports is matched by the keys."""
+    p, q = _numeric(support), _numeric(other)
+    if p is not None and q is not None and p.shape[1:] == q.shape[1:]:
+        rows = np.concatenate([p.reshape(len(p), -1), q.reshape(len(q), -1)])
+        if rows.dtype.kind != "f" or np.abs(rows).max() < _EXACT_INTS:
+            order = np.lexsort(rows.T[::-1])
+            rows = rows[order]
+            # ties keep the stacked order, so support's point comes first
+            k = np.flatnonzero(np.all(rows[1:] == rows[:-1], axis=1))
+            out = np.full(len(p), -1, dtype=np.intp)
+            out[order[k]] = order[k + 1] - len(p)
+            return out
+    index = {_point_key(x): j for j, x in enumerate(other)}
+    return np.array([index.get(_point_key(x), -1) for x in support], dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -249,8 +307,11 @@ class DiscreteMeasure:
         total = float(np.sum(w))
         if abs(total - 1.0) > WEIGHT_SLACK:
             raise InputError(f"weights sum to {total!r}, not 1")
-        if not _distinct(support):
+        points = _numeric(support)
+        if not _distinct(support, points):
             raise InputError("support points must be pairwise distinct")
+        if not _finite(support, points):
+            raise InputError("support points must be finite")
         if abs(total - 1.0) > len(w) * np.finfo(float).eps:
             w = w / total
         object.__setattr__(self, "support", support)
@@ -271,8 +332,12 @@ class DiscreteMeasure:
         return {_point_key(p): float(w) for p, w in zip(self.support, self.weights)}
 
     def total_variation(self, other: "DiscreteMeasure") -> float:
-        a, b = self.as_dict(), other.as_dict()
-        return 0.5 * sum(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in set(a) | set(b))
+        """Half the fsum of |self(x) - other(x)| over the union of supports."""
+        match = _matches(self.support, other.support)
+        unmatched = np.ones(len(other), dtype=bool)
+        unmatched[match[match >= 0]] = False
+        b = np.where(match >= 0, other.weights[match], 0.0)
+        return 0.5 * math.fsum(np.concatenate([np.abs(self.weights - b), other.weights[unmatched]]))
 
 
 @dataclass(frozen=True)

@@ -4,14 +4,31 @@ Four routes are provided: the transportation LP on finite supports
 (exact shortlist column generation on one hot-started HiGHS model, called
 directly through SciPy's bundled bindings; see ``solve_transport_lp``), the
 monotone (quantile) coupling on the real line, the closed form for W2
-between Gaussians, and the Kantorovich-Rubinstein dual LP for W1. On the
+between Gaussians, and the Kantorovich-Rubinstein dual for W1. On the
 real line with s >= 1 the cost |x - y|**s is convex in x - y, so the
 north-west-corner plan along the sorted supports is an optimal coupling
 (Peyre & Cuturi, *Computational Optimal Transport*, 2019, section 2.6);
 ``wasserstein_exact`` returns that plan there and solves the LP elsewhere.
+
+At s = 1 off the real line the cost is a metric d, and W1 depends only on
+mu - nu (Kantorovich-Rubinstein; Villani, *Optimal Transport: Old and
+New*, 2009, Thm 5.10). So before the LP, every zero-cost cell that is the
+only zero in its row and in its column (under a metric, one point shared
+by both supports) keeps min(a_i, b_j) in place, and the LP runs only on the
+rows and columns that still carry mass. This is exact: if an optimal plan
+left such a cell unsaturated, it would move mass i -> j' and i' -> j, and
+moving some of it to i -> j and i' -> j' instead changes the cost by
+d(i', j') - d(i, j') - d(i', j) <= 0 by the triangle inequality (which a
+``FiniteMetricSpace`` satisfies to ``METRIC_ATOL``). Cells with tied
+zeros (a pseudo-metric) are left to the LP. At s > 1 keeping shared mass
+is not optimal: 1/2 delta_0 + 1/2 delta_1 against 1/2 delta_1 + 1/2 delta_2
+costs 2 with the shared mass kept and 1 with it shifted, so those LPs run
+on the full supports. The Kantorovich-Rubinstein potential is the
+c-transform of that reduced LP's column potentials.
+
 All routes are exact up to floating-point rounding and LP solver
-tolerance; there is no entropic approximation. Only the
-Kantorovich-Rubinstein dual goes through ``scipy.optimize.linprog``.
+tolerance; there is no entropic approximation. No route calls
+``scipy.optimize.linprog``.
 """
 from __future__ import annotations
 
@@ -21,13 +38,14 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import eigh
-from scipy.optimize import linprog
+# unused here; kept bound because the bench tracer (bench/tracing.py) and its
+# contract test rebind ``transport.linprog``
+from scipy.optimize import linprog  # noqa: F401
 from scipy.optimize._highspy import _core as _highs  # private; shipped since SciPy 1.15
 
 from .errors import InputError, SolverError
-from .measures import DiscreteMeasure, GaussianMeasure, RealLine, _point_key
+from .measures import DiscreteMeasure, GaussianMeasure, RealLine, _matches, _point_key
 
 PLAN_ATOL = 1e-10
 log = logging.getLogger(__name__)
@@ -125,6 +143,9 @@ class _TransportModel:
     hot-starts from the last optimal basis, which stays dual feasible when
     bounds change and primal feasible when cells are added. The active
     cells only grow, so the stopping certificate holds for every pair.
+    After a solve, ``u`` and ``v`` hold the final round's row and column
+    potentials: ``cost - u - v`` is at least -1e-11 on every cell, and 0
+    up to the solver's tolerance on the cells the plan uses.
     """
 
     def __init__(self, cost: np.ndarray):
@@ -192,6 +213,7 @@ class _TransportModel:
             new = (cost - u[:, None] - v[None, :] < -1e-11) & ~self.active
             if not new.any():
                 break
+        self.u, self.v = u, v
         x = np.maximum(np.asarray(solution.col_value), 0.0)
         ci, cj = self.cells
         plan = np.zeros((nr, nc))
@@ -222,6 +244,40 @@ def solve_transport_lp(cost: np.ndarray, w_row: np.ndarray, w_col: np.ndarray):
     return _TransportModel(cost).solve(w_row, w_col)
 
 
+def _w1_transport(cost: np.ndarray, w_row: np.ndarray, w_col: np.ndarray):
+    """The W1 transportation LP over a metric cost matrix, with the shared
+    mass left in place (see the module docstring).
+
+    Every zero cell that is the only zero in its row and in its column
+    keeps min(w_row[i], w_col[j]); the LP runs on the rows and columns
+    that still carry mass, and its plan is embedded beside the kept mass.
+    The kept cells cost 0, so the cost is the LP's. Returns
+    ``(fsum(plan * cost), plan, model, cols)``: ``model`` is the solved
+    ``_TransportModel`` of the reduced LP, whose column potentials belong
+    to the columns ``cols``, or None when no mass is left to move.
+    """
+    zero = cost == 0.0
+    ki, kj = np.nonzero(zero & (zero.sum(axis=1) == 1)[:, None] & (zero.sum(axis=0) == 1)[None, :])
+    kept = np.minimum(w_row[ki], w_col[kj])
+    a, b = w_row.copy(), w_col.copy()
+    a[ki] -= kept
+    b[kj] -= kept
+    rows, cols = np.flatnonzero(a > 0.0), np.flatnonzero(b > 0.0)
+    lp = rows.size > 0 and cols.size > 0
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("W1 reduction %dx%d: %d atoms kept in place, mass %.17g kept, reduced LP %dx%d",
+                  *cost.shape, ki.size, math.fsum(kept), lp * rows.size, lp * cols.size)
+    plan = np.zeros(cost.shape)
+    plan[ki, kj] = kept
+    raw, model = 0.0, None
+    if lp:
+        model = _TransportModel(cost[np.ix_(rows, cols)])
+        raw, sub = model.solve(a[rows], b[cols])
+        # a kept cell's row or column is spent, so no LP cell overlaps it
+        plan[np.ix_(rows, cols)] += sub
+    return raw, plan, model, cols
+
+
 def _monotone_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure):
     """The monotone coupling of two real-line measures.
 
@@ -242,7 +298,8 @@ def wasserstein_exact(
 
     On the real line the plan is the monotone coupling of the sorted
     supports, which is optimal for every s >= 1 (see the module
-    docstring); on any other space it is an exact LP solution. Returns the
+    docstring); on any other space it is an exact LP solution, at s = 1
+    with the mass shared by both measures left in place. Returns the
     distance (min cost to the power 1/s) and the dense plan, whose cost is
     ``fsum(plan * cost)``.
     """
@@ -256,6 +313,8 @@ def wasserstein_exact(
         # fsum is exact, so the nonzero cells alone give fsum(plan * cost)
         r, c = np.nonzero(plan)
         raw = math.fsum(plan[r, c] * np.abs(x[r] - y[c]) ** s)
+    elif s == 1.0:
+        raw, plan, _, _ = _w1_transport(cost_matrix(mu, nu, s, space), mu.weights, nu.weights)
     else:
         cost = cost_matrix(mu, nu, s, space)
         raw, plan = solve_transport_lp(cost, mu.weights, nu.weights)
@@ -296,41 +355,35 @@ def wasserstein_gaussian_w2(mu: GaussianMeasure, nu: GaussianMeasure) -> float:
 def kantorovich_dual_w1(
     mu: DiscreteMeasure, nu: DiscreteMeasure, space=None
 ) -> tuple[float, dict]:
-    """W1 via the dual LP over 1-Lipschitz potentials on the joint support.
+    """W1 by Kantorovich-Rubinstein duality, with a 1-Lipschitz potential
+    attaining it.
 
-    Maximizes int f dmu - int f dnu subject to |f(x) - f(y)| <= d(x, y);
-    returns the optimum and the feasible potential as {point: value}.
+    The potential on the joint support is the c-transform
+    f(x) = min_j (d(x, y_j) - v_j) of the column potentials v of the
+    reduced primal LP (see ``wasserstein_exact``), taken over that LP's
+    columns and shifted so that mu's first point gets 0. As a minimum of
+    1-Lipschitz functions f is 1-Lipschitz; it equals the row potential
+    on every row that still carries mass and is at most -v_j on column j,
+    so int f d(mu - nu) attains the primal optimum up to the LP
+    tolerance. Returns ``(fsum(mu f) - fsum(nu f), {point: f(point)})``.
     """
     space = _resolve_space(mu, nu, space)
-    points = list(mu.support)
-    seen = {_point_key(p): i for i, p in enumerate(points)}
-    for p in nu.support:
-        if _point_key(p) not in seen:
-            seen[_point_key(p)] = len(points)
-            points.append(p)
-    n = len(points)
-    c = np.zeros(n)
-    for p, w in zip(mu.support, mu.weights):
-        c[seen[_point_key(p)]] += w
-    for p, w in zip(nu.support, nu.weights):
-        c[seen[_point_key(p)]] -= w
-    # one row f_i - f_j <= d(x_i, x_j) per ordered pair i != j
-    i, j = np.nonzero(~np.eye(n, dtype=bool))
-    r = i.size
-    a_ub = sparse.csr_matrix(
-        (np.tile([1.0, -1.0], r), (np.repeat(np.arange(r), 2), np.column_stack([i, j]).ravel())),
-        shape=(r, n),
-    )
-    b_ub = space.pairwise(points, points)[i, j]
-    bounds = [(0.0, 0.0)] + [(None, None)] * (n - 1)
-    res = linprog(
-        -c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs",
-        options={
-            "primal_feasibility_tolerance": 1e-10,
-            "dual_feasibility_tolerance": 1e-10,
-        },
-    )
-    if not res.success:
-        raise SolverError(f"dual LP failed: {res.status} {res.message}")
-    potential = {_point_key(p): float(res.x[seen[_point_key(p)]]) for p in points}
-    return float(-res.fun), potential
+    cost = cost_matrix(mu, nu, 1.0, space)
+    _, _, model, cols = _w1_transport(cost, mu.weights, nu.weights)
+    # nu's points that are not mu's follow mu's points in the joint support
+    match = _matches(nu.support, mu.support)
+    extra = np.flatnonzero(match < 0)
+    points = list(mu.support) + [nu.support[k] for k in extra]
+    if model is None:
+        f = np.zeros(len(points))
+    else:
+        d = cost[:, cols]
+        if extra.size:
+            y = [nu.support[j] for j in cols]
+            d = np.vstack([d, space.pairwise([nu.support[k] for k in extra], y)])
+        f = np.min(d - model.v[None, :], axis=1)
+        f -= f[0]
+    at_nu = match.copy()
+    at_nu[extra] = len(mu) + np.arange(extra.size)
+    value = math.fsum(mu.weights * f[: len(mu)]) - math.fsum(nu.weights * f[at_nu])
+    return value, {_point_key(p): float(v) for p, v in zip(points, f)}

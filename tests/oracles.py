@@ -6,8 +6,9 @@ path-major sampler of a linear-Gaussian chain, a
 pair-by-pair recursion for the step-optimal coupling of two tabular
 chains, prefix-marginal differences for the chain rule of relative
 entropy, bisection of a checker's verdicts for the critical
-constants of the certificates, and the transport LP over every cell
-posed through SciPy's ``linprog``.
+constants of the certificates, the transport LP over every cell
+posed through SciPy's ``linprog``, and the Kantorovich-Rubinstein dual
+LP over every pair of points.
 
 These deliberately avoid the library's closed forms: every sum is an
 explicit loop, every power a literal, so a regression in the formulas
@@ -17,6 +18,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 
@@ -255,6 +257,29 @@ def all_cells_transport_lp(cost, w_row, w_col):
     plan = np.maximum(res.x.reshape(nr, nc), 0.0)
     return math.fsum((plan * cost).ravel()), plan
 
+
+
+def kantorovich_dual_lp(dist, c):
+    """W1 as the Kantorovich-Rubinstein dual LP on a joint support: maximise
+    sum_i c_i f_i over potentials with f_i - f_j <= dist[i, j] for every
+    ordered pair i != j and f_0 = 0, where c is mu - nu on the support.
+    Returns ``(value, f)``."""
+    n = len(c)
+    if n == 1:
+        return 0.0, np.zeros(1)
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    r = i.size
+    a_ub = sparse.csr_matrix(
+        (np.tile([1.0, -1.0], r), (np.repeat(np.arange(r), 2), np.column_stack([i, j]).ravel())),
+        shape=(r, n),
+    )
+    res = linprog(
+        -np.asarray(c), A_ub=a_ub, b_ub=dist[i, j], bounds=[(0.0, 0.0)] + [(None, None)] * (n - 1),
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.success, res.message
+    return -res.fun, res.x
 
 def stepwise_coupling_costs(q, p, n, s):
     """Step costs of the step-optimal coupling of tabular chains Q and P.

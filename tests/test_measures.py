@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,8 @@ from concentra import (
     empirical_measure,
 )
 from concentra.coupling import _LabelLine
-from concentra.measures import _distinct, _point_key, moment_order_s, product_distance
+from concentra import relative_entropy_discrete
+from concentra.measures import _distinct, _matches, _point_key, moment_order_s, product_distance
 
 
 def test_real_line_distance():
@@ -225,3 +228,111 @@ def test_sorted_distinctness_matches_the_keys(n, width, seed):
     for points in (grid, signed, grid[:, 0], signed[:, 0]):
         support = tuple(map(tuple, points.tolist())) if points.ndim == 2 else tuple(points.tolist())
         assert _distinct(support) == _distinct_by_keys(support)
+
+
+_INF = float("inf")
+
+
+@pytest.mark.parametrize("support", [
+    (_NAN, 1.0),
+    (_INF, 1.0),
+    (-_INF, 1.0),
+    (0, np.float64("nan")),
+    (np.float32("inf"), 2.0),
+    ((0.0, _NAN), (1.0, 2.0)),
+    ((1, _INF), (1, 2)),
+    ((-_INF, 0.0),),
+    ((1.0,), (-_INF, 2.0)),  # ragged
+    (np.array([0.0, _NAN]), (1.0, 1.0)),
+    ("a", _INF),
+])
+def test_non_finite_support_points_rejected(support):
+    """A NaN or infinite coordinate is an InputError at construction, not a
+    NaN distance or an OverflowError downstream."""
+    with pytest.raises(InputError, match="support points must be finite"):
+        DiscreteMeasure(support, np.full(len(support), 1.0 / len(support)))
+
+
+def test_large_ints_and_non_numeric_points_are_finite():
+    for support in ((2**70, 2**70 + 1), (("a", 1), ("b", 2)), (1j, 2j), ((2**80, 0.5), (1, 0.5))):
+        assert len(DiscreteMeasure(support, [0.5, 0.5])) == 2
+
+
+def _matches_by_keys(support, other):
+    index = {_point_key(q): j for j, q in enumerate(other)}
+    return [index.get(_point_key(p), -1) for p in support]
+
+
+@pytest.mark.parametrize("support, other", [
+    ((1, 2, 3), (3.0, 1.0)),
+    ((0.0, 1.5), (-0.0, 2.5)),
+    ((2**53 + 1, 5), (float(2**53), 5)),  # float conversion would merge them
+    ((2**53, 7), (2**53 + 1, 7.0)),
+    ((-(2**53) - 1,), (float(-(2**53)),)),
+    (((2**53 + 1, 0.5), (1, 2.0)), ((float(2**53), 0.5), (1.0, 2))),
+    ((np.uint64(2**63 + 1), 3), (np.int64(3), np.int64(-1))),
+    ((2**70, 1), (2**70, 1)),
+    (((1, 2), (3, 4)), ((3, 4), (1, 2), (5, 6))),
+    (((1.0,), (2.0,)), (1.0, 2.0)),  # a 1-tuple is not its coordinate
+    (((1, 2), (3, 4)), ((1, 2, 3),)),
+    (((1, 2), (3,)), ((3,), (1, 2))),  # ragged
+    (("a", "b"), ("b", "c")),
+    ((1e300, -1e300), (-1e300, 0.0)),
+    ((np.array([1.0, 2.0]), (3.0, 4.0)), ((3, 4), (1, 2))),
+])
+def test_matches_follow_point_key_equality(support, other):
+    assert _matches(support, other).tolist() == _matches_by_keys(support, other)
+
+
+def _kl_by_keys(nu, mu):
+    """The dict loop: one term per atom of nu with positive weight."""
+    mu_w = mu.as_dict()
+    terms = []
+    for p, w in zip(nu.support, nu.weights):
+        if w == 0.0:
+            continue
+        m = mu_w.get(_point_key(p), 0.0)
+        if m == 0.0:
+            return math.inf
+        terms.append(w * math.log(w / m))
+    return max(math.fsum(terms), 0.0)
+
+
+def _tv_by_keys(a, b):
+    a, b = a.as_dict(), b.as_dict()
+    return 0.5 * math.fsum(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in set(a) | set(b))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=60),
+       st.sampled_from(["int", "float", "mixed", "pairs", "big"]), st.integers(min_value=0, max_value=3),
+       st.integers(min_value=0, max_value=10_000))
+def test_aligned_kl_and_tv_are_the_key_loops_bit_for_bit(n, m, kind, zeros, seed):
+    """Supports drawn from one small pool, so they share atoms: the sorted
+    alignment gives the matches, KL and TV of the key dicts, bit for bit."""
+    rng = np.random.default_rng(seed)
+    if kind == "pairs":
+        pool = [(int(i), float(j) / 2) for i, j in rng.integers(-4, 4, size=(40, 2))]
+    elif kind == "big":  # ints beyond 2**53 beside their float neighbours
+        pool = [2**53 + int(k) for k in range(-6, 6)] + [float(2**53 + 2 * k) for k in range(-6, 6)]
+    else:
+        pool = rng.integers(-20, 20, size=40).tolist()
+        if kind != "int":
+            pool = [float(v) / 2 if kind == "float" or i % 2 else v for i, v in enumerate(pool)]
+    keys = {}
+    for p in pool:
+        keys.setdefault(_point_key(p), p)
+    pool = list(keys.values())
+
+    def measure(k):
+        support = [pool[i] for i in rng.choice(len(pool), min(k, len(pool)), replace=False)]
+        w = rng.dirichlet(np.ones(len(support)))
+        w[rng.choice(len(w), min(zeros, len(w) - 1), replace=False)] = 0.0
+        return DiscreteMeasure(tuple(support), w / w.sum())
+
+    nu, mu = measure(n), measure(m)
+    assert _matches(nu.support, mu.support).tolist() == _matches_by_keys(nu.support, mu.support)
+    for a, b in ((nu, mu), (mu, nu), (nu, nu)):
+        kl = relative_entropy_discrete(a, b)
+        assert kl == _kl_by_keys(a, b) or (math.isinf(kl) and math.isinf(_kl_by_keys(a, b)))
+        assert a.total_variation(b) == _tv_by_keys(a, b)

@@ -27,7 +27,7 @@ from concentra import (
     wasserstein_gaussian_w2,
 )
 from concentra import transport
-from concentra.measures import _point_key
+from concentra.measures import _LabelLine, _point_key
 from concentra.transport import _TransportModel
 
 import oracles
@@ -485,3 +485,136 @@ def test_exhaustive_three_point_plans():
             best = min(best, float((plans[feasible] * d.ravel()).sum(axis=1).min()))
     lp = wasserstein_exact(mu, nu, 1.0)[0]
     assert lp <= best + 1e-9
+
+
+def _pseudo_metric(rng, k):
+    """A random metric on k points pulled back to k + 3 points by a map
+    that sends three extra points onto existing ones: distinct points at
+    distance 0, so rows and columns of the cost hold tied zeros."""
+    base = _random_metric(rng, k)
+    image = np.concatenate([np.arange(k), rng.integers(0, k, 3)])
+    return base[np.ix_(image, image)]
+
+
+def _w1_pair(rng, space, n, m, overlap, zeros):
+    """mu and nu on one pool of ``space`` points: nu equal to mu, on mu's
+    support in another order, on part of it, or off it."""
+    if space == "plane":
+        grid = rng.integers(0, 5, size=(80, 2)) / 2.0
+        pool = list(dict.fromkeys(map(tuple, grid.tolist())))
+        metric = None
+    elif space == "finite":
+        metric = FiniteMetricSpace(tuple(range(43)), _pseudo_metric(rng, 40))
+        pool = list(range(43))
+    else:  # labels with repeats: distinct states at distance 0
+        metric = _LabelLine(tuple(rng.integers(0, 12, 50) / 4.0))
+        pool = list(range(50))
+    idx = rng.permutation(len(pool))
+    n = min(n, len(pool) // 2)
+    m = min(m, len(pool) // 2)
+    rows = idx[:n]
+    cols = {"equal": rows, "full": rng.permutation(rows), "none": idx[len(pool) - m:],
+            "part": np.concatenate([rows[: (m + 1) // 2], idx[n: n + m // 2]])}[overlap]
+    mu = DiscreteMeasure(tuple(pool[i] for i in rows), _weights_with_zeros(rng, len(rows), zeros), space=metric)
+    w = mu.weights if overlap == "equal" else _weights_with_zeros(rng, len(cols), zeros)
+    nu = DiscreteMeasure(tuple(pool[i] for i in cols), w, space=metric)
+    return mu, nu
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(["finite", "plane", "labels"]),
+    st.integers(min_value=1, max_value=20),
+    st.integers(min_value=1, max_value=20),
+    st.sampled_from(["equal", "full", "part", "none"]),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=10_000),
+)
+@example("finite", 20, 20, "full", 0, 0)
+@example("labels", 20, 20, "part", 3, 1)
+@example("plane", 1, 1, "equal", 0, 2)
+def test_w1_with_shared_mass_kept_matches_the_full_lp_and_its_dual(space, n, m, overlap, zeros, seed):
+    """At s = 1 the mass left in place plus the reduced LP give the optimum
+    of the LP over every cell, with a plan on the full marginals; the
+    Kantorovich-Rubinstein value and potential match the primal and the
+    dual LP over every pair of points, and the potential is 1-Lipschitz."""
+    rng = np.random.default_rng(seed)
+    mu, nu = _w1_pair(rng, space, n, m, overlap, zeros)
+    cost = transport.cost_matrix(mu, nu, 1.0)
+    value, plan = wasserstein_exact(mu, nu, 1.0)
+    want, _ = oracles.all_cells_transport_lp(cost, mu.weights, nu.weights)
+    assert value == pytest.approx(want, rel=1e-12, abs=1e-12)
+    plan.validate(cost)
+    assert plan.cost == value
+    dual, potential = kantorovich_dual_w1(mu, nu)
+    points = list(dict.fromkeys(map(_point_key, mu.support + nu.support)))
+    assert list(potential) == points and potential[points[0]] == 0.0
+    # one row per joint point, in the potential's order
+    first = {}
+    for p in mu.support + nu.support:
+        first.setdefault(_point_key(p), p)
+    joint = [first[k] for k in points]
+    dist = mu.resolved_space().pairwise(joint, joint)
+    c = np.zeros(len(points))
+    np.add.at(c, [points.index(_point_key(p)) for p in mu.support], mu.weights)
+    np.add.at(c, [points.index(_point_key(p)) for p in nu.support], -nu.weights)
+    oracle, _ = oracles.kantorovich_dual_lp(dist, c)
+    assert dual == pytest.approx(value, abs=1e-9)
+    assert dual == pytest.approx(oracle, abs=1e-9)
+    f = np.array([potential[k] for k in points])
+    assert np.all(np.abs(f[:, None] - f[None, :]) <= dist + 1e-9)
+
+
+def test_shared_mass_moves_at_order_two():
+    """1/2 d0 + 1/2 d1 against 1/2 d1 + 1/2 d2: keeping the shared atom in
+    place costs 2, shifting all mass by 1 costs 1, so W_2 is 1 (and W_1 is
+    1 either way)."""
+    line = FiniteMetricSpace((0, 1, 2), np.abs(np.subtract.outer([0.0, 1.0, 2.0], [0.0, 1.0, 2.0])))
+    pairs = [
+        (DiscreteMeasure((0, 1), [0.5, 0.5], space=line), DiscreteMeasure((1, 2), [0.5, 0.5], space=line)),
+        (DiscreteMeasure(((0.0,), (1.0,)), [0.5, 0.5]), DiscreteMeasure(((1.0,), (2.0,)), [0.5, 0.5])),
+    ]
+    for mu, nu in pairs:
+        for s in (1.0, 2.0):
+            cost = transport.cost_matrix(mu, nu, s)
+            want, _ = oracles.all_cells_transport_lp(cost, mu.weights, nu.weights)
+            value, plan = wasserstein_exact(mu, nu, s)
+            plan.validate(cost)
+            assert want == pytest.approx(1.0, abs=1e-12)
+            assert value == pytest.approx(want ** (1.0 / s), rel=1e-12)
+
+
+def test_no_route_reaches_linprog(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("linprog reached")
+
+    monkeypatch.setattr(transport, "linprog", refuse)
+    rng = np.random.default_rng(8)
+    for space in ("finite", "plane", "labels"):
+        mu, nu = _w1_pair(rng, space, 12, 10, "part", 1)
+        for s in (1.0, 1.5, 2.0):
+            wasserstein_exact(mu, nu, s)
+        kantorovich_dual_w1(mu, nu)
+    line = DiscreteMeasure((0.0, 1.0, 3.0), [0.2, 0.3, 0.5])
+    wasserstein_exact(line, DiscreteMeasure((1.0, 2.0), [0.5, 0.5]), 1.0)
+
+
+def test_w1_logs_one_reduction_line(caplog):
+    """One line per W1 solve: atoms kept in place, the mass kept and the
+    reduced LP's shape; with no mass left to move no LP runs."""
+    rng = np.random.default_rng(2)
+    p = [tuple(v) for v in rng.normal(size=(8, 2)).tolist()]
+    mu = DiscreteMeasure(tuple(p[:6]), [0.1, 0.2, 0.3, 0.1, 0.2, 0.1])
+    nu = DiscreteMeasure(tuple(p[3:]), [0.3, 0.1, 0.05, 0.15, 0.4])
+    with caplog.at_level(logging.DEBUG, logger="concentra.transport"):
+        wasserstein_exact(mu, nu, 1.0)
+    lines = [r.getMessage() for r in caplog.records if r.name == "concentra.transport"]
+    assert len(lines) == 2 and lines[1].startswith("transport LP 5x3: ")
+    # p[3], p[4], p[5] are shared; rows 0, 1, 2, 4, 5 and columns 0, 3, 4 keep mass
+    mass = math.fsum([0.1, 0.1, 0.05])
+    assert lines[0] == f"W1 reduction 6x5: 3 atoms kept in place, mass {mass:.17g} kept, reduced LP 5x3"
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="concentra.transport"):
+        kantorovich_dual_w1(mu, mu)
+    (line,) = [r.getMessage() for r in caplog.records if r.name == "concentra.transport"]
+    assert line == "W1 reduction 6x6: 6 atoms kept in place, mass 1 kept, reduced LP 0x0"
