@@ -15,6 +15,7 @@ from .constants import (
     RegimeConstant,
     arma_lsi_alpha,
     contraction_noise_alpha,
+    gaussian_sharp_alpha,
     gc_markov_kappa,
     gc_weak_kappa,
     gc_weak_kappa_general,

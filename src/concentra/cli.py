@@ -24,6 +24,7 @@ import sys
 import time
 
 import numpy as np
+import orjson
 from scipy.special import chdtri, ndtri
 
 from . import certify, constants, coupling, jsonio
@@ -59,36 +60,54 @@ def _load_json(arg: str) -> dict:
         return json.load(fh)
 
 
-def _emit(payload: dict, args, table=None, header=None) -> None:
-    """Write results as one line of compact JSON (default), or as CSV with
-    the config echoed.
+def _array_json(a: np.ndarray) -> bytes:
+    """``a`` as compact JSON: float64 cells in the shortest digits that
+    round-trip (Ryu-style, from orjson's C writer), integer cells as ``%d``.
+    orjson writes NaN and +-inf as ``null``, so ``a`` must be finite."""
+    return orjson.dumps(np.ascontiguousarray(a), option=orjson.OPT_SERIALIZE_NUMPY)
 
-    A CSV ``table`` is an ndarray, formatted by one ``%`` template per row
-    built from its dtype (``%d`` for integer states, ``%.17g`` for floats),
-    or a sequence of tuple rows whose floats take ``%.17g`` and whose other
-    cells take ``str``. Both give exactly the text of ``_fmt`` per cell.
+
+def _emit(payload: dict, args, table=None, header=None) -> None:
+    """Write results as one line of JSON with sorted keys (default), or as
+    CSV with the config echoed in a leading ``#`` line.
+
+    JSON: every top-level ndarray value is written by ``_array_json``; every
+    other value by ``json.dumps(..., sort_keys=True)``, whose ``NaN`` and
+    ``Infinity`` literals orjson cannot write.
+
+    CSV: an ndarray ``table`` is ``_array_json``'s text with one row per
+    line; a sequence of tuple rows writes floats as ``%.17g`` (``_fmt``)
+    and every other cell as ``str``.
     """
     t0 = time.perf_counter()
     if args.format == "csv" and table is not None:
-        lines = ["# " + json.dumps(payload.get("config", {}), sort_keys=True), ",".join(header)]
+        config = json.dumps(payload.get("config", {}), sort_keys=True)
+        chunks = ["# " + config + "\n" + ",".join(header) + "\n"]
         if isinstance(table, np.ndarray):
-            template = ",".join(["%d" if table.dtype.kind in "iu" else "%.17g"] * table.shape[1])
-            lines += [template % tuple(row) for row in table.tolist()]
+            # [[a,b],[c,d]] -> a,b\nc,d\n
+            chunks += [memoryview(_array_json(table).replace(b"],[", b"\n"))[2:-2], "\n"]
         else:
-            lines += [",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) for row in table]
-        lines.append("")
-        text, rows = "\n".join(lines), len(table)
+            chunks += [",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n"
+                       for row in table]
+        rows = len(table)
     else:
-        # dumps without indent is the only route onto the C encoder
-        text, rows = json.dumps(payload, sort_keys=True) + "\n", 1
+        chunks = []
+        for key in sorted(payload):
+            value = payload[key]
+            chunks.append(("{" if not chunks else ", ") + json.dumps(key) + ": ")
+            chunks.append(_array_json(value) if isinstance(value, np.ndarray)
+                          else json.dumps(value, sort_keys=True))
+        chunks.append("}\n")
+        rows = 1
+    data = b"".join(c.encode() if isinstance(c, str) else c for c in chunks)
     if args.out:
-        with open(args.out, "w") as out:
-            out.write(text)
+        with open(args.out, "wb") as out:
+            out.write(data)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(data.decode())
     if log.isEnabledFor(logging.DEBUG):
         log.debug("emit %s: %d rows, %d bytes, %.1f ms", args.format, rows,
-                  len(text.encode()), 1e3 * (time.perf_counter() - t0))
+                  len(data), 1e3 * (time.perf_counter() - t0))
 
 
 def _config(args, keys) -> dict:
@@ -226,11 +245,16 @@ def _cmd_certify(args) -> int:
 
 def _cmd_simulate(args) -> int:
     model = jsonio.model_from_json(_load_json(args.model))
-    paths = simulate_joint(model, args.n, args.samples, seed=args.seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        paths = simulate_joint(model, args.n, args.samples, seed=args.seed)
     flat = paths.values.reshape(paths.n_paths, -1)
+    bad = np.flatnonzero(~np.isfinite(flat).all(axis=0))  # columns are (step, coordinate)
+    if bad.size:
+        raise InputError(f"the simulated chain overflows: step {bad[0] * args.n // flat.shape[1] + 1} "
+                         f"of {args.n} has a non-finite value")
     config = _config(args, ("model", "n", "samples", "seed"))
     if args.format == "json":
-        _emit({"config": config, "paths": flat.tolist()}, args)
+        _emit({"config": config, "paths": flat}, args)
     else:
         _emit({"config": config}, args, flat, tuple(f"x{k}" for k in range(flat.shape[1])))
     return EXIT_PASS
@@ -323,10 +347,11 @@ def _cmd_verify_arma(args) -> int:
     alpha = constants.arma_lsi_alpha(A, B)
     model = ARMAModel(A, B)
     # horizon k's law is the leading km x km block of horizon n's
-    sigma, m = gaussian_chain_joint(model, args.n).cov, model.dim
+    joint, m = gaussian_chain_joint(model, args.n), model.dim
     checks = []
     for k in range(1, args.n + 1):
-        exact = 1.0 / float(np.max(np.linalg.eigvalsh(sigma[: k * m, : k * m])))
+        block = GaussianMeasure(joint.mean[: k * m], joint.cov[: k * m, : k * m])
+        exact = constants.gaussian_sharp_alpha(block)
         checks.append({
             "n": k,
             "alpha": alpha,

@@ -28,6 +28,7 @@ from itertools import chain, islice
 import numpy as np
 
 from .errors import InputError
+from .measures import GaussianMeasure
 
 _E = math.e
 
@@ -413,6 +414,16 @@ def arma_lsi_alpha(A, B, tol: float = 1e-15, max_terms: int = 100000) -> float:
                 break
     series = math.fsum(terms)
     return ((1.0 - math.sqrt(rho)) / max(1.0, norm_b)) ** 2 * series ** (-2.0)
+
+
+@_finite
+def gaussian_sharp_alpha(mu: GaussianMeasure) -> float:
+    """Sharp T_2 and log-Sobolev constant 1 / lambda_max(cov) of a Gaussian
+    law (Talagrand 1996; Bakry-Emery): the largest alpha for which N(m, cov)
+    satisfies either inequality, so the oracle every constant for a
+    Gaussian chain's joint law must stay under. A point mass (zero
+    covariance) satisfies both with every alpha and raises ``InputError``."""
+    return 1.0 / float(np.max(np.linalg.eigvalsh(mu.cov)))
 
 
 @_finite

@@ -1,13 +1,18 @@
 import argparse
+import contextlib
 import inspect
+import io
 import json
 import logging
 import math
 import os
+import re
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import chdtri, ndtri
 from scipy.stats import binom
 
@@ -192,28 +197,131 @@ def test_simulate_json_and_csv_give_the_same_paths(capsys, model):
 
 
 def _per_cell_csv(config, header, rows):
-    """CSV by the per-cell rule: floats as %.17g, every other cell as str."""
+    """CSV of tuple rows by the per-cell rule: floats as %.17g, every other
+    cell as str."""
     lines = ["# " + json.dumps(config, sort_keys=True), ",".join(header)]
     lines += [",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("model", [
+_FLOAT_CELL = re.compile(r"-?[0-9]+(\.[0-9]+)?(e-?[0-9]+)?")
+
+
+def _significant_digits(text):
+    """The digit string of a decimal literal, without sign, point, exponent
+    or leading and trailing zeros: '1' for 1e-05, 0.00001 and 1e16."""
+    return text.split("e")[0].lstrip("-").replace(".", "").strip("0")
+
+
+def _assert_shortest_cell(cell, v):
+    """A float cell is a plain JSON number that parses to v's exact bits and
+    has the significant digits of repr(v), the shortest that round-trip."""
+    assert _FLOAT_CELL.fullmatch(cell), cell
+    assert float(cell).hex() == float(v).hex(), (cell, v)
+    assert _significant_digits(cell) == _significant_digits(repr(float(v))), (cell, v)
+
+
+def _assert_path_csv(out, config, values):
+    """The CSV bytes of a path table: the config echo, the x<k> header, then
+    one line per path, integer states as %d and floats as shortest cells."""
+    lines = out.split("\n")
+    assert lines[0] == "# " + json.dumps(config, sort_keys=True)
+    assert lines[1] == ",".join(f"x{k}" for k in range(values.shape[1]))
+    assert lines[-1] == "" and len(lines) == values.shape[0] + 3
+    for line, row in zip(lines[2:], values.tolist()):
+        cells = line.split(",")
+        assert len(cells) == len(row)
+        for cell, v in zip(cells, row):
+            if values.dtype.kind in "iu":
+                assert cell == "%d" % v
+            else:
+                _assert_shortest_cell(cell, v)
+
+
+SIM_MODELS = [
     {"kind": "ou", "rho": 0.7, "tau": 0.4, "x0": -0.3},
     {"kind": "arma", "A": [[0.5, 0.1], [0.0, 0.4]], "B": [[1.0, 0.0], [0.3, 2.0]]},
     {"kind": "tabular", "init": [0.2, 0.3, 0.5],
      "transition": [[0.8, 0.1, 0.1], [0.2, 0.7, 0.1], [0.3, 0.3, 0.4]]},
     {"kind": "tabular", "init": [0.2, 0.3, 0.5],
      "transition": [[0.8, 0.1, 0.1], [0.2, 0.7, 0.1], [0.3, 0.3, 0.4]], "labels": [0.0, 0.7, 2.25]},
-])
+]
+
+
+@pytest.mark.parametrize("model", SIM_MODELS)
 def test_simulate_csv_bytes_match_per_cell_oracle(capsys, model):
     blob = json.dumps(model)
     code, out, _ = run(capsys, "simulate", "--model", blob, "--n", "6", "--samples", "50", "--seed", "5")
     assert code == 0
     values = simulate_joint(jsonio.model_from_json(model), 6, 50, seed=5).values.reshape(50, -1)
-    rows = [[float(v) for v in row] for row in values]
-    config = {"model": blob, "n": 6, "samples": 50, "seed": 5}
-    assert out == _per_cell_csv(config, [f"x{k}" for k in range(values.shape[1])], rows)
+    _assert_path_csv(out, {"model": blob, "n": 6, "samples": 50, "seed": 5}, values)
+
+
+@pytest.mark.parametrize("model", SIM_MODELS)
+def test_simulate_json_paths_are_the_simulated_values(capsys, model):
+    blob = json.dumps(model)
+    code, out, _ = run(capsys, "simulate", "--model", blob, "--n", "6", "--samples", "50", "--seed", "5",
+                       "--format", "json")
+    assert code == 0
+    values = simulate_joint(jsonio.model_from_json(model), 6, 50, seed=5).values.reshape(50, -1)
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert list(payload) == ["config", "paths"]
+    assert payload["config"] == {"model": blob, "n": 6, "samples": 50, "seed": 5}
+    assert _float_bits(payload["paths"]) == _float_bits(values.tolist())
+    assert out.endswith("\n") and out.count("\n") == 1
+
+
+# the layout boundaries of the shortest writer and of repr: 1e-05 / 0.0001
+# and 1e16 / 1e15, the extreme normals and subnormals, and signed zeros
+_EDGE_FLOATS = [0.0, -0.0, 1e-5, 9.999999999999999e-06, 1.0000000000000002e-05, 1e-4, 1e-7,
+                1e15, 9999999999999998.0, 1e16, 1.0000000000000002e16, 1e17, 0.1, 1.0 / 3.0,
+                5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+                1.7976931348623157e308, -1.7976931348623157e308, 123456789012345680.0]
+_FLOAT64 = st.integers(0, 2**64 - 1).map(lambda b: float(np.uint64(b).view(np.float64)))
+_CELLS = st.one_of(st.sampled_from(_EDGE_FLOATS), _FLOAT64.filter(math.isfinite))
+
+
+@st.composite
+def _tables(draw):
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        cells = draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=rows * cols, max_size=rows * cols))
+        return np.array(cells, dtype=np.int64).reshape(rows, cols)
+    cells = draw(st.lists(_CELLS, min_size=rows * cols, max_size=rows * cols))
+    return np.array(cells, dtype=float).reshape(rows, cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables())
+def test_path_table_writer_gives_shortest_round_trip_cells(table):
+    """JSON from the array writer parses to the table's exact values, and
+    the CSV table written through _emit holds the shortest digits."""
+    assert _float_bits(json.loads(cli._array_json(table))) == _float_bits(table.tolist())
+    view = table[::-1, ::-1]  # not C-contiguous
+    assert _float_bits(json.loads(cli._array_json(view))) == _float_bits(view.tolist())
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        _emit({"config": {"seed": 1}}, SimpleNamespace(format="csv", out=None), table,
+              tuple(f"x{k}" for k in range(table.shape[1])))
+    _assert_path_csv(buf.getvalue(), {"seed": 1}, table)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("model", [
+    {"kind": "arma", "A": [[1e200]], "B": [[1.0]]},
+    {"kind": "gaussian_kernel", "theta": 1e200, "sigma2": 1.0},
+])
+def test_simulate_overflow_is_an_input_error_before_any_output(capsys, tmp_path, model, fmt):
+    out_file = tmp_path / "paths.out"
+    argv = ("simulate", "--model", json.dumps(model), "--n", "4", "--samples", "2", "--format", fmt)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv, "--out", str(out_file))
+        assert code == 2 and out == ""
+        assert "step 3 of 4 has a non-finite value" in err
+        assert not out_file.exists()
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "step 3 of 4" in err
 
 
 # one invocation per `constants --formula` id

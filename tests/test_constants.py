@@ -8,9 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from concentra import (
+    GaussianKernelModel,
+    GaussianMeasure,
     InputError,
     arma_lsi_alpha,
     contraction_noise_alpha,
+    gaussian_chain_joint,
+    gaussian_sharp_alpha,
     gc_markov_kappa,
     gc_weak_kappa,
     gc_weak_kappa_general,
@@ -425,3 +429,21 @@ def test_ou_rejects_nonfinite_rho(rho):
 def test_regime_constant_str_and_float():
     rc = ts_markov_alpha(1.0, 0.5, 2.0, 3)
     assert float(rc) == rc.value
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, -0.9, 1.0, 1.5, 3.0])
+@pytest.mark.parametrize("sigma2, init_var", [(1.0, 1.0), (0.25, 2.0), (4.0, 0.5)])
+def test_gaussian_sharp_alpha_two_step_ar1_closed_form(theta, sigma2, init_var):
+    """The 2-step AR(1) joint covariance [[v, theta v], [theta v, theta^2 v + s2]]
+    has trace v (1 + theta^2) + s2 and determinant v s2."""
+    cov = gaussian_chain_joint(GaussianKernelModel(theta, sigma2, init_var=init_var), 2).cov
+    v = init_var
+    np.testing.assert_allclose(cov, [[v, theta * v], [theta * v, theta**2 * v + sigma2]], rtol=1e-14, atol=0)
+    tr, det = v * (1.0 + theta**2) + sigma2, v * sigma2
+    lam_max = (tr + math.sqrt(tr * tr - 4.0 * det)) / 2.0
+    assert gaussian_sharp_alpha(GaussianMeasure([0.0, 0.0], cov)) == pytest.approx(1.0 / lam_max, rel=1e-12)
+
+
+def test_gaussian_sharp_alpha_rejects_a_point_mass():
+    with pytest.raises(InputError):
+        gaussian_sharp_alpha(GaussianMeasure([1.0, 2.0], np.zeros((2, 2))))
