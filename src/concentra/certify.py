@@ -288,8 +288,12 @@ def _line_wasserstein(rows: np.ndarray, mu: DiscreteMeasure, s: float) -> np.nda
     order = np.argsort(x, kind="stable")
     i, j, mass = _northwest_corner(rows[:, order], mu.weights[order])
     xs = x[order]
-    gap = np.abs(xs[i] - xs[j])
-    return np.maximum(np.sum(mass * gap**s, axis=1), 0.0) ** (1.0 / s)
+    gap = xs[i]  # mass * |x_i - y_j|**s, formed in place
+    gap -= xs[j]
+    np.abs(gap, out=gap)
+    gap **= s
+    gap *= mass
+    return np.maximum(np.sum(gap, axis=1), 0.0) ** (1.0 / s)
 
 
 def _transport_terms(rows, off, mu: DiscreteMeasure, s: float) -> tuple[np.ndarray, np.ndarray]:

@@ -23,7 +23,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma, hyp1f1
 
 from .constants import ts_markov_alpha
 from .entropy import relative_entropy_discrete, relative_entropy_gaussian
@@ -110,6 +109,8 @@ def _abs_moment(m: float, v: float, s: float) -> float:
         return abs(m) ** s
     if s == 2.0:
         return m * m + v
+    from scipy.special import gamma, hyp1f1
+
     return float(
         v ** (s / 2) * 2 ** (s / 2) * gamma((s + 1) / 2) / math.sqrt(math.pi)
         * hyp1f1(-s / 2, 0.5, -m * m / (2 * v))
@@ -128,12 +129,13 @@ def _gaussian_bound(q: GaussianKernelModel, p: GaussianKernelModel, n: int, s: f
     """
     sq, sp = math.sqrt(q.sigma2), math.sqrt(p.sigma2)
     rq, rp = math.sqrt(q.init_var), math.sqrt(p.init_var)
+    b, r = np.array([[sq - sp], [sp]]), np.array([[rq - rp], [rp]])  # rank-one roots
     with np.errstate(over="ignore", invalid="ignore"):
         means, covs = _linear_moments(
             np.array([[q.theta, q.theta - p.theta], [0.0, p.theta]]),
-            np.array([[sq - sp], [sp]]),
+            b @ b.T,
             np.array([q.init_mean - p.init_mean, p.init_mean]),
-            np.array([[rq - rp], [rp]]),
+            r @ r.T,
             n,
         )
     try:

@@ -3,7 +3,8 @@
 Models are horizon-free descriptions (initial law plus kernel).
 Gaussian-kernel (so OU) and ARMA chains share one ``linear_form``,
 X_1 = mean1 + root1 Y_1 and X_{k+1} = A X_k + B Y_{k+1} with standard
-Gaussian Y: one moment recursion gives their joint laws (and the Gaussian
+Gaussian Y: one moment recursion, started from the variances as given
+(``linear_covariances``), gives their joint laws (and the Gaussian
 coupling's gap moments) and one sampler their paths. The estimators
 report sup-type hypothesis quantities over declared probe sets, so they
 are lower bounds on the true constants: the verification stance is "no
@@ -94,6 +95,11 @@ class GaussianKernelModel:
         return (np.array([[self.theta]]), np.array([[math.sqrt(self.sigma2)]]),
                 np.array([self.init_mean]), np.array([[math.sqrt(self.init_var)]]))
 
+    @property
+    def linear_covariances(self):
+        """(B B^T, root1 root1^T) of ``linear_form``, as given: (sigma2, init_var)."""
+        return np.array([[self.sigma2]]), np.array([[self.init_var]])
+
 
 @dataclass(frozen=True)
 class OUModel(GaussianKernelModel):
@@ -144,6 +150,11 @@ class ARMAModel:
         """(A, B, mean1, root1) with X_1 = Z_0 = mean1 + root1 Y_1: (A, B, 0, I)."""
         return self.A, self.B, np.zeros(self.dim), np.eye(self.dim)
 
+    @property
+    def linear_covariances(self):
+        """(B B^T, root1 root1^T) of ``linear_form``: (B B^T, I)."""
+        return self.B @ self.B.T, np.eye(self.dim)
+
 
 @dataclass(frozen=True)
 class ContractionNoiseModel:
@@ -187,20 +198,28 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def simulate_joint(model: MarkovModel, n: int, N: int, seed: int = 0) -> SamplePaths:
-    """Draw N independent length-n paths by sequential kernel sampling."""
+    """Draw N independent length-n paths by sequential kernel sampling.
+
+    Raises ``InputError`` naming the first step with a non-finite value
+    when a chain overflows."""
     if n < 1 or N < 1:
         raise InputError("n and N must be >= 1")
     rng = _rng(seed)
-    if isinstance(model, (GaussianKernelModel, ARMAModel)):
-        values = _simulate_linear(*model.linear_form, n, N, rng)
-        if isinstance(model, GaussianKernelModel):
-            values = values[..., 0]
-    elif isinstance(model, TabularModel):
-        values = _simulate_tabular(model, n, N, rng)
-    elif isinstance(model, ContractionNoiseModel):
-        values = _simulate_contraction(model, n, N, rng)
-    else:
-        raise InputError(f"unknown model {model!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(model, (GaussianKernelModel, ARMAModel)):
+            values = _simulate_linear(*model.linear_form, n, N, rng)
+            if isinstance(model, GaussianKernelModel):
+                values = values[..., 0]
+        elif isinstance(model, TabularModel):
+            values = _simulate_tabular(model, n, N, rng)
+        elif isinstance(model, ContractionNoiseModel):
+            values = _simulate_contraction(model, n, N, rng)
+        else:
+            raise InputError(f"unknown model {model!r}")
+    finite = np.isfinite(values).reshape(N, n, -1).all(axis=(0, 2))
+    if not finite.all():
+        raise InputError(f"the simulated chain overflows: step {np.argmin(finite) + 1} "
+                         f"of {n} has a non-finite value")
     return SamplePaths(values, int(seed), model)
 
 
@@ -390,11 +409,11 @@ def lambda_mgf_estimate(
     return best, witness
 
 
-def _linear_moments(A, B, mean1, root1, n: int):
-    """Means m_k and covariances S_k of X_1..X_n for X_1 = mean1 + root1 Y_1
-    and X_{k+1} = A X_k + B Y_{k+1}: m_{k+1} = A m_k, S_1 = root1 root1^T
-    and S_{k+1} = A S_k A^T + B B^T."""
-    means, covs, noise = [mean1], [root1 @ root1.T], B @ B.T
+def _linear_moments(A, noise, mean1, cov1, n: int):
+    """Means m_k and covariances S_k of X_1..X_n for X_1 ~ N(mean1, cov1)
+    and X_{k+1} = A X_k + W_{k+1} with independent W_{k+1} ~ N(0, noise):
+    m_{k+1} = A m_k, S_1 = cov1 and S_{k+1} = A S_k A^T + noise."""
+    means, covs = [mean1], [cov1]
     for _ in range(n - 1):
         means.append(A @ means[-1])
         covs.append(A @ covs[-1] @ A.T + noise)
@@ -409,8 +428,9 @@ def gaussian_chain_joint(model: GaussianKernelModel | ARMAModel, n: int) -> Gaus
         raise InputError(f"no Gaussian joint law for model kind {model.kind!r}")
     if n < 1:
         raise InputError("n must be >= 1")
-    A, B, mean1, root1 = model.linear_form
-    means, covs = _linear_moments(A, B, mean1, root1, n)
+    A, _, mean1, _ = model.linear_form
+    noise, cov1 = model.linear_covariances
+    means, covs = _linear_moments(A, noise, mean1, cov1, n)
     m = A.shape[0]
     out = np.zeros((n * m, n * m))
     for j in range(n):

@@ -28,27 +28,72 @@ c-transform of that reduced LP's column potentials.
 
 All routes are exact up to floating-point rounding and LP solver
 tolerance; there is no entropic approximation. No route calls
-``scipy.optimize.linprog``.
+``scipy.optimize.linprog``, and importing this module loads no SciPy
+subpackage: the HiGHS bindings are loaded from their extension file (see
+``_load_highs_core``), and the Gaussian square roots use NumPy's ``eigh``.
 """
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import logging
 import math
+import os
+import sys
 import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
-# unused here; kept bound because the bench tracer (bench/tracing.py) and its
-# contract test rebind ``transport.linprog``
-from scipy.optimize import linprog  # noqa: F401
-from scipy.optimize._highspy import _core as _highs  # private; shipped since SciPy 1.15
+import scipy
 
 from .errors import InputError, SolverError
 from .measures import DiscreteMeasure, GaussianMeasure, RealLine, _matches, _point_key
 
 PLAN_ATOL = 1e-10
 log = logging.getLogger(__name__)
+
+_HIGHS_CORE = "scipy.optimize._highspy._core"  # private; shipped since SciPy 1.15
+
+
+def _load_highs_core():
+    """SciPy's HiGHS bindings, loaded from their extension file.
+
+    ``from scipy.optimize._highspy import _core`` would first run the
+    ``scipy.optimize`` package, which loads ``scipy.linalg``,
+    ``scipy.special`` and more that no route here calls. The module is
+    registered under its real name, so a later ``scipy.optimize`` import
+    reuses it; an already imported one is reused here. If no file matches
+    an extension suffix, it falls back to the plain import.
+    """
+    if _HIGHS_CORE in sys.modules:
+        return sys.modules[_HIGHS_CORE]
+    folder = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_core" + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location(_HIGHS_CORE, path)
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[_HIGHS_CORE] = module
+            spec.loader.exec_module(module)
+            return module
+    from scipy.optimize._highspy import _core
+
+    return _core
+
+
+_highs = _load_highs_core()
+
+
+def __getattr__(name):
+    # ``linprog`` is no route's solver; the bench tracer and its contract
+    # test rebind ``transport.linprog``, so it is imported on first use and
+    # then kept as a module global
+    if name == "linprog":
+        from scipy.optimize import linprog
+
+        globals()["linprog"] = linprog
+        return linprog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -120,15 +165,21 @@ def _northwest_corner(w_rows: np.ndarray, w_col: np.ndarray):
     have zero mass.
     """
     nr, nc = w_rows.shape[1], w_col.size
-    cum_col = np.broadcast_to(np.cumsum(w_col), (len(w_rows), nc))
-    merged = np.concatenate([np.cumsum(w_rows, axis=1), cum_col], axis=1)
-    pos = np.argsort(merged, axis=1, kind="stable")
-    mass = np.diff(np.take_along_axis(merged, pos, axis=1), axis=1, prepend=0.0)
-    from_row = pos < nr
-    i = np.cumsum(from_row, axis=1) - from_row
+    merged = np.empty((len(w_rows), nr + nc))
+    np.cumsum(w_rows, axis=1, out=merged[:, :nr])
+    merged[:, nr:] = np.cumsum(w_col)
+    i = np.argsort(merged, axis=1, kind="stable")
+    mass = np.diff(np.take_along_axis(merged, i, axis=1), axis=1, prepend=0.0)
+    from_row = i < nr
+    # the permutation's buffer becomes i, the row breakpoints sorted before
+    # each piece: batched callers make one temporary fewer per block
+    np.cumsum(from_row, axis=1, out=i)
+    i -= from_row
     j = np.arange(nr + nc) - i
     # the two totals may differ in the last bits; the excess goes to the last atoms
-    return np.minimum(i, nr - 1), np.minimum(j, nc - 1), mass
+    np.minimum(i, nr - 1, out=i)
+    np.minimum(j, nc - 1, out=j)
+    return i, j, mass
 
 
 class _TransportModel:
@@ -332,7 +383,7 @@ def wasserstein_1d(mu: DiscreteMeasure, nu: DiscreteMeasure, s: float) -> float:
 
 
 def _psd_sqrt(a: np.ndarray) -> np.ndarray:
-    vals, vecs = eigh(a)
+    vals, vecs = np.linalg.eigh(a)
     vals = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(vals)) @ vecs.T
 

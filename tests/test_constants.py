@@ -438,7 +438,9 @@ def test_gaussian_sharp_alpha_two_step_ar1_closed_form(theta, sigma2, init_var):
     has trace v (1 + theta^2) + s2 and determinant v s2."""
     cov = gaussian_chain_joint(GaussianKernelModel(theta, sigma2, init_var=init_var), 2).cov
     v = init_var
-    np.testing.assert_allclose(cov, [[v, theta * v], [theta * v, theta**2 * v + sigma2]], rtol=1e-14, atol=0)
+    # v and theta v are exact: the variances enter as given, not as squared roots
+    assert cov[0, 0] == v and cov[0, 1] == cov[1, 0] == theta * v
+    assert cov[1, 1] == pytest.approx(theta**2 * v + sigma2, rel=1e-14, abs=0)
     tr, det = v * (1.0 + theta**2) + sigma2, v * sigma2
     lam_max = (tr + math.sqrt(tr * tr - 4.0 * det)) / 2.0
     assert gaussian_sharp_alpha(GaussianMeasure([0.0, 0.0], cov)) == pytest.approx(1.0 / lam_max, rel=1e-12)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -71,6 +72,15 @@ def test_simulation_is_reproducible_and_seed_sensitive():
     assert np.array_equal(a.values, b.values)
     assert not np.array_equal(a.values, c.values)
     assert a.n_paths == 100 and a.horizon == 4
+
+
+@pytest.mark.parametrize("model", [ARMAModel([[1e200]], [[1.0]]), GaussianKernelModel(1e200, 1.0)],
+                         ids=["arma", "gaussian_kernel"])
+def test_simulate_joint_raises_on_an_overflowing_chain(model):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no NumPy overflow warning on the way
+        with pytest.raises(InputError, match="step 3 of 4 has a non-finite value"):
+            simulate_joint(model, 4, 2)
 
 
 def test_gaussian_simulation_moments():
@@ -303,6 +313,15 @@ def test_gaussian_chain_joint_builds_expansive_chains(theta, n):
         for j in range(n):
             want = theta ** abs(i - j) * var[min(i, j)]
             assert cov[i, j] == pytest.approx(want, rel=1e-15, abs=0)
+
+
+def test_gaussian_chain_joint_takes_the_variances_as_given():
+    """S_1 = init_var and the noise sigma2 enter the moment recursion as
+    given; squaring their square roots back gave 2.0000000000000004."""
+    cov = gaussian_chain_joint(GaussianKernelModel(0.3, 0.25, init_var=2.0), 2).cov
+    assert cov[0][0] == 2.0 and cov[0][1] == cov[1][0] == 0.6
+    ou = OUModel(0.7, 0.3, 1.0)
+    assert gaussian_chain_joint(ou, 1).cov[0][0] == ou.sigma2
 
 
 def test_gaussian_chain_joint_mean_recursion():

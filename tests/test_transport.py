@@ -395,6 +395,47 @@ def test_gaussian_w2_oracle_values():
     assert wasserstein_gaussian_w2(a2, b2) == pytest.approx(hand, abs=1e-12)
 
 
+def _random_spd(rng, d):
+    g = rng.standard_normal((d, d))
+    return g @ g.T / d + 0.05 * np.eye(d)
+
+
+def test_gaussian_w2_matches_the_sqrtm_oracle():
+    """Random positive definite pairs up to dimension 20 against the trace
+    of SciPy's Schur-based sqrtm(s1 s2)."""
+    rng = np.random.default_rng(20)
+    for d in [1, 2, 3, 5, 8, 13, 20] * 4:
+        m1, m2 = rng.standard_normal(d), rng.standard_normal(d)
+        s1, s2 = _random_spd(rng, d), _random_spd(rng, d)
+        got = wasserstein_gaussian_w2(GaussianMeasure(m1, s1), GaussianMeasure(m2, s2))
+        assert got == pytest.approx(oracles.gaussian_w2_sqrtm(m1, s1, m2, s2), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("m1, v1, m2, v2", [
+    (0.0, 1.0, 0.0, 4.0), (1.5, 0.25, -2.0, 9.0), (-3.0, 1e-6, 2.0, 1e6), (0.0, 2.0, 1e-3, 3.0), (7.0, 5.0, 7.0, 0.5),
+])
+def test_gaussian_w2_one_dimensional_closed_form(m1, v1, m2, v2):
+    """W2^2 = (m1 - m2)^2 + (sigma1 - sigma2)^2 on the line."""
+    got = wasserstein_gaussian_w2(GaussianMeasure([m1], [[v1]]), GaussianMeasure([m2], [[v2]]))
+    want = math.sqrt((m1 - m2) ** 2 + (math.sqrt(v1) - math.sqrt(v2)) ** 2)
+    assert got == pytest.approx(want, rel=1e-13, abs=0)
+
+
+def test_gaussian_w2_commuting_covariances():
+    """Covariances diagonal in one orthonormal basis Q: W2^2 is
+    |m1 - m2|^2 + sum_i (sqrt(a_i) - sqrt(b_i))^2."""
+    rng = np.random.default_rng(21)
+    for d in (2, 4, 7, 12):
+        a, b = rng.uniform(0.1, 10.0, d), rng.uniform(0.1, 10.0, d)
+        m1, m2 = rng.standard_normal(d), rng.standard_normal(d)
+        want = math.sqrt(float(np.sum((m1 - m2) ** 2) + np.sum((np.sqrt(a) - np.sqrt(b)) ** 2)))
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        for basis in (np.eye(d), q):
+            s1, s2 = (basis * a) @ basis.T, (basis * b) @ basis.T
+            got = wasserstein_gaussian_w2(GaussianMeasure(m1, s1), GaussianMeasure(m2, s2))
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
 def test_gaussian_w2_is_zero_between_equal_laws():
     joint = gaussian_chain_joint(GaussianKernelModel(-0.7, 0.5, 0.0, 0.3), 2)
     assert wasserstein_gaussian_w2(joint, joint) == 0.0
