@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .entropy import relative_entropy_discrete
-from .errors import InputError
+from .errors import InputError, _check
 from .measures import DiscreteMeasure, RealLine, _point_key
 from .transport import _northwest_corner, _resolve_space, _TransportModel, wasserstein_exact
 
@@ -192,9 +192,8 @@ def check_gc(
     at once, a block of t values per ``_logsumexp``. The critical constant is
     max 2 (Lambda_f(t) - t E f - tol) / t^2 over members and t != 0 (or -inf).
     """
-    if kappa <= 0:
-        raise InputError("kappa must be positive")
     t_grid = default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
+    _check(kappa=kappa, t_grid=t_grid)
     if t_grid.size == 0:
         raise InputError("empty t grid")
     family = lipschitz_family(mu, family_size, seed)
@@ -343,10 +342,7 @@ def check_transport(
     transport LP per row. The critical constant is min 2 Ent / (W_s - tol)^2
     over scored members with W_s > tol (+inf if there is none).
     """
-    if alpha <= 0:
-        raise InputError("alpha must be positive")
-    if not (1.0 <= s <= 2.0):
-        raise InputError("order s must lie in [1, 2]")
+    _check(alpha=alpha, s=s)
     if perturbation_family is None:
         members = None
         rows = tilt_family(mu, seed)
@@ -444,14 +440,10 @@ def check_lsi_grid(
     density = np.asarray(density, dtype=float)
     if grid.ndim != 1 or grid.size < 3 or density.shape != grid.shape:
         raise InputError("grid and density must be matching 1-D arrays")
-    steps = np.diff(grid)
-    h = float(steps[0])
-    if np.max(np.abs(steps - h)) > 1e-9 * h:
+    _check(grid=grid, density=density, alpha=alpha)
+    h = float(grid[1] - grid[0])
+    if not _uniform(grid, h):
         raise InputError("grid must be uniform")
-    if np.any(density <= 0):
-        raise InputError("density must be strictly positive on the grid")
-    if alpha <= 0:
-        raise InputError("alpha must be positive")
     weights = density / density.sum()
     family = default_lsi_family(grid, seed) if test_functions is None else list(test_functions)
     if not family or any(np.shape(f) != grid.shape for f in family):
@@ -483,8 +475,14 @@ def check_lsi_grid(
     )
 
 
-def replay(cert: Certificate, mu=None, alpha=None, grid=None, density=None) -> float:
-    """Re-evaluate a certificate's witness; must reproduce worst_slack."""
+def _uniform(grid: np.ndarray, h: float) -> bool:
+    """Whether every step of ``grid`` is h to within 1e-9 h."""
+    return bool(np.all(np.abs(np.diff(grid) - h) <= 1e-9 * h))
+
+
+def replay(cert: Certificate, mu=None, grid=None, density=None) -> float:
+    """Re-evaluate a certificate's witness on ``mu`` (GC, T_s) or on a grid
+    with the certificate's spacing (LSI); must reproduce worst_slack."""
     if cert.inequality == GC:
         f = np.asarray(cert.witness["f_values"])
         slack = gc_slack(mu, cert.constant, f, cert.witness["t"])
@@ -498,7 +496,9 @@ def replay(cert: Certificate, mu=None, alpha=None, grid=None, density=None) -> f
         )
         slack = transport_slack(nu, mu, cert.constant, cert.order_s)
     elif cert.inequality == LSI:
-        weights = np.asarray(density, dtype=float)
+        grid, weights = np.asarray(grid, dtype=float), np.asarray(density, dtype=float)
+        if grid.ndim != 1 or grid.shape != weights.shape or not _uniform(grid, cert.grid_h):
+            raise InputError("grid must match the density and be uniform with the certificate's spacing")
         weights = weights / weights.sum()
         slack = lsi_slack(weights, np.asarray(cert.witness["f_values"]), cert.grid_h, cert.constant)
     else:
@@ -535,8 +535,7 @@ def check_bg_duality(mu: DiscreteMeasure, kappa: float, seed: int = 0) -> dict:
     The two are equivalent in principle; a disagreement here means one
     test family was too weak, not that a counterexample was found.
     """
-    if kappa <= 0:
-        raise InputError("kappa must be positive")
+    _check(kappa=kappa)
     gc_cert = check_gc(mu, kappa, seed=seed)
     t1_cert = check_transport(mu, 1.0 / kappa, 1.0, seed=seed)
     return {

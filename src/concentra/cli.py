@@ -71,8 +71,8 @@ def _emit(payload: dict, args, table=None, header=None) -> None:
     CSV with the config echoed in a leading ``#`` line.
 
     JSON: every top-level ndarray value is written by ``_array_json``; every
-    other value by ``json.dumps(..., sort_keys=True)``, whose ``NaN`` and
-    ``Infinity`` literals orjson cannot write.
+    other value (and CSV's config echo) by ``json.dumps(..., sort_keys=True,
+    allow_nan=False)``, so a non-finite float raises before anything is written.
 
     CSV: an ndarray ``table`` is ``_array_json``'s text with one row per
     line; a sequence of tuple rows writes floats as ``%.17g`` (``_fmt``)
@@ -80,7 +80,7 @@ def _emit(payload: dict, args, table=None, header=None) -> None:
     """
     t0 = time.perf_counter()
     if args.format == "csv" and table is not None:
-        config = json.dumps(payload.get("config", {}), sort_keys=True)
+        config = json.dumps(payload.get("config", {}), sort_keys=True, allow_nan=False)
         chunks = ["# " + config + "\n" + ",".join(header) + "\n"]
         if isinstance(table, np.ndarray):
             # [[a,b],[c,d]] -> a,b\nc,d\n
@@ -95,7 +95,7 @@ def _emit(payload: dict, args, table=None, header=None) -> None:
             value = payload[key]
             chunks.append(("{" if not chunks else ", ") + json.dumps(key) + ": ")
             chunks.append(_array_json(value) if isinstance(value, np.ndarray)
-                          else json.dumps(value, sort_keys=True))
+                          else json.dumps(value, sort_keys=True, allow_nan=False))
         chunks.append("}\n")
         rows = 1
     data = b"".join(c.encode() if isinstance(c, str) else c for c in chunks)
@@ -195,7 +195,7 @@ def _cmd_entropy(args) -> int:
         total = relative_entropy_gaussian(q, p)
     else:
         raise InputError("q and p must both be discrete or both Gaussian")
-    payload = {"total": total if math.isfinite(total) else "inf", "config": config}
+    payload = {"total": jsonio._num(total), "config": config}
     _emit(payload, args, [(total,)], ("total",))
     return EXIT_PASS
 
@@ -228,6 +228,8 @@ def _cmd_certify(args) -> int:
         raise InputError(f"unknown inequality {args.inequality!r}")
     payload = jsonio.certificate_to_json(cert)
     payload["config"] = config
+    _emit(payload, args, [(cert.verdict, cert.constant, cert.worst_slack)],
+          ("verdict", "constant", "worst_slack"))
     print(
         f"{cert.inequality} @ {_fmt(cert.constant)}: {cert.verdict} "
         f"(worst_slack={_fmt(cert.worst_slack)}, critical={_fmt(cert.critical)}, "
@@ -235,8 +237,6 @@ def _cmd_certify(args) -> int:
         f"witness_index={cert.witness.get('family_index')})",
         file=sys.stderr,
     )
-    _emit(payload, args, [(cert.verdict, cert.constant, cert.worst_slack)],
-          ("verdict", "constant", "worst_slack"))
     return EXIT_PASS if cert.passed else EXIT_FALSIFIED
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import reprlib
 import sys
 from dataclasses import dataclass
@@ -27,7 +26,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _check
 from .measures import GaussianMeasure
 
 _E = math.e
@@ -52,30 +51,6 @@ class RegimeConstant:
 
     def __float__(self):
         return float(self.value)
-
-
-_POSITIVE = frozenset({"kappa1", "alpha", "M", "epsilon", "tau", "tol"})
-_REAL = frozenset({"rho"})
-
-
-def _check(**params) -> None:
-    """Validate each input by its parameter name: ``n`` is an integer >= 1,
-    ``s`` lies in [1, 2], the names in ``_POSITIVE`` are finite and > 0,
-    those in ``_REAL`` are finite, and every other parameter is finite and
-    >= 0. NaN fails every rule."""
-    for name, v in params.items():
-        if name == "n":
-            ok, rule = isinstance(v, numbers.Integral) and v is not True and v >= 1, "an integer >= 1"
-        elif name == "s":
-            ok, rule = 1.0 <= v <= 2.0, "in [1, 2]"
-        elif name in _POSITIVE:
-            ok, rule = 0.0 < v < math.inf, "finite and > 0"
-        elif name in _REAL:
-            ok, rule = -math.inf < v < math.inf, "finite"
-        else:
-            ok, rule = 0.0 <= v < math.inf, "finite and >= 0"
-        if not ok:
-            raise InputError(f"{name} must be {rule}, got {v!r}")
 
 
 def _representable(out) -> bool:
@@ -259,8 +234,7 @@ def lsi_weak_alpha_general(
     kappa = np.zeros((n, n)) if kappa_matrix is None else np.asarray(kappa_matrix, dtype=float)
     if kappa.shape != (n, n):
         raise InputError(f"kappa matrix must be {n}x{n}")
-    if not np.all(kappa >= 0):  # NaN fails too
-        raise InputError("kappa entries must be nonnegative")
+    _check(kappa_matrix=kappa)
     # t_{n-1}, ..., t_1: t_j sums column n-1-j below the diagonal
     t = np.tril(kappa, -1).sum(axis=0)[:-1] / alpha
 
@@ -378,7 +352,7 @@ def arma_lsi_alpha(A, B, tol: float = 1e-15, max_terms: int = 100000) -> float:
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if A.shape[0] != A.shape[1] or A.shape != B.shape:
         raise InputError("A and B must be square matrices of equal size")
-    _check(tol=tol)
+    _check(A=A, B=B, tol=tol)
     rho = float(np.max(np.abs(np.linalg.eigvals(A))))
     norm_b = float(np.linalg.norm(B, 2))
     if rho >= 1.0:

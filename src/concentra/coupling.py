@@ -26,7 +26,7 @@ import numpy as np
 
 from .constants import ts_markov_alpha
 from .entropy import relative_entropy_discrete, relative_entropy_gaussian
-from .errors import InputError
+from .errors import InputError, _check
 from .measures import RealLine, _LabelLine
 from .processes import (
     GaussianKernelModel,
@@ -50,8 +50,7 @@ class CouplingBound:
     method: str
 
     def __post_init__(self):
-        if any(d < 0 for d in self.step_costs):
-            raise InputError("step costs must be nonnegative")
+        _check(step_costs=self.step_costs)
         total = math.fsum(self.step_costs)
         if abs(self.upper_bound**self.s - total) > 1e-10 * max(1.0, total):
             raise InputError("upper bound does not match the step costs")
@@ -159,10 +158,7 @@ def recursive_coupling_bound(p_model, q_model, n: int, s: float) -> CouplingBoun
     use the comonotone coupling, whose step costs are the exact
     closed-form moments of a Gaussian gap, in O(n).
     """
-    if n < 1:
-        raise InputError("n must be >= 1")
-    if not (1.0 <= s <= 2.0):
-        raise InputError("order s must lie in [1, 2]")
+    _check(n=n, s=s)
     t0 = time.perf_counter()
     if isinstance(p_model, TabularModel) and isinstance(q_model, TabularModel):
         bound = _tabular_bound(q_model, p_model, n, s)
@@ -182,7 +178,6 @@ def transport_inequality_audit(
     L_hyp: float,
     n: int,
     perturbations,
-    seed: int = 0,
     tol: float = 1e-9,
 ) -> dict:
     """Audit the order-s transport inequality for a chain's joint law.

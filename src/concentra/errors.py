@@ -1,4 +1,19 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one input check.
+
+``_check(**params)`` is the only place that decides whether a named
+parameter is in range; each entry point calls it once, by keyword, on its
+inputs. Rules apply elementwise to arrays, and NaN and +-inf fail every
+rule: the names in ``_COUNTS`` are integers >= 1 (not ``True``), those in
+``_ORDERS`` lie in [1, 2], those in ``_POSITIVE`` are finite and > 0, those
+in ``_REAL`` are finite, and every other name is finite and >= 0. It stays
+private, so tools that wrap a module's public functions leave it alone.
+"""
+from __future__ import annotations
+
+import math
+import numbers
+
+import numpy as np
 
 
 class InputError(ValueError):
@@ -7,3 +22,45 @@ class InputError(ValueError):
 
 class SolverError(RuntimeError):
     """An exact solver failed to converge; carries diagnostic detail."""
+
+
+_COUNTS = frozenset({"n", "N", "factors"})
+_ORDERS = frozenset({"s", "order"})
+_POSITIVE = frozenset({"kappa1", "alpha", "M", "epsilon", "tau", "tol", "kappa", "sigma2", "init_var", "density"})
+_REAL = frozenset({"rho", "theta", "init_mean", "A", "B", "mean", "cov", "t_grid", "grid"})
+# each rule's text and its elementwise test, which NaN fails
+_COUNT = ("an integer >= 1", lambda v: isinstance(v, numbers.Integral) and v is not True and v >= 1)
+_IN_ORDER = ("in [1, 2]", lambda v: (1.0 <= v) & (v <= 2.0))
+_FINITE_POSITIVE = ("finite and > 0", lambda v: (0.0 < v) & (v < math.inf))
+_FINITE = ("finite", lambda v: (-math.inf < v) & (v < math.inf))
+_FINITE_NONNEGATIVE = ("finite and >= 0", lambda v: (0.0 <= v) & (v < math.inf))
+
+
+def _rule(name: str):
+    if name in _COUNTS:
+        return _COUNT
+    if name in _ORDERS:
+        return _IN_ORDER
+    if name in _POSITIVE:
+        return _FINITE_POSITIVE
+    return _FINITE if name in _REAL else _FINITE_NONNEGATIVE
+
+
+def _check(**params) -> None:
+    """Raise ``InputError`` naming the first parameter that breaks its rule
+    and, in an array, its first bad entry."""
+    for name, v in params.items():
+        rule, holds = _rule(name)
+        if isinstance(v, numbers.Real):
+            if not holds(v):
+                raise InputError(f"{name} must be {rule}, got {v!r}")
+            continue
+        try:
+            a = np.atleast_1d(np.asarray(v, dtype=float))
+        except (TypeError, ValueError):
+            raise InputError(f"{name} must be real-valued") from None
+        ok = holds(a)
+        if not np.all(ok):
+            k = int(np.argmin(ok))
+            where = ", ".join(str(int(i)) for i in np.unravel_index(k, a.shape))
+            raise InputError(f"{name} must be {rule}, got {float(a.flat[k])!r} at {name}[{where}]")

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _check
 
 METRIC_ATOL = 1e-12
 WEIGHT_SLACK = 1e-9
@@ -93,10 +93,7 @@ class FiniteMetricSpace:
             raise InputError("labels and distance matrix size mismatch")
         if n > MAX_SUPPORT:
             raise InputError(f"space exceeds the {MAX_SUPPORT}-point cap")
-        if not np.all(np.isfinite(d)):
-            raise InputError("distances must be finite")
-        if np.any(d < 0):
-            raise InputError("distances must be nonnegative")
+        _check(dist=d)
         if np.any(np.abs(np.diag(d)) > 0):
             raise InputError("distance matrix diagonal must be exactly zero")
         if np.max(np.abs(d - d.T)) > METRIC_ATOL:
@@ -143,10 +140,7 @@ class ProductSpace:
     order: float = 1.0
 
     def __post_init__(self):
-        if self.factors < 1:
-            raise InputError("factor count must be >= 1")
-        if not (1.0 <= self.order <= 2.0):
-            raise InputError("product metric order must lie in [1, 2]")
+        _check(factors=self.factors, order=self.order)
 
     def distance(self, x, y) -> float:
         return product_distance(x, y, self.order, base=self.base)
@@ -177,6 +171,8 @@ def product_distance(x: Sequence, y: Sequence, s: float, base=REAL_LINE) -> floa
     """Order-s product metric between equal-length tuples of base points."""
     if len(x) != len(y):
         raise InputError(f"tuple length mismatch: {len(x)} vs {len(y)}")
+    # the order-s sum is a metric for every s >= 1; errors._check's rule for
+    # s is the [1, 2] of the W_s costs, so this one range check stays here
     if not (1.0 <= s < np.inf):
         raise InputError("order s must lie in [1, inf)")
     terms = [base.distance(a, b) ** s for a, b in zip(x, y)]
@@ -300,10 +296,7 @@ class DiscreteMeasure:
             raise InputError(f"support exceeds the {MAX_SUPPORT}-point cap")
         if w.shape != (len(support),):
             raise InputError("weights must match the support length")
-        if not np.all(np.isfinite(w)):
-            raise InputError("weights must be finite")
-        if np.any(w < 0):
-            raise InputError("weights must be nonnegative")
+        _check(weights=w)
         total = float(np.sum(w))
         if abs(total - 1.0) > WEIGHT_SLACK:
             raise InputError(f"weights sum to {total!r}, not 1")
@@ -352,6 +345,7 @@ class GaussianMeasure:
         c = np.atleast_2d(np.array(self.cov, dtype=float))
         if c.shape != (m.size, m.size):
             raise InputError("covariance shape must match the mean dimension")
+        _check(mean=m, cov=c)
         if np.max(np.abs(c - c.T)) > 1e-12:
             raise InputError("covariance must be symmetric")
         eig = np.linalg.eigvalsh((c + c.T) / 2)

@@ -20,7 +20,7 @@ import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
 from .constants import ou_kappa
-from .errors import InputError
+from .errors import InputError, _check
 from .measures import (MAX_SUPPORT, REAL_LINE, DiscreteMeasure, GaussianMeasure, ProductSpace,
                        _LabelLine)
 from .transport import wasserstein_1d
@@ -47,11 +47,10 @@ class TabularModel:
         trans = np.asarray(self.transition, dtype=float)
         if trans.shape != (init.size, init.size):
             raise InputError("transition matrix shape must match the initial vector")
-        for name, row in [("initial", init)] + [
-            (f"row {i}", trans[i]) for i in range(trans.shape[0])
-        ]:
-            if np.any(row < 0) or abs(row.sum() - 1.0) > PROB_ATOL:
-                raise InputError(f"{name} vector is not a probability vector")
+        rows = np.vstack([init, trans])  # NaN fails >= 0, and +inf the sum
+        bad = np.flatnonzero(~np.all(rows >= 0, axis=1) | (np.abs(rows.sum(axis=1) - 1.0) > PROB_ATOL))
+        if bad.size:
+            raise InputError(f"{'initial' if bad[0] == 0 else f'row {bad[0] - 1}'} vector is not a probability vector")
         object.__setattr__(self, "init", init)
         object.__setattr__(self, "transition", trans)
         if self.labels is not None:
@@ -81,12 +80,9 @@ class GaussianKernelModel:
     kind: str = field(default="gaussian_kernel", init=False)
 
     def __post_init__(self):
-        if self.sigma2 <= 0:
-            raise InputError("sigma2 must be positive")
         if self.init_var is None:
             object.__setattr__(self, "init_var", self.sigma2)
-        elif self.init_var <= 0:
-            raise InputError("init_var must be positive")
+        _check(theta=self.theta, sigma2=self.sigma2, init_mean=self.init_mean, init_var=self.init_var)
 
     @property
     def linear_form(self):
@@ -138,6 +134,7 @@ class ARMAModel:
         b = np.atleast_2d(np.asarray(self.B, dtype=float))
         if a.shape[0] != a.shape[1] or a.shape != b.shape:
             raise InputError("A and B must be square matrices of equal size")
+        _check(A=a, B=b)
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "B", b)
 
@@ -202,8 +199,7 @@ def simulate_joint(model: MarkovModel, n: int, N: int, seed: int = 0) -> SampleP
 
     Raises ``InputError`` naming the first step with a non-finite value
     when a chain overflows."""
-    if n < 1 or N < 1:
-        raise InputError("n and N must be >= 1")
+    _check(n=n, N=N)
     rng = _rng(seed)
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(model, (GaussianKernelModel, ARMAModel)):
@@ -348,8 +344,7 @@ def ms_estimate(
     Gauss-Hermite quadrature (with a doubling check against truncation);
     tabular kernels sum over states.
     """
-    if not (1.0 <= s <= 2.0):
-        raise InputError("order s must lie in [1, 2]")
+    _check(s=s)
     sp = math.inf if s == 1.0 else s / (s - 1.0)
     if probes is None:
         probes = [(-2.0,), (-1.0,), (0.0,), (1.0,), (2.0,)]
@@ -426,8 +421,7 @@ def gaussian_chain_joint(model: GaussianKernelModel | ARMAModel, n: int) -> Gaus
     for i >= j."""
     if not isinstance(model, (GaussianKernelModel, ARMAModel)):
         raise InputError(f"no Gaussian joint law for model kind {model.kind!r}")
-    if n < 1:
-        raise InputError("n must be >= 1")
+    _check(n=n)
     A, _, mean1, _ = model.linear_form
     noise, cov1 = model.linear_covariances
     means, covs = _linear_moments(A, noise, mean1, cov1, n)
@@ -446,6 +440,7 @@ def tabular_joint_law(model: TabularModel, n: int, s: float = 1.0) -> DiscreteMe
     """Joint law of a tabular chain on ``ProductSpace(model.state_space, n, s)``:
     the positive-probability paths as state-index tuples, in lexicographic
     order. Raises ``InputError`` once a step passes ``MAX_SUPPORT`` paths."""
+    _check(n=n, s=s)
     paths = np.flatnonzero(model.init > 0)[:, None]
     weights = model.init[paths[:, 0]]
     for _ in range(n - 1):

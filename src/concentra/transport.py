@@ -46,8 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from .errors import InputError, SolverError
-from .measures import DiscreteMeasure, GaussianMeasure, RealLine, _matches, _point_key
+from .errors import InputError, SolverError, _check
+from .measures import REAL_LINE, DiscreteMeasure, GaussianMeasure, RealLine, _matches, _point_key
 
 PLAN_ATOL = 1e-10
 log = logging.getLogger(__name__)
@@ -329,19 +329,6 @@ def _w1_transport(cost: np.ndarray, w_row: np.ndarray, w_col: np.ndarray):
     return raw, plan, model, cols
 
 
-def _monotone_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure):
-    """The monotone coupling of two real-line measures.
-
-    Returns the supports as float arrays and ``(rows, cols, mass)`` with
-    indices in input order.
-    """
-    x = np.asarray(mu.support, dtype=float)
-    y = np.asarray(nu.support, dtype=float)
-    ix, iy = np.argsort(x, kind="stable"), np.argsort(y, kind="stable")
-    i, j, mass = (a[0] for a in _northwest_corner(mu.weights[ix][None, :], nu.weights[iy]))
-    return x, y, ix[i], iy[j], mass
-
-
 def wasserstein_exact(
     mu: DiscreteMeasure, nu: DiscreteMeasure, s: float, space=None
 ) -> tuple[float, TransportPlan]:
@@ -354,13 +341,15 @@ def wasserstein_exact(
     distance (min cost to the power 1/s) and the dense plan, whose cost is
     ``fsum(plan * cost)``.
     """
-    if not (1.0 <= s <= 2.0):
-        raise InputError("order s must lie in [1, 2]")
+    _check(s=s)
     space = _resolve_space(mu, nu, space)
     if isinstance(space, RealLine):
-        x, y, rows, cols, mass = _monotone_coupling(mu, nu)
+        x = np.asarray(mu.support, dtype=float)
+        y = np.asarray(nu.support, dtype=float)
+        ix, iy = np.argsort(x, kind="stable"), np.argsort(y, kind="stable")
+        i, j, mass = (a[0] for a in _northwest_corner(mu.weights[ix][None, :], nu.weights[iy]))
         plan = np.zeros((len(mu), len(nu)))
-        np.add.at(plan, (rows, cols), mass)
+        np.add.at(plan, (ix[i], iy[j]), mass)
         # fsum is exact, so the nonzero cells alone give fsum(plan * cost)
         r, c = np.nonzero(plan)
         raw = math.fsum(plan[r, c] * np.abs(x[r] - y[c]) ** s)
@@ -374,12 +363,8 @@ def wasserstein_exact(
 
 
 def wasserstein_1d(mu: DiscreteMeasure, nu: DiscreteMeasure, s: float) -> float:
-    """W_s on the real line via the exact quantile-coupling formula."""
-    if not (1.0 <= s <= 2.0):
-        raise InputError("order s must lie in [1, 2]")
-    x, y, rows, cols, mass = _monotone_coupling(mu, nu)
-    total = math.fsum(mass * np.abs(x[rows] - y[cols]) ** s)
-    return float(max(total, 0.0) ** (1.0 / s))
+    """W_s on the real line by the quantile coupling: ``wasserstein_exact`` on ``REAL_LINE``."""
+    return wasserstein_exact(mu, nu, s, space=REAL_LINE)[0]
 
 
 def _psd_sqrt(a: np.ndarray) -> np.ndarray:

@@ -195,6 +195,18 @@ def test_check_lsi_gaussian_grid():
     assert slack == pytest.approx(bad.worst_slack, abs=1e-9)
 
 
+def test_replay_checks_the_grid_it_is_given():
+    grid = np.linspace(-6.0, 6.0, 601)
+    dens = np.exp(-(grid**2) / 2.0)
+    bad = check_lsi_grid(grid, dens, 1.5)
+    coarse = np.linspace(-6.0, 6.0, 301)
+    for other, density in [(2.0 * grid, dens), (coarse, np.exp(-(coarse**2) / 2.0)), (grid[:-1], dens),
+                           (np.where(grid == 0.0, math.nan, grid), dens), (None, dens)]:
+        with pytest.raises(InputError, match="grid"):
+            replay(bad, grid=other, density=density)
+    assert replay(bad, grid=grid + 1.0, density=dens) == pytest.approx(bad.worst_slack, abs=1e-9)
+
+
 def test_check_lsi_input_validation():
     grid = np.linspace(-1.0, 1.0, 11)
     with pytest.raises(InputError):

@@ -157,6 +157,24 @@ def test_certify_json_is_strict(capsys):
     assert "critical=inf" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("certify", "--inequality", "gc", "--constant", "nan", "--mu", TWO_POINT),
+    # s reaches no check at gc: the config echo is where it fails
+    ("certify", "--inequality", "gc", "--constant", "1", "--s", "nan", "--mu", TWO_POINT),
+    ("simulate", "--model", '{"kind": "tabular", "init": [0.5, 0.5], "transition": [[NaN, 0.5], [0.5, 0.5]]}',
+     "--n", "3", "--samples", "2"),
+    ("wasserstein", "--mu", '{"type": "gaussian", "mean": [0.0], "cov": [[NaN]]}',
+     "--nu", '{"type": "gaussian", "mean": [0.0], "cov": [[1.0]]}'),
+], ids=["certify-constant", "certify-s", "simulate-row", "wasserstein-cov"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_nonfinite_inputs_exit_2_with_nothing_written(capsys, tmp_path, argv, fmt):
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert code == 2 and out == "" and "error: " in err
+    target = tmp_path / "out"
+    code, out, _ = run(capsys, *argv, "--format", fmt, "--out", str(target))
+    assert code == 2 and out == "" and not target.exists()
+
+
 def test_certify_lsi_grid(capsys):
     grid = np.linspace(-6.0, 6.0, 301)
     dens = np.exp(-(grid**2) / 2.0)
@@ -473,7 +491,7 @@ def _float_bits(obj):
 
 def test_emit_json_is_one_line_with_the_indented_values(capsys):
     payload = {
-        "floats": [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1 + 0.2, np.float64(1.0 / 3.0)],
+        "floats": [-0.0, 5e-324, 1e308, 0.1 + 0.2, np.float64(1.0 / 3.0)],
         "nested": [[1.5, [2.5e-300, []]], {"b": -0.0, "a": "ç"}],
         "config": {"name": "κ₁ — ü", "seed": 3},
         "z": np.float64(-7.25e-17),
@@ -481,9 +499,15 @@ def test_emit_json_is_one_line_with_the_indented_values(capsys):
     _emit(payload, SimpleNamespace(format="json", out=None))
     out = capsys.readouterr().out
     assert out.endswith("\n") and out.count("\n") == 1
-    parsed = json.loads(out)
+    parsed = json.loads(out, parse_constant=_reject_constant)
     assert list(parsed) == sorted(payload)
     assert _float_bits(parsed) == _float_bits(json.loads(json.dumps(payload, indent=2, sort_keys=True)))
+    # output is strict JSON: a non-finite float is an error, and nothing is written
+    for bad in (math.nan, math.inf, -math.inf):
+        for fmt in ("json", "csv"):
+            with pytest.raises(ValueError):
+                _emit({"config": {"s": bad}, "z": [bad]}, SimpleNamespace(format=fmt, out=None), [(1.0,)], ("a",))
+            assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("fmt, rows", [("csv", 4), ("json", 1)])
@@ -627,7 +651,7 @@ def test_verify_arma_reads_each_horizon_from_one_joint_law(capsys):
 
 def test_verify_arma_rejects_an_empty_horizon(capsys):
     code, out, err = run(capsys, "verify-arma", "--A", "[[0.5]]", "--n", "0")
-    assert code == 2 and out == "" and "n must be >= 1" in err
+    assert code == 2 and out == "" and "n must be an integer >= 1" in err
 
 
 def test_emitted_json_round_trips_as_input(capsys, tmp_path):

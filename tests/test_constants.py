@@ -369,7 +369,7 @@ def test_input_validation():
     with pytest.raises(InputError):
         lsi_weak_alpha_general(1.0, -np.ones((2, 2)), 2)
     for eps in ("auto", 1.0):  # NaN coupling is not zero coupling
-        with pytest.raises(InputError, match="nonnegative"):
+        with pytest.raises(InputError, match="kappa_matrix must be finite and >= 0"):
             lsi_weak_alpha_general(1.0, [[0.0, 0.0], [math.nan, 0.0]], 2, epsilon=eps)
 
 
