@@ -31,7 +31,7 @@ import numpy as np
 
 from .entropy import relative_entropy_discrete
 from .errors import InputError, _check
-from .measures import DiscreteMeasure, RealLine, _point_key
+from .measures import DiscreteMeasure, RealLine, _matches
 from .transport import _northwest_corner, _resolve_space, _TransportModel, wasserstein_exact
 
 GC = "GC"
@@ -41,6 +41,7 @@ LSI = "LSI"
 SLACK_TOL = 1e-9
 REPLAY_TOL = 1e-9
 _BLOCK = 1 << 14  # floats per temporary array of a batched evaluation
+_LSI_BUMPS = 16  # random bump functions in default_lsi_family
 
 
 @dataclass(frozen=True)
@@ -255,17 +256,13 @@ def _member_rows(family: list, mu: DiscreteMeasure) -> tuple[np.ndarray, np.ndar
     zero-weight atom) scores -inf whatever its space; every other member
     must live on mu's space.
     """
-    index = {_point_key(p): i for i, p in enumerate(mu.support)}
     rows = np.zeros((len(family), len(mu)))
     off = np.zeros(len(family), dtype=bool)
     for r, nu in enumerate(family):
-        for p, w in zip(nu.support, nu.weights):
-            if w > 0:
-                i = index.get(_point_key(p))
-                if i is None:
-                    off[r] = True
-                else:
-                    rows[r, i] = w
+        index = _matches(nu.support, mu.support)
+        on, held = index >= 0, nu.weights > 0
+        off[r] = np.any(held & ~on)
+        rows[r, index[on & held]] = nu.weights[on & held]
     scored = ~off & np.all((rows == 0) | (mu.weights > 0), axis=1)
     for nu in itertools.compress(family, scored):
         _resolve_space(mu, nu, None)
@@ -400,14 +397,14 @@ def lsi_slack(weights: np.ndarray, f: np.ndarray, h: float, alpha: float) -> flo
     return 0.0 if m <= 0 else float(terms @ weights) - 2.0 / alpha * float(dirichlet)
 
 
-def default_lsi_family(grid: np.ndarray, seed: int = 0, bumps: int = 16) -> list[np.ndarray]:
+def default_lsi_family(grid: np.ndarray, seed: int = 0) -> list[np.ndarray]:
     x = grid
     family = [x, x**2, x**3, x**4, 1.0 + x, 1.0 + x + x**2]
     for t in (0.25, -0.25, 0.5, -0.5, 1.0, -1.0, 1.5, -1.5, 2.0, -2.0):
         family.append(np.exp(t * x / 2.0))
     rng = np.random.default_rng(seed)
     span = x[-1] - x[0]
-    for _ in range(bumps):
+    for _ in range(_LSI_BUMPS):
         k = rng.integers(1, 4)
         f = np.zeros_like(x)
         for _ in range(k):

@@ -4,10 +4,10 @@ Every function evaluates one of the closed-form constants for the joint
 law of a dependent process: Gaussian-concentration constants, transport
 constants for order-s costs with their contractive / critical / expansive
 regimes, and logarithmic Sobolev constants for Lipschitz-driven,
-ARMA-type and kernel-coupled chains. Geometric sums are exactly
-``terms`` at ratio 1, and switch from the closed form to direct summation
-when the ratio is otherwise within 1e-9 of 1, to avoid catastrophic
-cancellation at the regime boundary.
+ARMA-type and kernel-coupled chains. A geometric sum is exactly ``terms``
+at ratio 1, and elsewhere one closed form with no cancellation near 1 (see
+``geometric_sum``). The ARMA series stops with a certified tail bound, so
+its constant is never too large (see ``arma_lsi_alpha``).
 
 A sweep over many n costs O(max n): ``sweep`` (and ``gc_markov_kappas``,
 ``ou_kappas``) build the summed forms' per-m terms once, up to the largest
@@ -30,6 +30,9 @@ from .errors import InputError, _check
 from .measures import GaussianMeasure
 
 _E = math.e
+
+# the most terms arma_lsi_alpha sums before it certifies its tail
+_ARMA_MAX_TERMS = 100000
 
 CONTRACTIVE = "contractive"
 CRITICAL = "critical"
@@ -117,26 +120,21 @@ def _prefix_fsums(terms, ns) -> dict:
 
 
 def geometric_sum(ratio: float, terms: int) -> float:
-    """sum_{k=0}^{terms-1} ratio**k: exactly ``terms`` at ratio 1 (the
-    fsum of that many ones), the fsum of the powers elsewhere within 1e-9
-    of 1, else the closed form."""
+    """sum_{k=0}^{terms-1} ratio**k: exactly ``terms`` at ratio 1, else
+    (ratio**terms - 1) / (ratio - 1). For ratio > 0 the numerator is
+    expm1(terms log ratio), and ratio - 1 is exact near 1 (Sterbenz), so
+    the quotient does not cancel as the ratio nears 1."""
     if ratio == 1.0:
         return float(terms)
-    if abs(ratio - 1.0) <= 1e-9:
-        return math.fsum(ratio**k for k in range(terms))
+    if ratio > 0.0:
+        return math.expm1(terms * math.log(ratio)) / (ratio - 1.0)
     return (ratio**terms - 1.0) / (ratio - 1.0)
 
 
 def _squared_geometric_sums(ratio: float, ns) -> dict:
     """{n: fsum over m = 1..n of geometric_sum(ratio, m) ** 2} for every n
-    in ``ns``, in one pass over m <= max(ns); within 1e-9 of ratio 1 (but
-    not at it) the geometric sums are themselves the running fsums of the
-    powers."""
-    top = max(ns, default=0)
-    if ratio != 1.0 and abs(ratio - 1.0) <= 1e-9:
-        sums = _prefix_fsums((ratio**k for k in range(top)), range(1, top + 1)).values()
-    else:
-        sums = (geometric_sum(ratio, m) for m in range(1, top + 1))
+    in ``ns``, in one pass over m <= max(ns)."""
+    sums = (geometric_sum(ratio, m) for m in range(1, max(ns, default=0) + 1))
     return _prefix_fsums((g**2 for g in sums), ns)
 
 
@@ -339,20 +337,23 @@ def sweep(formula: str, params: dict, ns) -> list:
     return [fn(*(n if k == "n" else params[k] for k in names)) for n in ns]
 
 
-def arma_lsi_alpha(A, B, tol: float = 1e-15, max_terms: int = 100000) -> float:
+def arma_lsi_alpha(A, B) -> float:
     """n-independent log-Sobolev constant for Z_{j+1} = A Z_j + B Y_{j+1}
     with standard Gaussian noise and spectral radius rho(A) < 1.
 
     Evaluates ((1 - sqrt(rho)) / max(1, ||B||))^2 * S^(-2) with
-    S = sum_j rho^(-j) ||A^j||^2, summing until the geometric tail bound
-    (ratio estimated from consecutive terms, certified once it stabilizes
-    below 1) is under tol times the partial sum.
+    S = sum_j t_j, t_j = ||(A / sqrt(rho))^j||^2 = rho^(-j) ||A^j||^2.
+    Since t_{i+j} <= t_i t_j, any J with t_J < 1 bounds
+    S_J <= S <= S_J / (1 - t_J), S_J = sum_{j<J} t_j. The sum stops at the
+    first t_J <= 1e-15, or at J = ``_ARMA_MAX_TERMS``, and the constant is
+    built from the upper bound, so it never exceeds the exact one. If
+    t_J >= 1 still holds at the cap, ``InputError`` is raised.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if A.shape[0] != A.shape[1] or A.shape != B.shape:
         raise InputError("A and B must be square matrices of equal size")
-    _check(A=A, B=B, tol=tol)
+    _check(A=A, B=B)
     rho = float(np.max(np.abs(np.linalg.eigvals(A))))
     norm_b = float(np.linalg.norm(B, 2))
     if rho >= 1.0:
@@ -363,30 +364,21 @@ def arma_lsi_alpha(A, B, tol: float = 1e-15, max_terms: int = 100000) -> float:
                 "spectral radius 0 with a nonzero (nilpotent) A makes the series "
                 "rho^(-j) ||A^j||^2 ill-defined"
             )
-        series = 1.0  # only the j = 0 term survives
-        return (1.0 / max(1.0, norm_b)) ** 2 * series ** (-2.0)
-    terms = [1.0]
-    power = np.eye(A.shape[0])
-    prev_ratio = None
-    stable = 0
-    for _ in range(max_terms):
-        power = power @ A
-        term = float(np.linalg.norm(power, 2) ** 2) / rho ** len(terms)
-        ratio = term / terms[-1] if terms[-1] > 0 else 0.0
+        return (1.0 / max(1.0, norm_b)) ** 2  # only the j = 0 term, 1, survives
+    scaled = A / math.sqrt(rho)
+    terms, term, power = [], 1.0, np.eye(A.shape[0])
+    for _ in range(_ARMA_MAX_TERMS):
         terms.append(term)
-        if term == 0.0:
+        power = power @ scaled
+        term = float(np.linalg.svd(power, compute_uv=False)[0]) ** 2  # ||power||_2^2
+        if term <= 1e-15:
             break
-        if prev_ratio is not None and ratio < 1.0 and abs(ratio - prev_ratio) < 0.05 * (1 - ratio):
-            stable += 1
-        else:
-            stable = 0
-        prev_ratio = ratio
-        if stable >= 3:
-            partial = math.fsum(terms)
-            tail = term * ratio / (1.0 - ratio)
-            if tail < tol * partial:
-                break
-    series = math.fsum(terms)
+    if not term < 1.0:
+        raise InputError(
+            f"the ARMA series has no certified tail after {_ARMA_MAX_TERMS} terms: "
+            f"rho^(-J) ||A^J||^2 = {term:.6g} >= 1"
+        )
+    series = math.fsum(terms) / (1.0 - term)
     return ((1.0 - math.sqrt(rho)) / max(1.0, norm_b)) ** 2 * series ** (-2.0)
 
 

@@ -39,6 +39,8 @@ from .transport import _northwest_corner, _TransportModel, wasserstein_exact, wa
 
 log = logging.getLogger(__name__)
 
+_AUDIT_TOL = 1e-9  # the largest slack transport_inequality_audit passes
+
 
 @dataclass(frozen=True)
 class CouplingBound:
@@ -178,14 +180,14 @@ def transport_inequality_audit(
     L_hyp: float,
     n: int,
     perturbations,
-    tol: float = 1e-9,
 ) -> dict:
     """Audit the order-s transport inequality for a chain's joint law.
 
     For each perturbed chain Q the report carries the coupling upper
     bound, the exact distance when a closed form applies, the joint
     relative entropy, and the slack against sqrt(2 Ent / alpha_n) with
-    alpha_n derived from the declared hypothesis constants.
+    alpha_n derived from the declared hypothesis constants. The verdict
+    is "pass" when the worst slack is at most ``_AUDIT_TOL`` = 1e-9.
     """
     alpha_n = ts_markov_alpha(alpha_hyp, L_hyp, s, n).value
     gaussian = isinstance(p_model, GaussianKernelModel)
@@ -221,5 +223,5 @@ def transport_inequality_audit(
         "horizon": n,
         "entries": entries,
         "worst_slack": worst,
-        "verdict": "pass" if worst <= tol else "fail",
+        "verdict": "pass" if worst <= _AUDIT_TOL else "fail",
     }

@@ -26,6 +26,7 @@ from .measures import (MAX_SUPPORT, REAL_LINE, DiscreteMeasure, GaussianMeasure,
 from .transport import wasserstein_1d
 
 PROB_ATOL = 1e-12
+_QUADRATURE_ORDER = 64  # Gauss-Hermite nodes of a Gaussian kernel's law, doubled as a check
 
 
 @dataclass(frozen=True)
@@ -335,7 +336,6 @@ def ms_estimate(
     model: MarkovModel,
     s: float,
     probes: Sequence | None = None,
-    quadrature_order: int = 64,
 ) -> float:
     """sup over probed histories of int ||(du/dx_k)_k||^2_{l^s'} p(dy|x).
 
@@ -357,7 +357,7 @@ def ms_estimate(
             vals = [np.linalg.norm(np.atleast_1d(u_gradients(hist, y)), sp) ** 2 for y in ys]
             return float(np.dot(ws, vals))
 
-        lo, hi = integral(quadrature_order), integral(2 * quadrature_order)
+        lo, hi = integral(_QUADRATURE_ORDER), integral(2 * _QUADRATURE_ORDER)
         if abs(hi - lo) > 1e-6 * max(1.0, abs(hi)) and hi > 2.0 * lo:
             raise InputError("quadrature diverged across node doubling")
         sup = max(sup, hi)
@@ -369,7 +369,6 @@ def lambda_mgf_estimate(
     model: MarkovModel,
     s_grid: Sequence[float],
     probes: Sequence[float] | None = None,
-    quadrature_order: int = 64,
 ) -> tuple[float, dict]:
     """Least admissible sub-Gaussian parameter of the coupling MGF.
 
@@ -388,7 +387,7 @@ def lambda_mgf_estimate(
     best = 0.0
     witness = {"s": None, "x": None, "closed_form": False}
     for x in probes:
-        ys, ws = _kernel_nodes(model, x, quadrature_order)
+        ys, ws = _kernel_nodes(model, x, _QUADRATURE_ORDER)
         grads = np.array([float(np.atleast_1d(u_gradient((x,), y))[0]) for y in ys])
         for sv in map(float, s_grid):
             if sv == 0.0:

@@ -91,6 +91,21 @@ def oracle_contraction(alpha, L, n):
     return (L - 1.0) * alpha / (L**n * math.e * (n + 1))
 
 
+def oracle_arma_alpha(A, B):
+    """((1 - sqrt(rho)) / max(1, |B|))^2 / S^2 with S = sum_j rho^-j |A^j|^2
+    summed term by term, unscaled, until a term is below 1e-18 of the sum."""
+    rho = float(np.max(np.abs(np.linalg.eigvals(A))))
+    total, power, j = 1.0, np.eye(A.shape[0]), 0
+    while True:
+        j += 1
+        power = power @ A
+        term = float(np.linalg.norm(power, 2)) ** 2 / rho**j
+        total += term
+        if term < 1e-18 * total:
+            break
+    return ((1.0 - math.sqrt(rho)) / max(1.0, float(np.linalg.norm(B, 2)))) ** 2 / total**2
+
+
 def oracle_ou(rho, tau, n, x):
     theta = math.exp(-rho * tau)
     y = 2.0 * rho * tau

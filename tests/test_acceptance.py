@@ -54,7 +54,7 @@ def test_a1_ou_cross_identity():
         rho = -math.log(theta)
         for n in range(1, 21):
             out = ou_kappa(rho, 1.0, n)
-            direct = gc_markov_kappa(out["sigma2"], out["theta"], n)
+            direct = float(gaussian_chain_joint(OUModel(rho, 1.0), n).cov.sum())
             worst = max(worst, abs(out["kappa_n"] - direct) / abs(direct))
     elapsed = time.perf_counter() - t0
     _report(

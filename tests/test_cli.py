@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import chdtri, ndtri
 from scipy.stats import binom
 
-from concentra import ARMAModel, arma_lsi_alpha, cli, gaussian_chain_joint, jsonio, ou_kappa, simulate_joint
+from concentra import ARMAModel, InputError, OUModel, arma_lsi_alpha, cli, gaussian_chain_joint, jsonio, ou_kappa, simulate_joint
 from concentra.cli import _emit, _normal_sample_checks, build_parser, main
 from concentra.constants import FORMULAS
 
@@ -157,22 +157,37 @@ def test_certify_json_is_strict(capsys):
     assert "critical=inf" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ("certify", "--inequality", "gc", "--constant", "nan", "--mu", TWO_POINT),
-    # s reaches no check at gc: the config echo is where it fails
-    ("certify", "--inequality", "gc", "--constant", "1", "--s", "nan", "--mu", TWO_POINT),
-    ("simulate", "--model", '{"kind": "tabular", "init": [0.5, 0.5], "transition": [[NaN, 0.5], [0.5, 0.5]]}',
-     "--n", "3", "--samples", "2"),
-    ("wasserstein", "--mu", '{"type": "gaussian", "mean": [0.0], "cov": [[NaN]]}',
-     "--nu", '{"type": "gaussian", "mean": [0.0], "cov": [[1.0]]}'),
+@pytest.mark.parametrize("argv, named", [
+    (("certify", "--inequality", "gc", "--constant", "nan", "--mu", TWO_POINT), "error: "),
+    # s reaches no check at gc: the config echo is where it fails, by its key path
+    (("certify", "--inequality", "gc", "--constant", "1", "--s", "nan", "--mu", TWO_POINT),
+     "error: config.s is not finite"),
+    (("simulate", "--model", '{"kind": "tabular", "init": [0.5, 0.5], "transition": [[NaN, 0.5], [0.5, 0.5]]}',
+      "--n", "3", "--samples", "2"), "error: "),
+    (("wasserstein", "--mu", '{"type": "gaussian", "mean": [0.0], "cov": [[NaN]]}',
+      "--nu", '{"type": "gaussian", "mean": [0.0], "cov": [[1.0]]}'), "error: "),
 ], ids=["certify-constant", "certify-s", "simulate-row", "wasserstein-cov"])
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_nonfinite_inputs_exit_2_with_nothing_written(capsys, tmp_path, argv, fmt):
+def test_nonfinite_inputs_exit_2_with_nothing_written(capsys, tmp_path, argv, named, fmt):
     code, out, err = run(capsys, *argv, "--format", fmt)
-    assert code == 2 and out == "" and "error: " in err
+    assert code == 2 and out == "" and named in err
     target = tmp_path / "out"
     code, out, _ = run(capsys, *argv, "--format", fmt, "--out", str(target))
     assert code == 2 and out == "" and not target.exists()
+
+
+def test_certify_echoes_its_space(capsys):
+    """A finite-space run can be replayed from its own CSV: the # line
+    carries --space with the other inputs."""
+    space = json.dumps({"type": "finite", "labels": ["a", "b", "c"], "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]})
+    mu = json.dumps({"type": "discrete", "support": [0, 1, 2], "weights": [0.25, 0.5, 0.25]})
+    argv = ("certify", "--inequality", "gc", "--constant", "2", "--mu", mu, "--space", space)
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    config = json.loads(out.splitlines()[0].removeprefix("# "))
+    assert config["space"] == space and config["mu"] == mu
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["config"] == config
 
 
 def test_certify_lsi_grid(capsys):
@@ -502,12 +517,16 @@ def test_emit_json_is_one_line_with_the_indented_values(capsys):
     parsed = json.loads(out, parse_constant=_reject_constant)
     assert list(parsed) == sorted(payload)
     assert _float_bits(parsed) == _float_bits(json.loads(json.dumps(payload, indent=2, sort_keys=True)))
-    # output is strict JSON: a non-finite float is an error, and nothing is written
+    # output is strict JSON: a non-finite float is an error naming its key
+    # path, and nothing is written
     for bad in (math.nan, math.inf, -math.inf):
         for fmt in ("json", "csv"):
-            with pytest.raises(ValueError):
+            with pytest.raises(InputError, match=r"^config\.s is not finite"):
                 _emit({"config": {"s": bad}, "z": [bad]}, SimpleNamespace(format=fmt, out=None), [(1.0,)], ("a",))
             assert capsys.readouterr().out == ""
+    with pytest.raises(InputError, match=r"^checks\[1\]\.rel_error is not finite"):
+        _emit({"checks": [{"rel_error": 0.0}, {"pass": True, "rel_error": -math.inf}]},
+              SimpleNamespace(format="json", out=None))
 
 
 @pytest.mark.parametrize("fmt, rows", [("csv", 4), ("json", 1)])
@@ -573,6 +592,19 @@ def test_verify_ou_analytic_mode(capsys):
     assert payload["kappa_n"] == 1.0
     assert payload["sigma2"] == 1.0
     assert payload["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("rho, tau, n", [(1e-4, 0.01, 2), (0.7, 0.3, 40), (-0.05, 1.0, 300), (1e-9, 1.0, 400)])
+def test_verify_ou_cross_identity_is_an_independent_variance(capsys, rho, tau, n):
+    """The cross-identity compares kappa_n with Var(F_n) from the
+    covariance recursion of (X_k, F_k), a route that shares no code with
+    the geometric sums; near theta = 1 the closed form was 1.7e-11 off."""
+    code, out, _ = run(capsys, "verify-ou", "--rho", str(rho), "--tau", str(tau), "--n", str(n))
+    assert code == 0
+    (check,) = json.loads(out)["checks"]
+    assert check["check"] == "cross-identity" and check["pass"]
+    cov = gaussian_chain_joint(OUModel(rho, tau, 0.0), n).cov
+    assert check["direct"] == pytest.approx(cov.sum(), rel=1e-12, abs=0.0)
 
 
 def _strict_json(text):

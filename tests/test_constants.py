@@ -11,6 +11,7 @@ from concentra import (
     GaussianKernelModel,
     GaussianMeasure,
     InputError,
+    OUModel,
     arma_lsi_alpha,
     contraction_noise_alpha,
     gaussian_chain_joint,
@@ -27,9 +28,11 @@ from concentra import (
     ts_markov_alpha,
     ts_weak_alpha,
 )
+from concentra import constants
 from concentra.constants import FORMULAS, _prefix_fsums, geometric_sum, gc_markov_kappas, ou_kappas, sweep
 
 from oracles import (
+    oracle_arma_alpha,
     oracle_contraction,
     oracle_gc_general,
     oracle_gc_markov,
@@ -61,6 +64,38 @@ def test_geometric_sum_at_ratio_one_is_the_count_in_constant_time():
     assert geometric_sum(1.0, 7) == math.fsum(1.0 for _ in range(7))
 
 
+def _mp_geometric(mpmath, ratio, terms):
+    r = mpmath.mpf(ratio)
+    return terms if r == 1 else (r**terms - 1) / (r - 1)
+
+
+def test_geometric_sums_against_mpmath():
+    """geometric_sum within 2e-13 relative of 60-digit mpmath for ratios
+    near 1 on both sides, in [0, 3] and across four decades, t <= 2,000
+    short of overflow; gc_markov_kappa within 1e-14 for ratios within 0.1
+    of 1 and n <= 40. The closed form cancelled near ratio 1: 6.5e-9."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(7)
+    ratios = np.concatenate([
+        1.0 + rng.choice([-1.0, 1.0], 1000) * 10.0 ** rng.uniform(-15.0, -1.0, 1000),
+        rng.uniform(0.0, 3.0, 500),
+        10.0 ** rng.uniform(-3.0, 1.0, 500),
+    ])
+    worst = 0.0
+    with mpmath.workdps(60):
+        for ratio, terms in zip(ratios.tolist(), rng.integers(1, 2001, ratios.size).tolist()):
+            want = _mp_geometric(mpmath, ratio, terms)
+            if want > 1e300:
+                continue
+            worst = max(worst, float(abs(geometric_sum(ratio, terms) - want) / want))
+        assert worst <= 2e-13, worst
+        worst = 0.0
+        for ratio, n in zip((1.0 + rng.uniform(-0.1, 0.1, 300)).tolist(), rng.integers(1, 41, 300).tolist()):
+            want = mpmath.fsum(_mp_geometric(mpmath, ratio, m) ** 2 for m in range(1, n + 1))
+            worst = max(worst, float(abs(gc_markov_kappa(1.0, ratio, n) - want) / want))
+        assert worst <= 1e-14, worst
+
+
 _FINITE = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False, allow_infinity=False)
 
 
@@ -79,30 +114,22 @@ def test_prefix_fsums_are_fsum_of_each_prefix(terms, ns):
         assert got[n] == want and math.copysign(1.0, got[n]) == math.copysign(1.0, want)
 
 
-def _fsum_geometric(ratio, terms):
-    """The reference geometric sum: the fsum of the powers within 1e-9 of
-    ratio 1, ratio 1 included, else the closed form."""
-    if abs(ratio - 1.0) <= 1e-9:
-        return math.fsum(ratio**k for k in range(terms))
-    return (ratio**terms - 1.0) / (ratio - 1.0)
-
-
 @pytest.mark.parametrize("L", [0.0, 1e-12, 0.6, 1.0 - 1e-10, 1.0, 1.0 + 1e-10, 1.0 + 2e-9, 1.3])
 def test_gc_and_ou_sums_are_fsums_of_their_terms(L):
     """Every value of a sweep is the fsum of its per-m terms, bit for bit,
     for the per-n call and for the whole sweep: ratio exactly 1, within
-    1e-10 of it (the direct sums) and the closed-form regimes."""
+    1e-10 of it and far from it."""
     ns = list(range(1, 61)) + [200]
     sweep_values = gc_markov_kappas(1.5, L, ns)
     for n, got in zip(ns, sweep_values):
-        want = 1.5 * math.fsum(_fsum_geometric(L, m) ** 2 for m in range(1, n + 1))
+        want = 1.5 * math.fsum(geometric_sum(L, m) ** 2 for m in range(1, n + 1))
         assert got == want == gc_markov_kappa(1.5, L, n), n
     if L > 0.0:
         rho = -math.log(L)  # theta = exp(-rho) is L up to one rounding
         for n, out in zip(ns, ou_kappas(rho, 1.0, ns, 0.7)):
             theta = out["theta"]
             assert out == ou_kappa(rho, 1.0, n, 0.7)
-            assert out["kappa_n"] == out["sigma2"] * math.fsum(_fsum_geometric(theta, m) ** 2 for m in range(1, n + 1))
+            assert out["kappa_n"] == out["sigma2"] * math.fsum(geometric_sum(theta, m) ** 2 for m in range(1, n + 1))
             assert out["mean_Fn"] == 0.7 * math.fsum(theta**i for i in range(1, n + 1))
 
 
@@ -290,10 +317,44 @@ def test_lsi_weak_general_log_domain_matches_float_path():
 
 
 def test_arma_scalar_closed_form():
-    for c in (0.04, 0.25, 0.64):
+    for c in (0.04, 0.25, 0.64, 0.9):
         expect = (1.0 - math.sqrt(c)) ** 2 * (1.0 - c) ** 2
         got = arma_lsi_alpha(c * np.eye(2), np.eye(2))
-        assert got == pytest.approx(expect, rel=1e-9)
+        assert got == pytest.approx(expect, rel=1e-13)
+
+
+def test_arma_near_the_unit_circle_is_accurate_and_fast():
+    """At rho = 1 - 1e-7 the series has ~10^7 terms of size ~1: the tail
+    bound after the capped sum is exact for c I, where the ratio heuristic
+    ran 125 s and returned 10,100 times the constant."""
+    c = 1.0 - 1e-7
+    t0 = time.perf_counter()
+    got = arma_lsi_alpha(c * np.eye(2), np.eye(2))
+    assert time.perf_counter() - t0 < 5.0
+    assert got == pytest.approx((1.0 - math.sqrt(c)) ** 2 * (1.0 - c) ** 2, rel=1e-8)
+
+
+def test_arma_matches_direct_summation():
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        m = int(rng.integers(1, 4))
+        a = rng.normal(size=(m, m))
+        a *= rng.uniform(0.05, 0.95) / max(abs(np.linalg.eigvals(a)))
+        b = rng.normal(size=(m, m))
+        assert arma_lsi_alpha(a, b) == pytest.approx(oracle_arma_alpha(a, b), rel=2e-14)
+
+
+def test_arma_tail_bound_at_the_term_cap(monkeypatch):
+    """At the cap the constant comes from S_J / (1 - t_J), which is exact
+    for c I and conservative otherwise; t_J >= 1 raises."""
+    monkeypatch.setattr(constants, "_ARMA_MAX_TERMS", 20)
+    c = 0.95  # t_20 = 0.36
+    assert arma_lsi_alpha(c * np.eye(2), np.eye(2)) == pytest.approx(
+        (1.0 - math.sqrt(c)) ** 2 * (1.0 - c) ** 2, rel=1e-13)
+    a = np.array([[0.9, 0.2], [0.0, 0.8]])
+    assert arma_lsi_alpha(a, np.eye(2)) <= oracle_arma_alpha(a, np.eye(2))
+    with pytest.raises(InputError, match="no certified tail after 20 terms"):
+        arma_lsi_alpha(np.array([[0.9, 1.0], [0.0, 0.9]]), np.eye(2))
 
 
 def test_arma_rejects_bad_inputs():
@@ -350,10 +411,11 @@ def test_ou_against_direct_summation():
 
 
 def test_ou_cross_identity_with_gc():
+    """kappa_n = Var(F_n) = 1^T Sigma 1 for the joint law Sigma of the chain."""
     for rho in (math.log(2.0), 0.0, -math.log(1.5)):
         for n in (1, 3, 9):
             out = ou_kappa(rho, 1.0, n)
-            direct = gc_markov_kappa(out["sigma2"], out["theta"], n)
+            direct = float(gaussian_chain_joint(OUModel(rho, 1.0), n).cov.sum())
             assert out["kappa_n"] == pytest.approx(direct, rel=1e-12)
 
 
