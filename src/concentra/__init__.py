@@ -59,6 +59,7 @@ from .processes import (
     ms_estimate,
     ou_transition,
     simulate_joint,
+    simulate_path_sums,
     tabular_joint_law,
 )
 from .transport import (

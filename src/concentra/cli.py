@@ -37,6 +37,7 @@ from .processes import (
     _linear_moments,
     gaussian_chain_joint,
     simulate_joint,
+    simulate_path_sums,
 )
 from .transport import wasserstein_exact, wasserstein_gaussian_w2
 
@@ -345,15 +346,15 @@ def _cmd_verify_ou(args) -> int:
     }]
     mgf = []
     if args.samples > 0:
-        model = OUModel(args.rho, args.tau, x)
-        paths = simulate_joint(model, args.n, args.samples, seed=args.seed)
-        fn = paths.values.sum(axis=1)
+        fn = simulate_path_sums(OUModel(args.rho, args.tau, x), args.n, args.samples, seed=args.seed)
         checks += _normal_sample_checks(fn, out["mean_Fn"], out["kappa_n"])
         for s in (-1.0, -0.5, -0.25, 0.25, 0.5, 1.0):
-            y = np.exp(s * fn - np.max(s * fn))
+            y = s * fn
+            top = y.max()
+            y -= top
             mgf.append({
                 "s": s,
-                "empirical": float(np.max(s * fn) + np.log(y.mean())),
+                "empirical": float(top + np.log(np.exp(y, out=y).mean())),
                 "target": s * out["mean_Fn"] + s**2 * out["kappa_n"] / 2.0,
             })
     ok = all(c["pass"] for c in checks)

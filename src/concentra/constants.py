@@ -123,11 +123,16 @@ def geometric_sum(ratio: float, terms: int) -> float:
     """sum_{k=0}^{terms-1} ratio**k: exactly ``terms`` at ratio 1, else
     (ratio**terms - 1) / (ratio - 1). For ratio > 0 the numerator is
     expm1(terms log ratio), and ratio - 1 is exact near 1 (Sterbenz), so
-    the quotient does not cancel as the ratio nears 1."""
+    the quotient does not cancel as the ratio nears 1. For ratio < 0 it is
+    expm1(terms log|ratio|) at even terms, which does not cancel as the
+    ratio nears -1, and -(|ratio|**terms + 1) at odd terms."""
     if ratio == 1.0:
         return float(terms)
     if ratio > 0.0:
         return math.expm1(terms * math.log(ratio)) / (ratio - 1.0)
+    if ratio < 0.0:
+        top = math.expm1(terms * math.log(-ratio)) if terms % 2 == 0 else -((-ratio) ** terms + 1.0)
+        return top / (ratio - 1.0)
     return (ratio**terms - 1.0) / (ratio - 1.0)
 
 

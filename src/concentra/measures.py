@@ -61,6 +61,10 @@ class _LabelLine:
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(float(x) for x in self.labels))
 
+    @property
+    def n_points(self) -> int:
+        return len(self.labels)
+
     def distance(self, i, j):
         return abs(self.labels[int(i)] - self.labels[int(j)])
 
@@ -271,12 +275,38 @@ def _matches(support: tuple, other: tuple) -> np.ndarray:
     return np.array([index.get(_point_key(x), -1) for x in support], dtype=np.intp)
 
 
+def _index_error(support: tuple, points, space):
+    """Why the support is not one of point indices of ``space``, or None.
+
+    On a ``FiniteMetricSpace`` or ``_LabelLine`` of n points every support
+    point must be an integer in [0, n), and on a ``ProductSpace`` over one
+    every coordinate; the message names the first point that breaks this.
+    ``points`` is ``_numeric`` of the support."""
+    product = isinstance(space, ProductSpace)
+    base = space.base if product else space
+    if not isinstance(base, (FiniteMetricSpace, _LabelLine)):
+        return None
+    n = base.n_points
+    if (points is not None and points.dtype.kind in "iu" and points.ndim == 1 + product
+            and points.min() >= 0 and points.max() < n):
+        return None
+    for p in support:
+        coords = p if product and isinstance(p, (tuple, list, np.ndarray)) else (p,)
+        if not all(isinstance(c, (int, np.integer)) and 0 <= c < n for c in coords):
+            what = "has a coordinate that is not" if product else "is not"
+            return (f"support point {_point_key(p)!r} {what} a point index of its finite space: "
+                    f"an integer in [0, {n})")
+    return None
+
+
 @dataclass(frozen=True)
 class DiscreteMeasure:
     """Finitely supported probability measure.
 
-    Support points are integer indices into ``space`` when one is given,
-    plain reals (space = the real line) or tuples (product spaces).
+    Support points are plain reals (space = the real line), tuples
+    (product spaces), or, on a ``FiniteMetricSpace`` (or a tabular chain's
+    label line) of n points, integer indices in [0, n), and tuples of them
+    on a product of one.
     Weights must be finite. Weights summing to 1 within ``WEIGHT_SLACK``
     are renormalized; worse deviations are rejected as genuine bugs.
     Weights already within ``len(weights)`` machine epsilons of 1 are kept
@@ -305,6 +335,9 @@ class DiscreteMeasure:
             raise InputError("support points must be pairwise distinct")
         if not _finite(support, points):
             raise InputError("support points must be finite")
+        error = _index_error(support, points, self.space)
+        if error is not None:
+            raise InputError(error)
         if abs(total - 1.0) > len(w) * np.finfo(float).eps:
             w = w / total
         object.__setattr__(self, "support", support)

@@ -13,6 +13,8 @@ violation found at this resolution", never a proof.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -189,68 +191,166 @@ class SamplePaths:
         return self.values.shape[1]
 
 
-def _rng(seed: int) -> np.random.Generator:
-    # Philox is counter-based, so draws are reproducible and independent of
-    # any worker partitioning of the path index range.
-    return np.random.Generator(np.random.Philox(key=int(seed)))
+def _rng(seed: int, jumps: int = 0) -> np.random.Generator:
+    # Philox is counter-based: the linear sampler's block b draws from the
+    # stream advanced by b jumps of 2**128 draws, so its paths are
+    # independent of any worker partitioning of the path index range
+    return np.random.Generator(np.random.Philox(key=int(seed)).jumped(jumps))
+
+
+def _raise_on_overflow(finite: np.ndarray, n: int) -> None:
+    """``InputError`` naming the first step whose ``finite`` entry is False."""
+    if not finite.all():
+        raise InputError(f"the simulated chain overflows: step {np.argmin(finite) + 1} "
+                         f"of {n} has a non-finite value")
 
 
 def simulate_joint(model: MarkovModel, n: int, N: int, seed: int = 0) -> SamplePaths:
     """Draw N independent length-n paths by sequential kernel sampling.
 
-    Raises ``InputError`` naming the first step with a non-finite value
-    when a chain overflows."""
+    The paths depend on (model, n, N, seed) only: Gaussian-kernel, OU and
+    ARMA chains are drawn block by block on all usable CPUs (see
+    ``_simulate_linear``), the same for any number of them. Raises
+    ``InputError`` naming the first step with a non-finite value when a
+    chain overflows."""
     _check(n=n, N=N)
-    rng = _rng(seed)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if isinstance(model, (GaussianKernelModel, ARMAModel)):
-            values = _simulate_linear(*model.linear_form, n, N, rng)
-            if isinstance(model, GaussianKernelModel):
-                values = values[..., 0]
-        elif isinstance(model, TabularModel):
-            values = _simulate_tabular(model, n, N, rng)
-        elif isinstance(model, ContractionNoiseModel):
-            values = _simulate_contraction(model, n, N, rng)
-        else:
-            raise InputError(f"unknown model {model!r}")
-    finite = np.isfinite(values).reshape(N, n, -1).all(axis=(0, 2))
-    if not finite.all():
-        raise InputError(f"the simulated chain overflows: step {np.argmin(finite) + 1} "
-                         f"of {n} has a non-finite value")
+    if isinstance(model, (GaussianKernelModel, ARMAModel)):
+        values, finite = _simulate_linear(*model.linear_form, n, N, seed)
+        if isinstance(model, GaussianKernelModel):
+            values = values[..., 0]
+    else:
+        rng = _rng(seed)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if isinstance(model, TabularModel):
+                values = _simulate_tabular(model, n, N, rng)
+            elif isinstance(model, ContractionNoiseModel):
+                values = _simulate_contraction(model, n, N, rng)
+            else:
+                raise InputError(f"unknown model {model!r}")
+        finite = np.isfinite(values).reshape(N, n, -1).all(axis=(0, 2))
+    _raise_on_overflow(finite, n)
     return SamplePaths(values, int(seed), model)
+
+
+def simulate_path_sums(model: GaussianKernelModel, n: int, N: int, seed: int = 0) -> np.ndarray:
+    """The N path sums x_1 + ... + x_n of ``simulate_joint(model, n, N,
+    seed)``, bit for bit equal to ``values.sum(axis=1)``, without its
+    (N, n) path table: each block of paths is summed as it is drawn.
+    Raises ``InputError`` as ``simulate_joint`` does."""
+    if not isinstance(model, GaussianKernelModel):
+        raise InputError(f"path sums need a Gaussian-kernel chain, got model kind {model.kind!r}")
+    _check(n=n, N=N)
+    sums, finite = _simulate_linear(*model.linear_form, n, N, seed, sums=True)
+    _raise_on_overflow(finite, n)
+    return sums
 
 
 # most paths per block of the linear sampler: a block of 20-step scalar
 # paths (640 KB) stays in a core's L2 cache through the whole recursion
 _BLOCK_PATHS = 4096
 
-
-def _times(x, M):
-    """x @ M.T; a 1x1 product is the one rounding of x * M[0, 0], which the
-    scalar multiply gives without a matrix-product call."""
-    return x * M[0, 0] if M.shape == (1, 1) else x @ M.T
+_POOL = None  # (pid, executor or None, helpers): the linear sampler's helper threads
+_POOL_LOCK = threading.Lock()
 
 
-def _simulate_linear(A, B, mean1, root1, n, N, rng):
-    """(N, n, m) paths of X_1 = mean1 + root1 Y_1, X_{k+1} = A X_k + B Y_{k+1},
-    from one (N, n, m) draw of the innovations Y.
+def _sampler_pool():
+    """``(executor, helpers)``: the linear sampler's helper threads, one per
+    usable CPU besides the calling thread's (``(None, 0)`` on one CPU),
+    made on first use, and made again in a forked child, which has none
+    of the parent's threads."""
+    global _POOL
+    from concurrent.futures import ThreadPoolExecutor
 
-    The recursion runs time-major, over contiguous (paths, m) slices, one
-    block of paths at a time; each block is written back over its draws,
-    so the paths take the draw's memory and layout. Blocks are near-equal
-    and hold at least two paths unless N = 1, so every matrix product has
-    the shape class it has without blocking (a one-row product takes
-    BLAS's vector route, which rounds differently) and the paths do not
-    depend on the block size."""
-    m = B.shape[1]
-    eps = rng.standard_normal((N, n, m))
-    for block in np.array_split(eps, -(-N // _BLOCK_PATHS)):
-        x = _times(block.transpose(1, 0, 2).reshape(-1, m), B).reshape(n, -1, m)
-        x[0] = mean1 + _times(block[:, 0], root1)
+    with _POOL_LOCK:
+        if _POOL is None or _POOL[0] != os.getpid():
+            cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+            helpers = cpus - 1
+            pool = ThreadPoolExecutor(helpers, thread_name_prefix="concentra-sampler") if helpers else None
+            _POOL = (os.getpid(), pool, helpers)
+        return _POOL[1:]
+
+
+def _linear_block(A, B, mean1, root1, x, rng) -> None:
+    """Fill the (paths, n, m) array ``x`` with paths of X_1 = mean1 + root1 Y_1,
+    X_{k+1} = A X_k + B Y_{k+1}: one draw of the innovations Y into ``x``,
+    then the recursion in place, one (paths, m) time slice at a time.
+
+    A 1x1 product is the one rounding of the scalar multiply, which needs
+    no matrix-product call. A wider noise product B Y runs over at least
+    two rows, as in an unblocked draw: one time slice of a block, or all n
+    steps of a lone path (a one-row product takes BLAS's vector route,
+    which rounds differently)."""
+    rng.standard_normal(out=x)
+    n = x.shape[1]
+    if B.shape == (1, 1):
+        a, b, xs = A[0, 0], B[0, 0], x[..., 0]
+        xs[:, 0] *= root1[0, 0]
+        xs[:, 0] += mean1[0]
+        prev = np.empty(len(x))
         for k in range(1, n):
-            x[k] += _times(x[k - 1], A)
-        block[...] = x.transpose(1, 0, 2)
-    return eps
+            xs[:, k] *= b
+            xs[:, k] += np.multiply(xs[:, k - 1], a, out=prev)
+        return
+    first = mean1 + x[:, 0] @ root1.T
+    for y in [x[0]] if len(x) == 1 else [x[:, k] for k in range(1, n)]:
+        y[...] = y @ B.T
+    x[:, 0] = first
+    for k in range(1, n):
+        x[:, k] += x[:, k - 1] @ A.T
+
+
+def _simulate_linear(A, B, mean1, root1, n, N, seed, sums=False):
+    """Paths of X_1 = mean1 + root1 Y_1, X_{k+1} = A X_k + B Y_{k+1} with
+    standard Gaussian Y, and which steps are finite on every path.
+
+    Returns ``(out, finite)``: ``out`` is the (N, n, m) paths, or with
+    ``sums`` the (N,) row sums of a scalar chain's (N, n) paths, and
+    ``finite[k]`` says whether step k + 1 is finite on every path.
+
+    The N paths are split into ceil(N / ``_BLOCK_PATHS``) near-equal blocks
+    (as ``np.array_split`` splits them), which hold at least two paths
+    unless N = 1. Block b draws its innovations, path-major, from
+    ``_rng(seed, b)``, the stream advanced by b jumps, so block 0 is the
+    one stream of an unblocked draw and the paths depend on (n, N, seed)
+    only, never on which thread draws which block. The calling thread and
+    ``_sampler_pool``'s helpers take the next block in turn; the caller
+    works instead of sleeping, which keeps it on its CPU. Each block
+    writes into its own rows of one output; with ``sums`` it is drawn into
+    its own buffer and only its row sums are kept. NumPy's error state is
+    per thread, so each block sets its own."""
+    m = B.shape[1]
+    blocks = -(-N // _BLOCK_PATHS)
+    starts = [b * (N // blocks) + min(b, N % blocks) for b in range(blocks + 1)]
+    out = np.empty((N,) if sums else (N, n, m))
+    finite = np.empty((blocks, n), dtype=bool)
+
+    def run(b):
+        lo, hi = starts[b], starts[b + 1]
+        x = np.empty((hi - lo, n, m)) if sums else out[lo:hi]
+        with np.errstate(over="ignore", invalid="ignore"):
+            _linear_block(A, B, mean1, root1, x, _rng(seed, b))
+            finite[b] = np.isfinite(x).all(axis=(0, 2))
+            if sums:
+                out[lo:hi] = x[..., 0].sum(axis=1)
+
+    todo, lock = iter(range(blocks)), threading.Lock()
+
+    def drain():
+        while True:
+            with lock:
+                b = next(todo, None)
+            if b is None:
+                return
+            run(b)
+
+    pool, helpers = _sampler_pool() if blocks > 1 else (None, 0)
+    futures = [pool.submit(drain) for _ in range(min(helpers, blocks - 1))]
+    try:
+        drain()
+    finally:
+        for future in futures:  # re-raises a helper's exception here
+            future.result()
+    return out, finite.all(axis=0)
 
 
 def _simulate_tabular(model: TabularModel, n, N, rng):

@@ -2,13 +2,15 @@
 
 Four routes are provided: the transportation LP on finite supports
 (exact shortlist column generation on one hot-started HiGHS model, called
-directly through SciPy's bundled bindings; see ``solve_transport_lp``), the
-monotone (quantile) coupling on the real line, the closed form for W2
-between Gaussians, and the Kantorovich-Rubinstein dual for W1. On the
-real line with s >= 1 the cost |x - y|**s is convex in x - y, so the
-north-west-corner plan along the sorted supports is an optimal coupling
-(Peyre & Cuturi, *Computational Optimal Transport*, 2019, section 2.6);
-``wasserstein_exact`` returns that plan there and solves the LP elsewhere.
+directly through SciPy's bundled bindings: dual simplex after the
+marginal bounds change, primal simplex after priced-in cells are added;
+see ``solve_transport_lp``), the monotone (quantile) coupling on the real
+line, the closed form for W2 between Gaussians, and the
+Kantorovich-Rubinstein dual for W1. On the real line with s >= 1 the
+cost |x - y|**s is convex in x - y, so the north-west-corner plan along
+the sorted supports is an optimal coupling (Peyre & Cuturi, *Computational
+Optimal Transport*, 2019, section 2.6); ``wasserstein_exact`` returns that
+plan there and solves the LP elsewhere.
 
 At s = 1 off the real line the cost is a metric d, and W1 depends only on
 mu - nu (Kantorovich-Rubinstein; Villani, *Optimal Transport: Old and
@@ -147,8 +149,8 @@ _HIGHS_OPTIONS = (
     ("presolve", "off"),
     ("primal_feasibility_tolerance", 1e-10),
     ("dual_feasibility_tolerance", 1e-10),
-    ("simplex_strategy", 1),  # dual simplex
 )
+_DUAL_SIMPLEX, _PRIMAL_SIMPLEX = 1, 4  # HiGHS simplex_strategy values, set per round
 
 
 def _northwest_corner(w_rows: np.ndarray, w_col: np.ndarray):
@@ -192,8 +194,11 @@ class _TransportModel:
     bounds and adds its north-west-corner cells, which keep the LP
     feasible; a round adds the priced-in cells. So every ``run``
     hot-starts from the last optimal basis, which stays dual feasible when
-    bounds change and primal feasible when cells are added. The active
-    cells only grow, so the stopping certificate holds for every pair.
+    bounds change and primal feasible when cells are added: a pair's first
+    run is dual simplex, and each later round primal simplex, which goes on
+    from that primal feasible basis (Luebbecke & Desrosiers, Oper. Res.
+    53(6), 2005). The active cells only grow, so the stopping certificate
+    holds for every pair.
     After a solve, ``u`` and ``v`` hold the final round's row and column
     potentials: ``cost - u - v`` is at least -1e-11 on every cell, and 0
     up to the solver's tolerance on the cells the plan uses.
@@ -251,6 +256,7 @@ class _TransportModel:
         rounds = iterations = 0
         while True:
             self._add_cells(new)
+            highs.setOptionValue("simplex_strategy", _PRIMAL_SIMPLEX if rounds else _DUAL_SIMPLEX)
             highs.run()
             status = highs.getModelStatus()
             if status != _highs.HighsModelStatus.kOptimal:
@@ -283,10 +289,11 @@ def solve_transport_lp(cost: np.ndarray, w_row: np.ndarray, w_col: np.ndarray):
     The first restricted LP holds the north-west-corner plan, which keeps
     it feasible, and each row's and each column's ``_SHORTLIST`` cheapest
     cells, so a side with no more atoms than that starts with every cell.
-    Each round solves the active cells with the HiGHS dual simplex (called
-    directly, presolve off, feasibility tolerances 1e-10) and adds every
-    inactive cell whose reduced cost ``cost - u - v`` is below -1e-11; the
-    next round hot-starts from the last optimal basis. A round that adds
+    Each round solves the active cells with HiGHS (called directly,
+    presolve off, feasibility tolerances 1e-10) and adds every inactive
+    cell whose reduced cost ``cost - u - v`` is below -1e-11; the first
+    round runs the dual simplex, and each next round the primal simplex,
+    hot-started from the last optimal basis. A round that adds
     none is the full LP's optimality certificate; the active set only
     grows, so the loop ends. Returns ``(fsum(plan * cost), plan)``. Raises
     ``SolverError`` naming the HiGHS model status when a round is not

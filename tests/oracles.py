@@ -393,11 +393,18 @@ def bisect_boundary(passes, lo, hi, width=1e-10):
     return 0.5 * (lo + hi)
 
 
-def simulate_linear_path_major(A, B, mean1, root1, n, N, rng):
+def simulate_linear_path_major(A, B, mean1, root1, n, N, seed, block_paths=4096):
     """(N, n, m) paths of X_1 = mean1 + root1 Y_1, X_{k+1} = A X_k + B Y_{k+1}
-    from one (N, n, m) draw of Y, path-major: all the noise B Y in one
-    matrix product, then the recursion over the strided (N, m) columns."""
-    eps = rng.standard_normal((N, n, B.shape[1]))
+    path-major: all the noise B Y in one matrix product, then the
+    recursion over the strided (N, m) columns. Y holds ceil(N / block_paths)
+    near-equal blocks of paths, the first N % blocks one path longer, and
+    block b is drawn from Philox(key=seed) advanced by b jumps."""
+    blocks = -(-N // block_paths)
+    sizes = [N // blocks + (b < N % blocks) for b in range(blocks)]
+    eps = np.concatenate([
+        np.random.Generator(np.random.Philox(key=seed).jumped(b)).standard_normal((size, n, B.shape[1]))
+        for b, size in enumerate(sizes)
+    ])
     out = (eps.reshape(N * n, -1) @ B.T).reshape(N, n, -1)
     out[:, 0] = mean1 + eps[:, 0] @ root1.T
     for k in range(1, n):

@@ -168,6 +168,25 @@ def test_lipschitz_family_members_are_lipschitz():
         assert np.max(gaps - sp.dist) <= 1e-9
 
 
+@pytest.mark.parametrize("s, index, critical, worst", [
+    (1.5, 3, 0.01263951718478266, 0.7989722417543315),
+    (2.0, 3104, 0.0012372358361321509, 0.9891541876432888),
+])
+def test_check_transport_on_six_points_keeps_its_certificate(s, index, critical, worst):
+    """The 6-point Euclidean space, whose 8,537 family rows are solved on one
+    hot-started model, gives the pinned verdict, witness and critical
+    constant however its LP rounds are re-solved."""
+    rng = np.random.default_rng(6)
+    p = rng.normal(size=(6, 2))
+    space = FiniteMetricSpace(tuple("abcdef"), np.sqrt(((p[:, None] - p[None]) ** 2).sum(-1)))
+    mu = DiscreteMeasure(tuple(range(6)), rng.dirichlet(np.ones(6)), space=space)
+    cert = check_transport(mu, 1.0, s)
+    assert cert.search_size == 8537 and cert.verdict == "fail"
+    assert cert.witness["family_index"] == index
+    assert cert.critical == pytest.approx(critical, rel=1e-12)
+    assert cert.worst_slack == pytest.approx(worst, rel=1e-12)
+
+
 def test_check_transport_and_bg_duality():
     assert check_transport(TWO_POINT, 4.0, 1.0).passed
     cert = check_transport(TWO_POINT, 40.0, 1.0)

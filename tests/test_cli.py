@@ -176,6 +176,23 @@ def test_nonfinite_inputs_exit_2_with_nothing_written(capsys, tmp_path, argv, na
     assert code == 2 and out == "" and not target.exists()
 
 
+_TWO_LABELS = json.dumps({"type": "finite", "labels": ["a", "b"], "dist": [[0, 1], [1, 0]]})
+
+
+@pytest.mark.parametrize("support", [[0, 5], [0, -1], ["a", "b"]], ids=["past-the-end", "negative", "labels"])
+@pytest.mark.parametrize("command", ["certify", "wasserstein"])
+def test_finite_space_support_that_is_not_point_indices_exits_2(capsys, tmp_path, support, command):
+    mu = json.dumps({"type": "discrete", "support": support, "weights": [0.5, 0.5]})
+    nu = json.dumps({"type": "discrete", "support": [0, 1], "weights": [0.5, 0.5]})
+    argv = (("certify", "--inequality", "ts", "--constant", "2", "--mu", mu) if command == "certify"
+            else ("wasserstein", "--mu", mu, "--nu", nu, "--s", "1"))
+    target = tmp_path / "out"
+    code, out, err = run(capsys, *argv, "--space", _TWO_LABELS, "--out", str(target))
+    assert code == 2 and out == "" and not target.exists()
+    assert f"error: support point {support[1] if support[0] == 0 else repr(support[0])}" in err
+    assert "is not a point index of its finite space: an integer in [0, 2)" in err
+
+
 def test_certify_echoes_its_space(capsys):
     """A finite-space run can be replayed from its own CSV: the # line
     carries --space with the other inputs."""
@@ -633,6 +650,22 @@ def test_verify_ou_statistics_follow_their_null_law(capsys):
         beyond["variance"] += not lo5 <= variance["statistic"] <= hi5
     lo, hi = binom.ppf(1e-4, seeds, 0.05), binom.isf(1e-4, seeds, 0.05)
     assert all(lo <= count <= hi for count in beyond.values()), beyond
+
+
+def test_verify_ou_samples_the_row_sums_of_simulated_paths(capsys):
+    """verify-ou's F_n sample is simulate_joint's values.sum(axis=1) bit for
+    bit, with the sample spread over two blocks of paths: every statistic
+    it prints is the one of that sample."""
+    rho, tau, n, x, samples, seed = 0.6, 0.5, 5, -0.4, 4096 + 7, 3
+    code, out, _ = run(capsys, "verify-ou", "--rho", str(rho), "--tau", str(tau), "--n", str(n),
+                       "--x", str(x), "--samples", str(samples), "--seed", str(seed))
+    assert code == 0
+    payload = json.loads(out)
+    fn = simulate_joint(OUModel(rho, tau, x), n, samples, seed=seed).values.sum(axis=1)
+    want = _normal_sample_checks(fn, payload["mean_Fn"], payload["kappa_n"])
+    assert [c["statistic"] for c in payload["checks"][1:]] == [float(c["statistic"]) for c in want]
+    s = payload["mgf"][0]["s"]
+    assert payload["mgf"][0]["empirical"] == float(np.max(s * fn) + np.log(np.exp(s * fn - np.max(s * fn)).mean()))
 
 
 def test_verify_ou_tests_reject_a_wrong_law():

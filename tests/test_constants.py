@@ -71,23 +71,28 @@ def _mp_geometric(mpmath, ratio, terms):
 
 def test_geometric_sums_against_mpmath():
     """geometric_sum within 2e-13 relative of 60-digit mpmath for ratios
-    near 1 on both sides, in [0, 3] and across four decades, t <= 2,000
-    short of overflow; gc_markov_kappa within 1e-14 for ratios within 0.1
-    of 1 and n <= 40. The closed form cancelled near ratio 1: 6.5e-9."""
+    near 1 and near -1 on both sides, in [-1.5, 3] and across four decades,
+    t <= 2,000 short of overflow; gc_markov_kappa within 1e-14 for ratios
+    within 0.1 of 1 and n <= 40. The closed form cancelled near ratio 1:
+    6.5e-9, and near -1 at even t: 5e-11 at (-1 + 1e-10, 2)."""
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(7)
     ratios = np.concatenate([
         1.0 + rng.choice([-1.0, 1.0], 1000) * 10.0 ** rng.uniform(-15.0, -1.0, 1000),
         rng.uniform(0.0, 3.0, 500),
         10.0 ** rng.uniform(-3.0, 1.0, 500),
+        -1.0 + rng.choice([-1.0, 1.0], 1000) * 10.0 ** rng.uniform(-15.0, -1.0, 1000),
+        rng.uniform(-1.5, 0.0, 500),
     ])
+    cases = list(zip(ratios.tolist(), rng.integers(1, 2001, ratios.size).tolist()))
+    cases += [(-1.0 + d, t) for d in (1e-10, -1e-10) for t in (1, 2, 3, 4, 1000, 1001)]
     worst = 0.0
     with mpmath.workdps(60):
-        for ratio, terms in zip(ratios.tolist(), rng.integers(1, 2001, ratios.size).tolist()):
+        for ratio, terms in cases:
             want = _mp_geometric(mpmath, ratio, terms)
-            if want > 1e300:
+            if abs(want) > 1e300:
                 continue
-            worst = max(worst, float(abs(geometric_sum(ratio, terms) - want) / want))
+            worst = max(worst, float(abs(geometric_sum(ratio, terms) - want) / abs(want)))
         assert worst <= 2e-13, worst
         worst = 0.0
         for ratio, n in zip((1.0 + rng.uniform(-0.1, 0.1, 300)).tolist(), rng.integers(1, 41, 300).tolist()):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from concentra import (
     ProductSpace,
     REAL_LINE,
     empirical_measure,
+    wasserstein_exact,
 )
 from concentra.coupling import _LabelLine
 from concentra import relative_entropy_discrete
@@ -39,6 +41,29 @@ def test_finite_space_validation():
             ("a", "b", "c"),
             np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]]),
         )
+
+
+@pytest.mark.parametrize("bad", [-1, 5, "a", 1.0, 2.5])
+def test_finite_space_support_points_are_point_indices(bad):
+    """On a finite space a support point is an integer in [0, n_points),
+    and on a product of one each coordinate: -1 used to wrap around to the
+    last point, 5 to fail at the first distance, and labels to fail in int()."""
+    sp = FiniteMetricSpace(("a", "b"), [[0, 1], [1, 0]])
+    with pytest.raises(InputError, match=rf"support point {re.escape(repr(bad))} is not a point index .* \[0, 2\)"):
+        DiscreteMeasure((0, bad), [0.5, 0.5], space=sp)
+    with pytest.raises(InputError, match=rf"support point \(1, {re.escape(repr(bad))}\) has a coordinate that"):
+        DiscreteMeasure(((0, 1), (1, bad)), [0.5, 0.5], space=ProductSpace(sp, 2, 1.0))
+    assert DiscreteMeasure((1, np.int64(0)), [0.5, 0.5], space=sp).support == (1, 0)
+    assert len(DiscreteMeasure(((0, 1), (1, 1)), [0.5, 0.5], space=ProductSpace(sp, 2, 1.0))) == 2
+
+
+@pytest.mark.parametrize("space", [FiniteMetricSpace(("a", "b"), [[0, 1], [1, 0]]), _LabelLine((0.0, 3.0))],
+                         ids=["finite", "labels"])
+def test_a_negative_index_no_longer_reads_the_last_point(space):
+    """W1 between (0, -1) and (0, 1) was 0.0: -1 read the last point."""
+    with pytest.raises(InputError, match="support point -1 is not a point index .* \\[0, 2\\)"):
+        wasserstein_exact(DiscreteMeasure((0, -1), [0.5, 0.5], space=space),
+                          DiscreteMeasure((0, 1), [0.5, 0.5], space=space), 1.0)
 
 
 def test_product_distance_matches_manual():

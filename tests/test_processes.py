@@ -1,5 +1,10 @@
 import math
+import os
+import signal
+import sys
+import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,9 +25,11 @@ from concentra import (
     ou_kappa,
     ou_transition,
     simulate_joint,
+    simulate_path_sums,
     tabular_joint_law,
 )
-from concentra.processes import _BLOCK_PATHS, _rng, _simulate_linear
+from concentra import processes
+from concentra.processes import _BLOCK_PATHS, _simulate_linear
 
 import oracles
 
@@ -77,10 +84,16 @@ def test_simulation_is_reproducible_and_seed_sensitive():
 @pytest.mark.parametrize("model", [ARMAModel([[1e200]], [[1.0]]), GaussianKernelModel(1e200, 1.0)],
                          ids=["arma", "gaussian_kernel"])
 def test_simulate_joint_raises_on_an_overflowing_chain(model):
+    """In one block, and across blocks run on worker threads, whose NumPy
+    error state is their own."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no NumPy overflow warning on the way
-        with pytest.raises(InputError, match="step 3 of 4 has a non-finite value"):
-            simulate_joint(model, 4, 2)
+        for N in (2, 2 * _BLOCK_PATHS + 1):
+            with pytest.raises(InputError, match="step 3 of 4 has a non-finite value"):
+                simulate_joint(model, 4, N)
+            if isinstance(model, GaussianKernelModel):
+                with pytest.raises(InputError, match="step 3 of 4 has a non-finite value"):
+                    simulate_path_sums(model, 4, N)
 
 
 def test_gaussian_simulation_moments():
@@ -124,16 +137,92 @@ _LINEAR_CHAINS = [
 
 @pytest.mark.parametrize("model", _LINEAR_CHAINS, ids=lambda m: f"{m.kind}-{m.linear_form[0].shape[0]}")
 def test_time_major_sampler_matches_path_major_oracle(model):
-    """The blocked time-major recursion gives the path-major sampler's
-    paths bit for bit, for every seed, one path, one step, a block's worth
-    of paths and block boundaries that leave a one- or two-path remainder."""
+    """The blocked in-place recursion gives the path-major sampler's paths
+    bit for bit, for every seed, one path, one step, a block's worth of
+    paths and block boundaries that leave a one- or two-path remainder."""
     sizes = [(1, 1), (1, 6), (2, 4), (7, 3), (1000, 20), (3, 40), (_BLOCK_PATHS, 2),
              (_BLOCK_PATHS + 1, 3), (2 * _BLOCK_PATHS + 2, 5), (2 * _BLOCK_PATHS, 1)]
     for seed in (0, 1, 23):
         for N, n in sizes:
-            want = oracles.simulate_linear_path_major(*model.linear_form, n, N, _rng(seed))
-            got = _simulate_linear(*model.linear_form, n, N, _rng(seed))
+            want = oracles.simulate_linear_path_major(*model.linear_form, n, N, seed, _BLOCK_PATHS)
+            got, finite = _simulate_linear(*model.linear_form, n, N, seed)
             assert got.shape == want.shape and np.array_equal(got, want), (seed, N, n)
+            assert finite.shape == (n,) and finite.all()
+
+
+def test_paths_of_one_block_are_pinned():
+    """Up to one block (N <= _BLOCK_PATHS) the paths are those of one
+    Philox stream drawn path-major: pinned values of its last paths."""
+    ou = simulate_joint(OUModel(0.5, 0.3, x0=0.2), 5, _BLOCK_PATHS, seed=3).values
+    assert ou[-1].tolist() == [0.6972905418178617, 1.292052349548296, 0.7486645513371255,
+                               0.38834441384965696, 0.3770316455491039]
+    assert ou[2047].tolist() == [-0.6475924812503248, -0.3684490334996565, -0.7955829868975883,
+                                 -0.8219388242542933, -0.4661045642424013]
+    arma = simulate_joint(_LINEAR_CHAINS[3], 3, _BLOCK_PATHS, seed=5).values
+    assert arma[-1].tolist() == [[1.3136450587786075, -2.1496698093732114],
+                                 [2.1064816508555104, 0.6009435011469297],
+                                 [3.6260394153195596, 2.023478370912741]]
+
+
+def test_paths_do_not_depend_on_the_worker_count(monkeypatch):
+    """The calling thread alone, with one helper, and with three helpers on
+    a fast thread switch give the same paths and path sums: each block
+    writes only its own rows, whichever thread draws it."""
+    cases = [(_LINEAR_CHAINS[0], 7, 3 * _BLOCK_PATHS + 5), (_LINEAR_CHAINS[4], 4, 2 * _BLOCK_PATHS + 1)]
+    runs = []
+    interval = sys.getswitchinterval()
+    try:
+        for helpers in (0, 1, 3):
+            with ThreadPoolExecutor(max(helpers, 1)) as pool:
+                monkeypatch.setattr(processes, "_POOL", (os.getpid(), pool if helpers else None, helpers))
+                if helpers == 3:
+                    sys.setswitchinterval(1e-6)
+                runs.append([simulate_joint(m, n, N, seed=11).values for m, n, N in cases]
+                            + [simulate_path_sums(cases[0][0], 7, cases[0][2], seed=11)])
+                sys.setswitchinterval(interval)
+    finally:
+        sys.setswitchinterval(interval)
+    for run in runs[1:]:
+        assert all(np.array_equal(a, b) for a, b in zip(runs[0], run))
+
+
+@pytest.mark.parametrize("N", [2, _BLOCK_PATHS, _BLOCK_PATHS + 1, 3 * _BLOCK_PATHS - 1])
+def test_path_sums_are_row_sums_of_the_paths(N):
+    """simulate_path_sums is simulate_joint's values.sum(axis=1), bit for
+    bit, in one block and across block boundaries."""
+    for model, n in ((OUModel(0.7, 0.4, x0=-0.5), 30), (GaussianKernelModel(-0.9, 2.0), 3)):
+        want = simulate_joint(model, n, N, seed=17).values.sum(axis=1)
+        assert np.array_equal(simulate_path_sums(model, n, N, seed=17), want)
+    with pytest.raises(InputError, match="Gaussian-kernel chain"):
+        simulate_path_sums(_LINEAR_CHAINS[3], 3, N)
+
+
+def test_a_forked_child_makes_its_own_pool():
+    """A pool made before fork has no threads in the child; the child's
+    sampler makes a new one and draws the parent's paths."""
+    if not hasattr(os, "fork"):
+        pytest.skip("no fork on this platform")
+    model, n, N = _LINEAR_CHAINS[0], 3, 2 * _BLOCK_PATHS + 3
+    want = simulate_joint(model, n, N, seed=2).values  # makes the parent's pool
+    pid = os.fork()
+    if pid == 0:  # the child reports through its exit status only
+        ok = False
+        try:
+            ok = np.array_equal(simulate_joint(model, n, N, seed=2).values, want)
+            ok = ok and processes._POOL[0] == os.getpid()
+        finally:
+            os._exit(0 if ok else 1)
+    deadline = time.monotonic() + 60.0
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's sampler did not finish within 60 s")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 def test_tabular_simulation_matches_joint_law():

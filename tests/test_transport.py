@@ -326,6 +326,57 @@ def test_reused_model_matches_cold_solves(n, m):
         assert value == pytest.approx(want, rel=1e-12)
 
 
+def test_rounds_after_the_first_resolve_by_primal_simplex(monkeypatch):
+    """Each solve's first run, after its bounds changed, is dual simplex and
+    every later round, which only gained cells, primal simplex; the optimum
+    is the LP's over every cell on plane, finite-space and tabular
+    joint-law instances, and primal re-solves take fewer iterations."""
+    runs = []
+
+    class RecordingHighs(transport._highs._Highs):
+        def run(self):
+            _, strategy = self.getOptionValue("simplex_strategy")
+            status = super().run()
+            runs.append((strategy, self.getInfo().simplex_iteration_count))
+            return status
+
+    rng = np.random.default_rng(31)
+    costs = []
+    for s in (1.0, 2.0):
+        p, q = rng.normal(size=(70, 2)), rng.normal(size=(80, 2))
+        costs.append(np.sqrt(((p[:, None] - q[None]) ** 2).sum(-1)) ** s)
+    points = rng.normal(size=(90, 3))
+    space = FiniteMetricSpace(tuple(range(90)), np.sqrt(((points[:, None] - points[None]) ** 2).sum(-1)))
+    costs.append(space.pairwise(range(0, 60), range(30, 90)) ** 1.5)
+    models = [
+        TabularModel(rng.dirichlet(np.ones(3)), np.vstack([rng.dirichlet(np.ones(3)) for _ in range(3)]))
+        for _ in range(2)
+    ]
+    for s in (1.0, 1.5):
+        q, p = (tabular_joint_law(model, 4, s) for model in models)
+        costs.append(q.space.pairwise(q.support, p.support) ** s)
+    # three pairs per cost on one model, as check_transport reuses it
+    pairs = [[(_weights_with_zeros(rng, cost.shape[0], 2), _weights_with_zeros(rng, cost.shape[1], 2))
+              for _ in range(3)] for cost in costs]
+    optima = [[oracles.all_cells_transport_lp(cost, *pair)[0] for pair in cost_pairs]
+              for cost, cost_pairs in zip(costs, pairs)]
+    monkeypatch.setattr(transport._highs, "_Highs", RecordingHighs)
+    primal, dual = transport._PRIMAL_SIMPLEX, transport._DUAL_SIMPLEX
+    iterations = {}
+    for later in (primal, dual):
+        monkeypatch.setattr(transport, "_PRIMAL_SIMPLEX", later)
+        iterations[later] = 0
+        for cost, cost_pairs, cost_optima in zip(costs, pairs, optima):
+            model = _TransportModel(cost)
+            for (w_row, w_col), want in zip(cost_pairs, cost_optima):
+                runs.clear()
+                value, _ = model.solve(w_row, w_col)
+                assert value == pytest.approx(want, rel=1e-12, abs=1e-14)
+                assert [strategy for strategy, _ in runs] == [dual] + [later] * (len(runs) - 1)
+                iterations[later] += sum(count for _, count in runs[1:])
+    assert 0 < iterations[primal] < iterations[dual]
+
+
 @pytest.mark.parametrize("n, m", [(3, 4), (30, 40)])
 def test_infeasible_marginals_raise_solver_error(n, m):
     """Marginals of different totals leave the LP infeasible: a fresh and a
