@@ -20,8 +20,10 @@ import json
 import logging
 import math
 import os
+import re
 import sys
 import time
+from itertools import repeat
 
 import numpy as np
 import orjson
@@ -71,8 +73,11 @@ def _array_json(a: np.ndarray) -> bytes:
 def _nonfinite_path(value, path: str):
     """The key path (``config.s``, ``checks[0].rel_error``) of the first
     non-finite float in ``value``, in sorted-key order, or None."""
-    if isinstance(value, float):
+    if isinstance(value, (float, np.floating)):
         return None if math.isfinite(value) else path
+    if isinstance(value, np.ndarray):
+        bad = np.argwhere(~np.isfinite(value)) if value.dtype.kind in "fc" else ()
+        return f"{path}{''.join(f'[{i}]' for i in bad[0])}" if len(bad) else None
     if isinstance(value, dict):
         children = ((f"{path}.{k}", v) for k, v in sorted(value.items()))
     elif isinstance(value, (list, tuple)):
@@ -86,25 +91,31 @@ def _nonfinite_path(value, path: str):
     return None
 
 
-def _dumps(value, path: str) -> str:
-    """``json.dumps(value, sort_keys=True, allow_nan=False)``; a non-finite
-    float raises ``InputError`` naming its key path."""
-    try:
-        return json.dumps(value, sort_keys=True, allow_nan=False)
-    except ValueError:
+_JSON = orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
+
+
+def _dumps(value, path: str) -> bytes:
+    """``value`` as compact UTF-8 JSON with sorted keys, NumPy scalars and
+    arrays included (orjson). orjson writes a non-finite float as ``null``,
+    so where the text holds ``null`` the value is searched, and a
+    non-finite float raises ``InputError`` naming its key path."""
+    data = orjson.dumps(value, option=_JSON)
+    if b"null" in data:
         where = _nonfinite_path(value, path)
-        if where is None:
-            raise
-        raise InputError(f"{where} is not finite, and JSON output has no value for it") from None
+        if where is not None:
+            raise InputError(f"{where} is not finite, and JSON output has no value for it")
+    return data
 
 
 def _emit(payload: dict, args, table=None, header=None) -> None:
     """Write results as one line of JSON with sorted keys (default), or as
-    CSV with the config echoed in a leading ``#`` line.
+    CSV with the config echo in a leading ``#`` line.
 
-    JSON: every top-level ndarray value is written by ``_array_json``; every
-    other value (and CSV's config echo) by ``_dumps``, so a non-finite float
-    raises ``InputError`` naming its key path before anything is written.
+    JSON: every top-level ndarray value is written by ``_array_json``, a
+    top-level bytes value is JSON text already written, and every other
+    value (and CSV's config echo) goes through ``_dumps``, so a non-finite
+    float raises ``InputError`` naming its key path before anything is
+    written.
 
     CSV: an ndarray ``table`` is ``_array_json``'s text with one row per
     line; a sequence of tuple rows writes floats as ``%.17g`` (``_fmt``)
@@ -113,32 +124,47 @@ def _emit(payload: dict, args, table=None, header=None) -> None:
     t0 = time.perf_counter()
     if args.format == "csv" and table is not None:
         config = _dumps(payload.get("config", {}), "config")
-        chunks = ["# " + config + "\n" + ",".join(header) + "\n"]
+        chunks = [b"# ", config, ("\n" + ",".join(header) + "\n").encode()]
         if isinstance(table, np.ndarray):
-            # [[a,b],[c,d]] -> a,b\nc,d\n
-            chunks += [memoryview(_array_json(table).replace(b"],[", b"\n"))[2:-2], "\n"]
+            # [[a,b],[c,d]] -> a,b\nc,d: found through a uint8 view, the
+            # comma after each row's "]" becomes a newline and every "["
+            # a "]", and one single-byte replace drops them all; a search
+            # for the three bytes "],[" scans far slower, and each further
+            # table-sized temporary costs about as much as the scan
+            text = bytearray(_array_json(table))
+            view = np.frombuffer(text, np.uint8)
+            ends = np.flatnonzero(view == ord("]"))[:-2]
+            view[ends + 1] = ord("\n")
+            view[ends + 2] = view[:2] = ord("]")
+            chunks += [text.replace(b"]", b""), b"\n"]
         else:
-            chunks += [",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n"
+            chunks += [(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n").encode()
                        for row in table]
         rows = len(table)
     else:
         chunks = []
         for key in sorted(payload):
             value = payload[key]
-            chunks.append(("{" if not chunks else ", ") + json.dumps(key) + ": ")
-            chunks.append(_array_json(value) if isinstance(value, np.ndarray)
-                          else _dumps(value, key))
-        chunks.append("}\n")
+            if isinstance(value, np.ndarray):
+                value = _array_json(value)
+            elif not isinstance(value, bytes):
+                value = _dumps(value, key)
+            chunks += [b"," if chunks else b"{", orjson.dumps(key), b":", value]
+        chunks.append(b"}\n")
         rows = 1
-    data = b"".join(c.encode() if isinstance(c, str) else c for c in chunks)
+    # the chunks are written one after another, not joined into one more copy
     if args.out:
         with open(args.out, "wb") as out:
-            out.write(data)
+            out.writelines(chunks)
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()
+        sys.stdout.buffer.writelines(chunks)
+        sys.stdout.buffer.flush()
     else:
-        sys.stdout.write(data.decode())
+        sys.stdout.write(b"".join(chunks).decode())
     if log.isEnabledFor(logging.DEBUG):
         log.debug("emit %s: %d rows, %d bytes, %.1f ms", args.format, rows,
-                  len(data), 1e3 * (time.perf_counter() - t0))
+                  sum(map(len, chunks)), 1e3 * (time.perf_counter() - t0))
 
 
 def _config(args, keys) -> dict:
@@ -150,35 +176,59 @@ def _config(args, keys) -> dict:
 _FORMULAS = constants.FORMULAS
 
 
+def _hole(name: str) -> str:
+    """A placeholder in a ``_json_rows`` template for the column ``name``."""
+    return "\0" + name
+
+
+_HOLES = re.compile(rb'"\\u0000(\w+)"')  # a hole as orjson writes it
+
+
+def _json_rows(template: dict, columns: dict, count: int, path: str) -> list:
+    """The JSON text of ``count`` rows as a list of bytes: row i is
+    ``template`` with each hole ``_hole(name)`` holding ``columns[name][i]``,
+    a number, written as ``_dumps`` writes the row. The template and each
+    column are written once, by ``_dumps``, and the rows are joined from
+    those pieces."""
+    parts = _HOLES.split(_dumps(template, path))
+    pieces = [repeat(parts[0], count)]
+    for name, text in zip(parts[1::2], parts[2::2]):
+        pieces += [_dumps(columns[name.decode()], path)[1:-1].split(b","), repeat(text, count)]
+    return list(map(b"".join, zip(*pieces)))
+
+
 def _cmd_constants(args) -> int:
-    ns = args.n
-    if args.formula == "arma":  # n-independent: one value for the whole sweep
+    ns, formula, regime = args.n, args.formula, ""
+    if formula == "arma":  # n-independent: one value for the whole sweep
         if args.A is None or args.B is None:
             raise InputError("the arma formula needs --A and --B")
         inputs = {"A": _load_json(args.A), "B": _load_json(args.B)}
-        rows = [(constants.arma_lsi_alpha(inputs["A"], inputs["B"]), inputs, "")] * len(ns)
-    elif args.formula == "ou":
+        columns = {"value": [constants.arma_lsi_alpha(inputs["A"], inputs["B"])] * len(ns)}
+    elif formula == "ou":
         if args.rho is None or args.tau is None:
             raise InputError("the ou formula needs --rho and --tau")
         x = args.x or 0.0
-        rows = [(out["kappa_n"], {"rho": args.rho, "tau": args.tau, "n": n, "x": x, **out}, "")
-                for n, out in zip(ns, constants.ou_kappas(args.rho, args.tau, ns, x))]
+        out = constants.ou_kappas(args.rho, args.tau, ns, x)
+        inputs = {"rho": args.rho, "tau": args.tau, "x": x, "theta": out["theta"], "sigma2": out["sigma2"],
+                  "n": _hole("n"), "kappa_n": _hole("value"), "mean_Fn": _hole("mean_Fn")}
+        columns = {"value": out["kappa_n"].tolist(), "mean_Fn": out["mean_Fn"].tolist()}
     else:
-        names = _FORMULAS[args.formula][1]
+        names = _FORMULAS[formula][1]
         params = {name: getattr(args, name) for name in names if name != "n"}
         missing = [name for name, v in params.items() if v is None]
         if missing:
-            raise InputError(f"formula {args.formula} needs --{missing[0]}")
-        rows = [(float(res), {**params, "n": n}, getattr(res, "regime", ""))
-                for n, res in zip(ns, constants.sweep(args.formula, params, ns))]
-    results = [{"formula_id": args.formula, "inputs": inputs, "regime": regime, "value": value}
-               for value, inputs, regime in rows]
+            raise InputError(f"formula {formula} needs --{missing[0]}")
+        values, regime = constants.sweep(formula, params, ns)
+        inputs, columns, regime = dict(params, n=_hole("n")), {"value": values.tolist()}, regime or ""
+    columns["n"] = ns
     config = _config(args, ("formula", "n"))
     if args.format == "json":
+        row = {"formula_id": formula, "inputs": inputs, "regime": regime, "value": _hole("value")}
+        results = b"[" + b",".join(_json_rows(row, columns, len(ns), "results")) + b"]"
         _emit({"config": config, "results": results}, args)
     else:
-        rows = [(r["formula_id"], json.dumps(r["inputs"], sort_keys=True).replace(",", ";"),
-                 r["regime"], r["value"]) for r in results]
+        cells = (text.decode().replace(",", ";") for text in _json_rows(inputs, columns, len(ns), "inputs"))
+        rows = [(formula, cell, regime, value) for cell, value in zip(cells, columns["value"])]
         _emit({"config": config}, args, rows, ("formula_id", "inputs", "regime", "value"))
     return EXIT_PASS
 
@@ -418,6 +468,7 @@ def _add_common(p: argparse.ArgumentParser, *flags) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="concentra")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # each subcommand's own parser, by name (see main)
 
     p = sub.add_parser("constants", help="evaluate closed-form inequality constants")
     p.add_argument("--formula", required=True, choices=sorted(_FORMULAS) + ["arma", "ou"])
@@ -495,8 +546,17 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     level = os.environ.get("CONCENTRA_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parser().parse_args(argv)
+        parser = _parser()
+        command = parser.commands.get(argv[0]) if argv else None
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            # the subcommand's parser reads its arguments directly: through
+            # the top-level parser each string is converted once more first,
+            # 40 % of the parse for a 200-horizon `constants --n`
+            args = command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
         return args.fn(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

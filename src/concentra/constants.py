@@ -9,20 +9,25 @@ at ratio 1, and elsewhere one closed form with no cancellation near 1 (see
 ``geometric_sum``). The ARMA series stops with a certified tail bound, so
 its constant is never too large (see ``arma_lsi_alpha``).
 
-A sweep over many n costs O(max n): ``sweep`` (and ``gc_markov_kappas``,
-``ou_kappas``) build the summed forms' per-m terms once, up to the largest
-n, and take each n's value as an exact prefix sum, equal bit for bit to
-``math.fsum`` of that prefix. The scalar ``gc_markov_kappa`` and
-``ou_kappa`` are the one-n case of the same code.
+Each ``FORMULAS`` row is an array program over n: ``sweep`` evaluates it
+at every requested n in one NumPy expression, checked once, and each
+scalar function is the one-n case of the same program, so a sweep's value
+at n is bit for bit the scalar call. The summed forms (``gc_markov_kappas``,
+``ou_kappas``) make their per-m terms up to the largest n and take each
+n's value as an exact prefix sum: a finite term is k 2^e with an integer
+k (``frexp``), so at the smallest exponent e0 every term is the integer
+k 2^(e - e0), the running totals are exact Python integers
+(``itertools.accumulate``), and one correctly rounded integer division per
+n gives ``math.fsum`` of that prefix, bit for bit. Terms are made
+``_BLOCK`` at a time, so a sweep's memory does not grow with n.
 """
 from __future__ import annotations
 
-import functools
 import math
-import reprlib
+import operator
 import sys
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -33,6 +38,8 @@ _E = math.e
 
 # the most terms arma_lsi_alpha sums before it certifies its tail
 _ARMA_MAX_TERMS = 100000
+# the most floats a block of summed terms or of ARMA matrix powers holds
+_BLOCK = 1 << 16
 
 CONTRACTIVE = "contractive"
 CRITICAL = "critical"
@@ -56,67 +63,58 @@ class RegimeConstant:
         return float(self.value)
 
 
-def _representable(out) -> bool:
-    if isinstance(out, dict):
-        return all(map(math.isfinite, out.values()))
-    return 0.0 < float(out) < math.inf
+def _quotient(total: int, den: int) -> float:
+    try:
+        return total / den
+    except OverflowError:
+        return math.inf if total > 0 else -math.inf
 
 
-def _finite(fn):
-    """Make ``fn`` raise ``InputError`` where it under- or overflows: an
-    ``ArithmeticError``, a non-finite dict entry, or a constant outside
-    0 < value < inf, in its result or in any entry of a sweep's list.
-    ``fn`` checks its own inputs first."""
+def _prefix_sums(term, n: np.ndarray) -> np.ndarray:
+    """``math.fsum(term(np.arange(1.0, k + 1)))`` for every k in the float
+    array ``n`` of counts >= 0, bit for bit wherever fsum returns a finite
+    value; ``term`` maps a float array of indices m to the terms' floats.
 
-    @functools.wraps(fn)
-    def checked(*args, **kwargs):
-        try:
-            out = fn(*args, **kwargs)
-        except ArithmeticError as exc:
-            raise InputError(f"{fn.__name__}{reprlib.repr(args)} overflows in floating point: {exc}") from None
-        bad = [v for v in (out if isinstance(out, list) else [out]) if not _representable(v)]
-        if not bad:
-            return out
-        raise InputError(f"{fn.__name__}{reprlib.repr(args)} under- or overflows in floating point: {bad[0]}")
-
-    return checked
-
-
-def _grow(partials: list, x: float) -> None:
-    """Add x exactly to ``partials``, a nonoverlapping expansion in
-    increasing magnitude (Shewchuk's partials, the inner loop of
-    ``math.fsum``)."""
-    i = 0
-    for y in partials:
-        if abs(x) < abs(y):
-            x, y = y, x
-        hi = x + y
-        lo = y - (hi - x)
-        if lo:
-            partials[i] = lo
-            i += 1
-        x = hi
-    partials[i:] = [x]
+    The running total is one Python integer at scale 2^e0, e0 the smallest
+    exponent seen so far, and each requested prefix is one integer true
+    division by 2^-e0, correctly rounded as fsum rounds the exact sum. A
+    prefix past a non-finite term takes the sum of the non-finite terms
+    (inf, -inf or nan), and a prefix beyond the largest double is +-inf."""
+    want = n.astype(np.int64)
+    out = np.zeros(want.shape)
+    total, e0, special = 0, 0, 0.0  # the finite sum is total * 2**e0
+    top = int(want.max(initial=0))
+    for lo in range(0, top, _BLOCK):
+        hi = min(lo + _BLOCK, top)
+        t = np.asarray(term(np.arange(lo + 1.0, hi + 1.0)), dtype=float)
+        finite = np.isfinite(t)
+        mant, exp = np.frexp(np.where(finite, t, 0.0))
+        mant, exp = (mant * 2.0**53).astype(np.int64), exp - 53
+        low = min(e0, int(exp.min()))
+        total, e0 = total << (e0 - low), low
+        sums = np.array(list(accumulate(map(operator.lshift, mant.tolist(), (exp - e0).tolist()),
+                                        initial=total)), dtype=object)
+        total = sums[-1]
+        mine = (want > lo) & (want <= hi)
+        out[mine] = list(map(_quotient, sums[want[mine] - lo].tolist(), repeat(1 << -e0)))
+        if special != 0.0 or not finite.all():  # nan != 0.0 too
+            specials = special + np.cumsum(np.where(finite, 0.0, t))
+            last = specials[want[mine] - lo - 1]
+            out[mine] = np.where(last == 0.0, out[mine], last)
+            special = float(specials[-1])
+    return out
 
 
-def _prefix_fsums(terms, ns) -> dict:
-    """{n: math.fsum of the first n of ``terms``} for every n >= 0 in
-    ``ns``, bit for bit, in one pass over the iterable ``terms``. fsum is
-    correctly rounded, so any exact expansion of a prefix gives the same
-    value: the running prefix is carried as its partials, and the longest
-    prefix is one fsum over those and the rest of the stream, so a single
-    n costs what fsum costs."""
-    wanted = sorted(set(ns))
-    if not wanted:
-        return {}
-    it, partials, done, sums = iter(terms), [], 0, {}
-    for n in wanted[:-1]:
-        for x in islice(it, n - done):
-            _grow(partials, x)
-        sums[n] = math.fsum(partials)
-        done = n
-    sums[wanted[-1]] = math.fsum(chain(partials, islice(it, wanted[-1] - done)))
-    return sums
+def _geometric_sums(ratio: float, terms: np.ndarray) -> np.ndarray:
+    """``geometric_sum(ratio, t)`` at every t in the float array ``terms``."""
+    if ratio == 1.0:
+        return terms
+    if ratio > 0.0:
+        return np.expm1(terms * math.log(ratio)) / (ratio - 1.0)
+    if ratio < 0.0:
+        top = np.where(terms % 2.0 == 0.0, np.expm1(terms * math.log(-ratio)), -((-ratio) ** terms + 1.0))
+        return top / (ratio - 1.0)
+    return (ratio**terms - 1.0) / (ratio - 1.0)
 
 
 def geometric_sum(ratio: float, terms: int) -> float:
@@ -126,90 +124,174 @@ def geometric_sum(ratio: float, terms: int) -> float:
     the quotient does not cancel as the ratio nears 1. For ratio < 0 it is
     expm1(terms log|ratio|) at even terms, which does not cancel as the
     ratio nears -1, and -(|ratio|**terms + 1) at odd terms."""
-    if ratio == 1.0:
-        return float(terms)
-    if ratio > 0.0:
-        return math.expm1(terms * math.log(ratio)) / (ratio - 1.0)
-    if ratio < 0.0:
-        top = math.expm1(terms * math.log(-ratio)) if terms % 2 == 0 else -((-ratio) ** terms + 1.0)
-        return top / (ratio - 1.0)
-    return (ratio**terms - 1.0) / (ratio - 1.0)
+    with np.errstate(all="ignore"):
+        return float(_geometric_sums(float(ratio), np.array([terms], dtype=float))[0])
 
 
-def _squared_geometric_sums(ratio: float, ns) -> dict:
-    """{n: fsum over m = 1..n of geometric_sum(ratio, m) ** 2} for every n
-    in ``ns``, in one pass over m <= max(ns)."""
-    sums = (geometric_sum(ratio, m) for m in range(1, max(ns, default=0) + 1))
-    return _prefix_fsums((g**2 for g in sums), ns)
+def _squared_geometric_sums(ratio: float, n: np.ndarray) -> np.ndarray:
+    """The exact prefix sums over m = 1..n of geometric_sum(ratio, m)**2."""
+    return _prefix_sums(lambda m: _geometric_sums(ratio, m) ** 2, n)
 
 
-@_finite
-def gc_markov_kappas(kappa1: float, L: float, ns) -> list:
-    """``gc_markov_kappa(kappa1, L, n)`` for every n in ``ns``, in
-    O(max(ns)) steps."""
-    _check(kappa1=kappa1, L=L)
-    for n in ns:
-        _check(n=n)
-    sums = _squared_geometric_sums(L, ns)
-    return [kappa1 * sums[n] for n in ns]
+# the array programs: each maps its parameters, as floats, and a float
+# array n of horizons to (value or array of values, regime or None); they
+# run under np.errstate, so an under- or overflow shows in the values
+
+def _gc_markov(kappa1, L, n):
+    return kappa1 * _squared_geometric_sums(L, n), None
+
+
+def _gc_general(kappa1, M, n):
+    return kappa1 * (1.0 + M) ** (2 * n) / M**2, None
+
+
+def _ts_markov(alpha, L, s, n):
+    if L < 1.0:
+        return n ** (1.0 - 2.0 / s) * (1.0 - L ** (1.0 / s)) ** 2 * alpha, CONTRACTIVE
+    if L == 1.0:
+        # critical branch normalized to carry the same alpha factor as its
+        # neighbours; (n+1) exponent from the gamma = 1 + 1/n choice
+        return _E ** (2.0 / s - 2.0) * (n + 1) ** (-2.0 / s - 1.0) * alpha, CRITICAL
+    return ((L - 1.0) / (_E ** (s - 1.0) * L**n)) ** (2.0 / s) * alpha / (n + 1), EXPANSIVE
+
+
+def _ts_general(alpha, M, s, n):
+    return alpha * ((n * _E) ** (1.0 - s) * M / (1.0 + M) ** n) ** (2.0 / s), None
+
+
+def _lsi_markov(alpha, L, n):
+    if L < alpha:
+        return (alpha - L) ** 2 / alpha, CONTRACTIVE
+    if L == alpha:
+        return alpha / (n * (n + 1) * (_E - 1.0)), CRITICAL
+    return (alpha / L) ** (2 * n) * (L**2 - alpha**2) / (alpha * _E * (n + 1)), EXPANSIVE
+
+
+def _lsi_weak(alpha, R, n):
+    if R < alpha:
+        return (math.sqrt(alpha) - math.sqrt(R)) ** 2, CONTRACTIVE
+    if R == alpha:
+        return alpha / (n * (n + 1) * (_E - 1.0)), CRITICAL
+    return (alpha / R) ** n * (R - alpha) / (_E * (n + 1)), EXPANSIVE
+
+
+def _contraction_noise(alpha, L, n):
+    if L < 1.0:
+        return (1.0 - L) ** 2 * alpha, CONTRACTIVE
+    if L == 1.0:
+        return alpha / (n * (n + 1) * (_E - 1.0)), CRITICAL
+    return (L - 1.0) * alpha / (L**n * _E * (n + 1)), EXPANSIVE
+
+
+def _ou(rho, tau, x, n):
+    theta = math.exp(-rho * tau)
+    # where theta rounds to 1, tau is within 1.1e-16 of sigma2, while a
+    # subnormal 2 rho tau would lose digits (rho = 5e-324, tau = 0.3 gives 0.5)
+    sigma2 = tau if theta == 1.0 else -math.expm1(-2.0 * rho * tau) / (2.0 * rho)
+    # at x = +-0 every mean is x itself (kappa_n overflows before the sum)
+    mean = x * _prefix_sums(lambda m: theta**m, n) if x else np.full(n.shape, x)
+    return {"theta": theta, "sigma2": sigma2, "kappa_n": sigma2 * _squared_geometric_sums(theta, n), "mean_Fn": mean}
+
+
+# scalar function name -> (array program, the function's parameter names
+# before n)
+_PROGRAMS = {
+    "gc_markov_kappa": (_gc_markov, ("kappa1", "L")),
+    "gc_weak_kappa_general": (_gc_general, ("kappa1", "M")),
+    "ts_markov_alpha": (_ts_markov, ("alpha", "L", "s")),
+    "ts_general_alpha": (_ts_general, ("alpha", "M", "s")),
+    "lsi_markov_alpha": (_lsi_markov, ("alpha", "L")),
+    "lsi_weak_alpha": (_lsi_weak, ("alpha", "R")),
+    "contraction_noise_alpha": (_contraction_noise, ("alpha", "L")),
+    "ou_kappa": (_ou, ("rho", "tau", "x")),
+}
+
+
+def _run(name: str, args, ns):
+    """The program of scalar function ``name`` at every horizon in ``ns``
+    at once, its parameters ``args`` and the horizons checked once. Returns
+    the horizons as a float array, the parameters by name, and the
+    program's output; an ArithmeticError on a scalar step is InputError."""
+    program, names = _PROGRAMS[name]
+    params = dict(zip(names, args))
+    _check(**params, n=ns)
+    try:
+        n = np.asarray(ns, dtype=float).ravel()
+        with np.errstate(all="ignore"):
+            return n, params, program(*map(float, args), n)
+    except ArithmeticError as exc:
+        raise InputError(f"{_call(name, params)} overflows in floating point: {exc}") from None
+
+
+def _call(name: str, params: dict) -> str:
+    return f"{name}({', '.join(f'{k}={v}' for k, v in params.items())})"
+
+
+def _require(ok: np.ndarray, name: str, params: dict, n: np.ndarray, values: np.ndarray) -> None:
+    """Raise InputError at the first n where ``ok`` fails."""
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise InputError(f"{_call(name, params)} under- or overflows in floating point "
+                         f"at n={int(n[k])}: {float(values[k])!r}")
+
+
+def _evaluate(name: str, args, ns) -> tuple:
+    """Row ``name`` at every n in ``ns``: a float array with one value per
+    n, each in 0 < value < inf, and the row's regime (None for the rows
+    without one)."""
+    n, params, (values, regime) = _run(name, args, ns)
+    values = np.broadcast_to(np.asarray(values, dtype=float), n.shape)  # a branch free of n gives one value
+    _require((0.0 < values) & (values < math.inf), name, params, n, values)
+    return values, regime
+
+
+def _at(name: str, args, n: int):
+    values, regime = _evaluate(name, args, (n,))
+    return float(values[0]) if regime is None else RegimeConstant(float(values[0]), regime)
+
+
+def gc_markov_kappas(kappa1: float, L: float, ns) -> np.ndarray:
+    """``gc_markov_kappa(kappa1, L, n)`` for every n in ``ns``, as one
+    float array, in O(max(ns)) steps."""
+    return _evaluate("gc_markov_kappa", (kappa1, L), ns)[0]
 
 
 def gc_markov_kappa(kappa1: float, L: float, n: int) -> float:
     """Concentration constant kappa_1 * sum_m (sum_{k<m} L^k)^2 for a
     homogeneous chain with an L-Lipschitz kernel; the weak form takes the
     summed dependence coefficient R in place of L."""
-    return gc_markov_kappas(kappa1, L, (n,))[0]
+    return _at("gc_markov_kappa", (kappa1, L), n)
 
 
 gc_weak_kappa = gc_markov_kappa
 
 
-@_finite
 def gc_weak_kappa_general(kappa1: float, M: float, n: int) -> float:
     """Coarse bound kappa_1 (1+M)^(2n) / M^2 when the dependence
     coefficients are merely bounded by M > 0."""
-    _check(kappa1=kappa1, M=M, n=n)
-    return kappa1 * (1.0 + M) ** (2 * n) / M**2
+    return _at("gc_weak_kappa_general", (kappa1, M), n)
 
 
-@_finite
 def ts_markov_alpha(alpha: float, L: float, s: float, n: int) -> RegimeConstant:
     """Order-s transport constant for a homogeneous chain whose kernel is
     L-Lipschitz into (Prob_s, W_s), or (the weak form) under the summed
     dependence bound sum rho_j <= L; constant in n when s = 2 and L < 1."""
-    _check(alpha=alpha, L=L, s=s, n=n)
-    if L < 1.0:
-        return RegimeConstant(n ** (1.0 - 2.0 / s) * (1.0 - L ** (1.0 / s)) ** 2 * alpha, CONTRACTIVE)
-    if L == 1.0:
-        # critical branch normalized to carry the same alpha factor as its
-        # neighbours; (n+1) exponent from the gamma = 1 + 1/n choice
-        return RegimeConstant(_E ** (2.0 / s - 2.0) * (n + 1) ** (-2.0 / s - 1.0) * alpha, CRITICAL)
-    value = ((L - 1.0) / (_E ** (s - 1.0) * L**n)) ** (2.0 / s) * alpha / (n + 1)
-    return RegimeConstant(value, EXPANSIVE)
+    return _at("ts_markov_alpha", (alpha, L, s), n)
 
 
 ts_weak_alpha = ts_markov_alpha
 
 
-@_finite
 def ts_general_alpha(alpha: float, M: float, s: float, n: int) -> float:
     """Transport constant alpha ((n e)^(1-s) M / (1+M)^n)^(2/s) when the
     dependence coefficients are merely bounded by M > 0."""
-    _check(alpha=alpha, M=M, s=s, n=n)
-    return alpha * ((n * _E) ** (1.0 - s) * M / (1.0 + M) ** n) ** (2.0 / s)
+    return _at("ts_general_alpha", (alpha, M, s), n)
 
 
-@_finite
 def lsi_markov_alpha(alpha: float, L: float, n: int) -> RegimeConstant:
     """Log-Sobolev constant for a chain whose kernel energy has
     off-diagonal Hessian blocks bounded by L in operator norm."""
-    _check(alpha=alpha, L=L, n=n)
-    if L < alpha:
-        return RegimeConstant((alpha - L) ** 2 / alpha, CONTRACTIVE)
-    if L == alpha:
-        return RegimeConstant(alpha / (n * (n + 1) * (_E - 1.0)), CRITICAL)
-    value = (alpha / L) ** (2 * n) * (L**2 - alpha**2) / (alpha * _E * (n + 1))
-    return RegimeConstant(value, EXPANSIVE)
+    return _at("lsi_markov_alpha", (alpha, L), n)
 
 
 def lsi_weak_alpha_general(
@@ -285,32 +367,20 @@ def lsi_weak_alpha_general(
     return positive(max(f((a + b) / 2.0), fc, fd))
 
 
-@_finite
 def lsi_weak_alpha(alpha: float, R: float, n: int) -> RegimeConstant:
     """Log-Sobolev constant under sum_l sqrt(rho_l) <= sqrt(R), or (the
     kernel form) for a homogeneous kernel whose coupling MGF is sub-Gaussian
     with parameter R = kappa; at R = 0 the product keeps the constant alpha."""
-    _check(alpha=alpha, R=R, n=n)
-    if R < alpha:
-        return RegimeConstant((math.sqrt(alpha) - math.sqrt(R)) ** 2, CONTRACTIVE)
-    if R == alpha:
-        return RegimeConstant(alpha / (n * (n + 1) * (_E - 1.0)), CRITICAL)
-    return RegimeConstant((alpha / R) ** n * (R - alpha) / (_E * (n + 1)), EXPANSIVE)
+    return _at("lsi_weak_alpha", (alpha, R), n)
 
 
 lsi_markov_kernel_alpha = lsi_weak_alpha
 
 
-@_finite
 def contraction_noise_alpha(alpha: float, L: float, n: int) -> RegimeConstant:
     """Log-Sobolev constant for Z_{j+1} = Theta(Z_j) + Y_{j+1} with an
     L-Lipschitz map and LSI(alpha) noise."""
-    _check(alpha=alpha, L=L, n=n)
-    if L < 1.0:
-        return RegimeConstant((1.0 - L) ** 2 * alpha, CONTRACTIVE)
-    if L == 1.0:
-        return RegimeConstant(alpha / (n * (n + 1) * (_E - 1.0)), CRITICAL)
-    return RegimeConstant((L - 1.0) * alpha / (L**n * _E * (n + 1)), EXPANSIVE)
+    return _at("contraction_noise_alpha", (alpha, L), n)
 
 
 # formula id -> (function, parameter names in call order); the weak and
@@ -327,19 +397,50 @@ FORMULAS = {
     "lsi-kernel": (lsi_weak_alpha, ("alpha", "kappa", "n")),
     "lsi-contraction": (contraction_noise_alpha, ("alpha", "L", "n")),
 }
-# the rows whose value sums over m <= n; the others are closed form in n
-_SUMMED = frozenset({"gc-markov", "gc-weak"})
 
 
-def sweep(formula: str, params: dict, ns) -> list:
-    """``FORMULAS[formula]`` at every n in ``ns``, in one call; ``params``
-    maps the row's other parameter names to their values. The summed rows
-    build their terms once, up to max(ns), and the closed-form rows cost
-    O(1) per n, so a sweep over n = 1..N is O(N)."""
+def sweep(formula: str, params: dict, ns) -> tuple:
+    """``FORMULAS[formula]`` at every n in ``ns`` in one array program;
+    ``params`` maps the row's other parameter names to their values.
+    Returns (values, regime): a float array with one value per n, each bit
+    for bit the scalar call at that n, and the row's regime, which does
+    not depend on n (None for the rows without one). The summed rows cost
+    O(max(ns)) and the closed-form rows O(len(ns))."""
     fn, names = FORMULAS[formula]
-    if formula in _SUMMED:
-        return gc_markov_kappas(*(params[k] for k in names if k != "n"), ns)
-    return [fn(*(n if k == "n" else params[k] for k in names)) for n in ns]
+    return _evaluate(fn.__name__, [params[k] for k in names if k != "n"], ns)
+
+
+def _arma_series(scaled: np.ndarray, rho: float) -> tuple:
+    """The terms t_0 .. t_{J-1} of sum_j ||scaled^j||_2^2 as one float
+    array, and t_J, for the first J with t_J <= 1e-15, or J =
+    ``_ARMA_MAX_TERMS``; ``scaled`` is A / sqrt(rho).
+
+    The powers come in blocks, and each block's norms from one batched SVD.
+    Since ||A^j|| >= rho^j, t_j >= rho^j stays above 1e-15 for
+    j < log(1e-15) / log(rho), so the first block holds P_1 .. P_k up to
+    there (built by doubling); ``base`` holds P_1 .. P_k, and the next
+    block is P_D @ base = P_{D+1} .. P_{D+k}, with k doubling until a block
+    holds ``_BLOCK`` floats."""
+    cap = _ARMA_MAX_TERMS
+    k = min(math.ceil(math.log(1e-15) / math.log(rho)) + 1, cap, max(1, _BLOCK // scaled.size))
+    base = scaled[np.newaxis]
+    while len(base) < k:
+        base = np.concatenate((base, base[-1] @ base))
+    terms, done, base = [np.ones(1)], 0, base[:k]
+    block = base
+    while True:
+        block = block[: cap - done]
+        t = np.linalg.svd(block, compute_uv=False)[:, 0] ** 2  # t_{done+1} ..
+        small = np.flatnonzero(t <= 1e-15)
+        if small.size or done + t.size == cap:
+            stop = int(small[0]) if small.size else t.size - 1
+            terms.append(t[:stop])
+            return np.concatenate(terms), float(t[stop])
+        terms.append(t)
+        done += t.size
+        block = block[-1] @ base
+        if base.size < _BLOCK:
+            base = np.concatenate((base, block))
 
 
 def arma_lsi_alpha(A, B) -> float:
@@ -352,7 +453,8 @@ def arma_lsi_alpha(A, B) -> float:
     S_J <= S <= S_J / (1 - t_J), S_J = sum_{j<J} t_j. The sum stops at the
     first t_J <= 1e-15, or at J = ``_ARMA_MAX_TERMS``, and the constant is
     built from the upper bound, so it never exceeds the exact one. If
-    t_J >= 1 still holds at the cap, ``InputError`` is raised.
+    t_J >= 1 still holds at the cap, ``InputError`` is raised. The powers
+    and their norms are made in batches (see ``_arma_series``).
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -370,48 +472,37 @@ def arma_lsi_alpha(A, B) -> float:
                 "rho^(-j) ||A^j||^2 ill-defined"
             )
         return (1.0 / max(1.0, norm_b)) ** 2  # only the j = 0 term, 1, survives
-    scaled = A / math.sqrt(rho)
-    terms, term, power = [], 1.0, np.eye(A.shape[0])
-    for _ in range(_ARMA_MAX_TERMS):
-        terms.append(term)
-        power = power @ scaled
-        term = float(np.linalg.svd(power, compute_uv=False)[0]) ** 2  # ||power||_2^2
-        if term <= 1e-15:
-            break
-    if not term < 1.0:
+    terms, tail = _arma_series(A / math.sqrt(rho), rho)
+    if not tail < 1.0:
         raise InputError(
             f"the ARMA series has no certified tail after {_ARMA_MAX_TERMS} terms: "
-            f"rho^(-J) ||A^J||^2 = {term:.6g} >= 1"
+            f"rho^(-J) ||A^J||^2 = {tail:.6g} >= 1"
         )
-    series = math.fsum(terms) / (1.0 - term)
+    series = math.fsum(terms.tolist()) / (1.0 - tail)
     return ((1.0 - math.sqrt(rho)) / max(1.0, norm_b)) ** 2 * series ** (-2.0)
 
 
-@_finite
 def gaussian_sharp_alpha(mu: GaussianMeasure) -> float:
     """Sharp T_2 and log-Sobolev constant 1 / lambda_max(cov) of a Gaussian
     law (Talagrand 1996; Bakry-Emery): the largest alpha for which N(m, cov)
     satisfies either inequality, so the oracle every constant for a
     Gaussian chain's joint law must stay under. A point mass (zero
     covariance) satisfies both with every alpha and raises ``InputError``."""
-    return 1.0 / float(np.max(np.linalg.eigvalsh(mu.cov)))
+    top = float(np.max(np.linalg.eigvalsh(mu.cov)))
+    alpha = 1.0 / top if top > 0.0 else math.inf
+    if not alpha < math.inf:
+        raise InputError(f"gaussian_sharp_alpha: lambda_max(cov) = {top!r} has no finite inverse")
+    return alpha
 
 
-@_finite
-def ou_kappas(rho: float, tau: float, ns, x: float = 0.0) -> list:
-    """``ou_kappa(rho, tau, n, x)`` for every n in ``ns``, in O(max(ns))
-    steps."""
-    _check(rho=rho, tau=tau)
-    for n in ns:
-        _check(n=n)
-    theta = math.exp(-rho * tau)
-    # where theta rounds to 1, tau is within 1.1e-16 of sigma2, while a
-    # subnormal 2 rho tau would lose digits (rho = 5e-324, tau = 0.3 gives 0.5)
-    sigma2 = tau if theta == 1.0 else -math.expm1(-2.0 * rho * tau) / (2.0 * rho)
-    kappa = _squared_geometric_sums(theta, ns)
-    mean = _prefix_fsums((theta**i for i in range(1, max(ns, default=0) + 1)), ns)
-    return [{"theta": theta, "sigma2": sigma2, "kappa_n": sigma2 * kappa[n], "mean_Fn": x * mean[n]}
-            for n in ns]
+def ou_kappas(rho: float, tau: float, ns, x: float = 0.0) -> dict:
+    """``ou_kappa(rho, tau, n, x)`` for every n in ``ns`` in one call, in
+    O(max(ns)) steps: theta and sigma2 as floats, and kappa_n and mean_Fn
+    as float arrays with one value per n."""
+    n, params, out = _run("ou_kappa", (rho, tau, x), ns)
+    for key in ("kappa_n", "mean_Fn"):
+        _require(np.isfinite(out[key]), "ou_kappa", params, n, out[key])
+    return out
 
 
 def ou_kappa(rho: float, tau: float, n: int, x: float = 0.0) -> dict:
@@ -424,4 +515,5 @@ def ou_kappa(rho: float, tau: float, n: int, x: float = 0.0) -> dict:
     the concentration constant kappa_n = sigma2 sum_j (sum_i theta^i)^2 for
     the additive functional sum_j x_j, and its mean x sum_{i=1}^n theta^i.
     """
-    return ou_kappas(rho, tau, (n,), x)[0]
+    out = ou_kappas(rho, tau, (n,), x)
+    return {k: float(v[0]) if isinstance(v, np.ndarray) else v for k, v in out.items()}

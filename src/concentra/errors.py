@@ -2,8 +2,10 @@
 
 ``_check(**params)`` is the only place that decides whether a named
 parameter is in range; each entry point calls it once, by keyword, on its
-inputs. Rules apply elementwise to arrays, and NaN and +-inf fail every
-rule: the names in ``_COUNTS`` are integers >= 1 (not ``True``), those in
+inputs. Rules apply elementwise to arrays and sequences, and NaN and
++-inf fail every rule: the names in ``_COUNTS`` are integers >= 1 (not
+``True``; a sequence of them is checked entry by entry, so a bool or a
+float among integers fails), those in
 ``_ORDERS`` lie in [1, 2], those in ``_POSITIVE`` are finite and > 0, those
 in ``_REAL`` are finite, and every other name is finite and >= 0. It stays
 private, so tools that wrap a module's public functions leave it alone.
@@ -27,9 +29,17 @@ class SolverError(RuntimeError):
 _COUNTS = frozenset({"n", "N", "factors"})
 _ORDERS = frozenset({"s", "order"})
 _POSITIVE = frozenset({"kappa1", "alpha", "M", "epsilon", "tau", "tol", "kappa", "sigma2", "init_var", "density"})
-_REAL = frozenset({"rho", "theta", "init_mean", "A", "B", "mean", "cov", "t_grid", "grid"})
+_REAL = frozenset({"rho", "theta", "init_mean", "A", "B", "mean", "cov", "t_grid", "grid", "x"})
+
+
+def _is_count(v) -> bool:
+    if type(v) is int:  # the common case, without the ABC check
+        return v >= 1
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1
+
+
 # each rule's text and its elementwise test, which NaN fails
-_COUNT = ("an integer >= 1", lambda v: isinstance(v, numbers.Integral) and v is not True and v >= 1)
+_COUNT = ("an integer >= 1", _is_count)
 _IN_ORDER = ("in [1, 2]", lambda v: (1.0 <= v) & (v <= 2.0))
 _FINITE_POSITIVE = ("finite and > 0", lambda v: (0.0 < v) & (v < math.inf))
 _FINITE = ("finite", lambda v: (-math.inf < v) & (v < math.inf))
@@ -54,6 +64,16 @@ def _check(**params) -> None:
         if isinstance(v, numbers.Real):
             if not holds(v):
                 raise InputError(f"{name} must be {rule}, got {v!r}")
+            continue
+        if holds is _is_count:
+            try:
+                entries = v.ravel().tolist() if isinstance(v, np.ndarray) and v.dtype.kind in "iu" else list(v)
+            except TypeError:
+                raise InputError(f"{name} must be {rule}, got {v!r}") from None
+            ok = list(map(_is_count, entries))
+            if not all(ok):
+                k = ok.index(False)
+                raise InputError(f"{name} must be {rule}, got {entries[k]!r} at {name}[{k}]")
             continue
         try:
             a = np.atleast_1d(np.asarray(v, dtype=float))

@@ -11,6 +11,7 @@ import warnings
 from types import SimpleNamespace
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import chdtri, ndtri
@@ -246,10 +247,15 @@ def test_simulate_json_and_csv_give_the_same_paths(capsys, model):
     assert json.loads(out_json)["paths"] == csv_paths
 
 
+def _compact(obj):
+    """JSON in the CLI's layout: orjson's, sorted keys, no spaces, UTF-8."""
+    return orjson.dumps(obj, option=orjson.OPT_SORT_KEYS).decode()
+
+
 def _per_cell_csv(config, header, rows):
     """CSV of tuple rows by the per-cell rule: floats as %.17g, every other
     cell as str."""
-    lines = ["# " + json.dumps(config, sort_keys=True), ",".join(header)]
+    lines = ["# " + _compact(config), ",".join(header)]
     lines += [",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
 
@@ -275,7 +281,7 @@ def _assert_path_csv(out, config, values):
     """The CSV bytes of a path table: the config echo, the x<k> header, then
     one line per path, integer states as %d and floats as shortest cells."""
     lines = out.split("\n")
-    assert lines[0] == "# " + json.dumps(config, sort_keys=True)
+    assert lines[0] == "# " + _compact(config)
     assert lines[1] == ",".join(f"x{k}" for k in range(values.shape[1]))
     assert lines[-1] == "" and len(lines) == values.shape[0] + 3
     for line, row in zip(lines[2:], values.tolist()):
@@ -399,7 +405,7 @@ def test_constants_csv_bytes_match_per_cell_oracle(capsys, argv):
     code, out_csv, _ = run(capsys, *argv, "--format", "csv")
     assert code == 0
     payload = json.loads(out_json)
-    rows = [(r["formula_id"], json.dumps(r["inputs"], sort_keys=True).replace(",", ";"),
+    rows = [(r["formula_id"], _compact(r["inputs"]).replace(",", ";"),
              r["regime"], r["value"]) for r in payload["results"]]
     header = ("formula_id", "inputs", "regime", "value")
     assert out_csv == _per_cell_csv(payload["config"], header, rows)
@@ -521,19 +527,39 @@ def _float_bits(obj):
     return obj
 
 
-def test_emit_json_is_one_line_with_the_indented_values(capsys):
+def _plain(obj):
+    """The stdlib writer's fallback for NumPy values: arrays as lists,
+    scalars as Python numbers."""
+    return obj.tolist() if isinstance(obj, np.ndarray) else obj.item()
+
+
+def test_emit_json_is_one_line_with_the_indented_values(capsys, tmp_path):
     payload = {
-        "floats": [-0.0, 5e-324, 1e308, 0.1 + 0.2, np.float64(1.0 / 3.0)],
-        "nested": [[1.5, [2.5e-300, []]], {"b": -0.0, "a": "ç"}],
-        "config": {"name": "κ₁ — ü", "seed": 3},
+        "floats": [-0.0, 5e-324, 1e308, 0.1 + 0.2, np.float64(1.0 / 3.0), 1e16, 1e-5],
+        "nested": [[1.5, [2.5e-300, []]], {"b": -0.0, "a": "ç", "B": None}],
+        "config": {"name": "κ₁ — ü \u2028 \U0001d70c", "seed": 3, "none": None},
+        "numpy": [np.float32(1.5), np.int64(-3), np.float64(2.0), np.array([[0.25, 4e-300]])],
         "z": np.float64(-7.25e-17),
     }
     _emit(payload, SimpleNamespace(format="json", out=None))
     out = capsys.readouterr().out
     assert out.endswith("\n") and out.count("\n") == 1
     parsed = json.loads(out, parse_constant=_reject_constant)
-    assert list(parsed) == sorted(payload)
-    assert _float_bits(parsed) == _float_bits(json.loads(json.dumps(payload, indent=2, sort_keys=True)))
+    assert list(parsed) == sorted(payload) and list(parsed["nested"][1]) == ["B", "a", "b"]
+    assert _float_bits(parsed) == _float_bits(
+        json.loads(json.dumps(payload, indent=2, sort_keys=True, default=_plain)))
+    # orjson's compact layout, and text as UTF-8, not \u escapes
+    assert out.startswith('{"config":{"name":"κ₁ — ü \u2028 \U0001d70c","none":null,"seed":3},"floats":[-0.0,')
+    _emit(payload, SimpleNamespace(format="json", out=str(tmp_path / "out.json")))
+    assert (tmp_path / "out.json").read_bytes() == out.encode("utf-8")
+    # None is null; a non-finite float beside it is still an error
+    with pytest.raises(InputError, match=r"^config\.t is not finite"):
+        _emit({"config": {"s": None, "t": math.nan}}, SimpleNamespace(format="json", out=None))
+    with pytest.raises(InputError, match=r"^numpy\[1\]\[0\]\[1\] is not finite"):
+        _emit({"numpy": [None, np.array([[1.0, math.inf]])]}, SimpleNamespace(format="json", out=None))
+    with pytest.raises(InputError, match=r"^x\[0\] is not finite"):
+        _emit({"x": [np.float32("nan")]}, SimpleNamespace(format="json", out=None))
+    assert capsys.readouterr().out == ""
     # output is strict JSON: a non-finite float is an error naming its key
     # path, and nothing is written
     for bad in (math.nan, math.inf, -math.inf):
@@ -544,6 +570,88 @@ def test_emit_json_is_one_line_with_the_indented_values(capsys):
     with pytest.raises(InputError, match=r"^checks\[1\]\.rel_error is not finite"):
         _emit({"checks": [{"rel_error": 0.0}, {"pass": True, "rel_error": -math.inf}]},
               SimpleNamespace(format="json", out=None))
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (1, 1), (1, 4), (5, 1), (3, 0), (40, 7)])
+@pytest.mark.parametrize("dtype", [float, np.int64])
+def test_emit_csv_table_is_the_array_text_with_one_row_per_line(shape, dtype):
+    """The single-byte route writes the bytes that replacing every "],[" of
+    the array's JSON text by a newline writes."""
+    table = np.random.default_rng(shape[0]).normal(0.0, 1e3, shape).astype(dtype)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        _emit({"config": {}}, SimpleNamespace(format="csv", out=None), table, ("x",) * shape[1])
+    body = cli._array_json(table).replace(b"],[", b"\n")[2:-2].decode() + "\n"
+    assert buf.getvalue() == "# {}\n" + ",".join(("x",) * shape[1]) + "\n" + body
+
+
+SUBCOMMAND_ARGV = CONSTANTS_ARGV + [
+    ("wasserstein", "--mu", TWO_POINT, "--nu", json.dumps({"type": "discrete", "support": [0.5, 2.0], "weights": [0.3, 0.7]})),
+    ("wasserstein", "--mu", json.dumps({"type": "gaussian", "mean": [0.0], "cov": [[1.0]]}),
+     "--nu", json.dumps({"type": "gaussian", "mean": [1.0], "cov": [[2.0]]})),
+    ("entropy", "--q", json.dumps({"type": "discrete", "support": [0.0, 1.0], "weights": [0.75, 0.25]}), "--p", TWO_POINT),
+    ("certify", "--inequality", "gc", "--constant", "0.25", "--mu", TWO_POINT),
+    ("simulate", "--model", json.dumps({"kind": "ou", "rho": 0.7, "tau": 0.4, "x0": -0.3}), "--n", "4",
+     "--samples", "6", "--format", "json"),
+    ("couple", "--p-model", json.dumps({"kind": "gaussian_kernel", "theta": 0.5, "sigma2": 1.0}),
+     "--q-model", json.dumps({"kind": "gaussian_kernel", "theta": 0.5, "sigma2": 1.0, "init_mean": 1.0}), "--n", "3"),
+    ("verify-ou", "--rho", "0.7", "--tau", "0.4", "--n", "5", "--samples", "200"),
+    ("verify-arma", "--A", "[[0.5,0.1],[0.0,0.4]]", "--n", "4"),
+]
+
+
+@pytest.mark.parametrize("argv", SUBCOMMAND_ARGV, ids=lambda argv: " ".join(argv[:3])[:40])
+def test_every_subcommand_json_parses_to_its_payload(capsys, monkeypatch, argv):
+    """What each subcommand writes parses, floats bit for bit, to what the
+    stdlib writer makes of the payload it hands to ``_emit`` (a bytes value
+    is JSON text already written, and parsed first)."""
+    payloads = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda payload, *rest: (payloads.append(payload), emit(payload, *rest)))
+    code, out, _ = run(capsys, *argv)
+    assert code in (0, 1) and len(payloads) == 1
+    want = {k: json.loads(v) if isinstance(v, bytes) else v for k, v in payloads[0].items()}
+    reference = json.loads(json.dumps(want, sort_keys=True, default=_plain))
+    assert _float_bits(json.loads(out, parse_constant=_reject_constant)) == _float_bits(reference)
+
+
+@pytest.mark.parametrize("argv", SUBCOMMAND_ARGV, ids=lambda argv: " ".join(argv[:3])[:40])
+def test_subcommand_parser_reads_what_the_full_parser_reads(capsys, argv):
+    """main hands a subcommand's arguments to its own parser, which gives
+    the namespace the top-level parser gives; an unknown flag still exits 2."""
+    parser = build_parser()
+    direct = parser.commands[argv[0]].parse_args(list(argv[1:]), argparse.Namespace(command=argv[0]))
+    assert vars(direct) == vars(parser.parse_args(list(argv)))
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--no-such-flag"])
+    assert exc.value.code == 2 and "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", CONSTANTS_ARGV, ids=lambda argv: argv[2])
+def test_constants_json_rows_are_the_scalar_calls(capsys, argv):
+    """Each row written from the sweep's arrays holds the scalar call at its
+    n, bit for bit, and the inputs it was called with."""
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    flags = dict(zip(argv[1::2], argv[2::2]))
+    formula, ns = flags["--formula"], [int(v) for v in argv[argv.index("--n") + 1:]]
+    rows = json.loads(out)["results"]
+    assert [r["formula_id"] for r in rows] == [formula] * len(ns)
+    for n, row in zip(ns, rows):
+        if formula == "arma":
+            inputs = {"A": json.loads(flags["--A"]), "B": json.loads(flags["--B"])}
+            want, regime = arma_lsi_alpha(inputs["A"], inputs["B"]), ""
+        elif formula == "ou":
+            rho, tau, x = float(flags["--rho"]), float(flags["--tau"]), float(flags["--x"])
+            inputs = {"rho": rho, "tau": tau, "x": x, "n": n, **ou_kappa(rho, tau, n, x)}
+            want, regime = inputs["kappa_n"], ""
+        else:
+            fn, names = FORMULAS[formula]
+            inputs = {k: float(flags[f"--{k}"]) for k in names if k != "n"}
+            got = fn(*inputs.values(), n)
+            inputs["n"], want, regime = n, float(got), getattr(got, "regime", "")
+        assert row["inputs"] == inputs and row["regime"] == regime
+        assert row["value"].hex() == want.hex()
 
 
 @pytest.mark.parametrize("fmt, rows", [("csv", 4), ("json", 1)])

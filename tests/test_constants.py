@@ -29,7 +29,7 @@ from concentra import (
     ts_weak_alpha,
 )
 from concentra import constants
-from concentra.constants import FORMULAS, _prefix_fsums, geometric_sum, gc_markov_kappas, ou_kappas, sweep
+from concentra.constants import FORMULAS, _prefix_sums, geometric_sum, gc_markov_kappas, ou_kappas, sweep
 
 from oracles import (
     oracle_arma_alpha,
@@ -110,13 +110,36 @@ _FINITE = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False, allow_in
        st.lists(st.integers(min_value=0, max_value=60), min_size=1, max_size=8))
 def test_prefix_fsums_are_fsum_of_each_prefix(terms, ns):
     """Exact prefix sums give fsum's bits for every prefix, under
-    cancellation and across magnitudes, in any order of the requested n."""
+    cancellation and across magnitudes (subnormals included), in any order
+    of the requested n, repeats and n = 0 included."""
     ns = [min(n, len(terms)) for n in ns]
-    got = _prefix_fsums(terms, ns)
-    assert set(got) == set(ns)
-    for n in ns:
+    table = np.array(terms + [0.0])
+    got = _prefix_sums(lambda m: table[m.astype(int) - 1], np.array(ns, dtype=float))
+    assert got.shape == (len(ns),)
+    for n, value in zip(ns, got.tolist()):
         want = math.fsum(terms[:n])
-        assert got[n] == want and math.copysign(1.0, got[n]) == math.copysign(1.0, want)
+        assert value == want and math.copysign(1.0, value) == math.copysign(1.0, want)
+
+
+def test_prefix_sums_cross_blocks_and_mark_nonfinite_prefixes(monkeypatch):
+    """Across block boundaries the running integer carries over, also when a
+    later block lowers the common exponent; a prefix that holds a
+    non-finite term, or whose sum is beyond the largest double, is not
+    finite, and the prefixes before it are unchanged."""
+    monkeypatch.setattr(constants, "_BLOCK", 7)
+    rng = np.random.default_rng(5)
+    terms = (rng.choice([-1.0, 1.0], 50) * 10.0 ** rng.uniform(-300, 300, 50)).tolist()
+    terms[30:] = [t * 1e-20 for t in terms[30:]]
+    got = _prefix_sums(lambda m: np.array(terms)[m.astype(int) - 1], np.arange(51.0))
+    assert got.tolist() == [math.fsum(terms[:n]) for n in range(51)]
+    special = [1.0, 2.0, math.inf, 1.0, -math.inf, 1.0, 1e308, 1e308, -1e308]
+    with np.errstate(invalid="ignore"):
+        got = _prefix_sums(lambda m: np.array(special)[m.astype(int) - 1], np.arange(10.0))
+    assert got[:3].tolist() == [0.0, 1.0, 3.0] and got[3:5].tolist() == [math.inf, math.inf]
+    assert np.isnan(got[5:]).all()
+    finite_only = [1e308, 1e308, -1e308]
+    got = _prefix_sums(lambda m: np.array(finite_only)[m.astype(int) - 1], np.arange(4.0))
+    assert got.tolist() == [0.0, 1e308, math.inf, 1e308]
 
 
 @pytest.mark.parametrize("L", [0.0, 1e-12, 0.6, 1.0 - 1e-10, 1.0, 1.0 + 1e-10, 1.0 + 2e-9, 1.3])
@@ -126,16 +149,18 @@ def test_gc_and_ou_sums_are_fsums_of_their_terms(L):
     1e-10 of it and far from it."""
     ns = list(range(1, 61)) + [200]
     sweep_values = gc_markov_kappas(1.5, L, ns)
-    for n, got in zip(ns, sweep_values):
-        want = 1.5 * math.fsum(geometric_sum(L, m) ** 2 for m in range(1, n + 1))
+    for n, got in zip(ns, sweep_values.tolist()):
+        want = 1.5 * math.fsum(g * g for g in map(geometric_sum, [L] * n, range(1, n + 1)))
         assert got == want == gc_markov_kappa(1.5, L, n), n
     if L > 0.0:
         rho = -math.log(L)  # theta = exp(-rho) is L up to one rounding
-        for n, out in zip(ns, ou_kappas(rho, 1.0, ns, 0.7)):
-            theta = out["theta"]
-            assert out == ou_kappa(rho, 1.0, n, 0.7)
-            assert out["kappa_n"] == out["sigma2"] * math.fsum(geometric_sum(theta, m) ** 2 for m in range(1, n + 1))
-            assert out["mean_Fn"] == 0.7 * math.fsum(theta**i for i in range(1, n + 1))
+        out = ou_kappas(rho, 1.0, ns, 0.7)
+        theta, sigma2 = out["theta"], out["sigma2"]
+        for n, kappa, mean in zip(ns, out["kappa_n"].tolist(), out["mean_Fn"].tolist()):
+            assert ou_kappa(rho, 1.0, n, 0.7) == {"theta": theta, "sigma2": sigma2, "kappa_n": kappa, "mean_Fn": mean}
+            assert kappa == sigma2 * math.fsum(g * g for g in map(geometric_sum, [theta] * n, range(1, n + 1)))
+            # the terms theta^i are NumPy's power, as in every array program
+            assert mean == 0.7 * math.fsum(np.power(theta, np.arange(1.0, n + 1)).tolist())
 
 
 @pytest.mark.parametrize("formula", sorted(FORMULAS))
@@ -145,13 +170,111 @@ def test_sweep_is_the_per_n_call(formula):
     fn, names = FORMULAS[formula]
     params = {k: _VALID[k] for k in names if k != "n"}
     ns = [5, 1, 200, 5, 17]
-    got = sweep(formula, params, ns)
+    values, regime = sweep(formula, params, ns)
     want = [fn(*(n if k == "n" else params[k] for k in names)) for n in ns]
-    assert [float(v) for v in got] == [float(v) for v in want]
-    assert [getattr(v, "regime", "") for v in got] == [getattr(v, "regime", "") for v in want]
+    assert values.tolist() == [float(v) for v in want]
+    assert {getattr(v, "regime", None) for v in want} == {regime}
     for bad in (0, 2.5, True):
         with pytest.raises(InputError):
             sweep(formula, params, [1, bad])
+
+
+_DEPENDENCE = {"L", "R", "M", "kappa"}
+
+
+@st.composite
+def _row_params(draw, names):
+    """A row's parameters: scales across decades, orders s in [1, 2], and
+    dependence values on and around every regime boundary (L = 1, R = alpha,
+    L = alpha), where the summed rows and the expansive branches under- or
+    overflow by n = 300."""
+    params = {}
+    for name in names:
+        if name in ("kappa1", "alpha"):
+            params[name] = draw(st.one_of(st.sampled_from([1.0, 2.0]), st.floats(1e-3, 1e3)))
+        elif name == "s":
+            params[name] = draw(st.one_of(st.sampled_from([1.0, 1.5, 2.0]), st.floats(1.0, 2.0)))
+        elif name in _DEPENDENCE:
+            boundary = [1.0, params.get("alpha", 1.0), 1.0 - 2.0**-52, 1.0 + 2.0**-52]
+            params[name] = draw(st.one_of(st.sampled_from(boundary + [0.5, 3.0, 40.0]),
+                                          st.floats(0.0, 50.0)))
+            if name == "M":  # M > 0
+                params[name] = max(params[name], 1e-3)
+    return params
+
+
+@pytest.mark.parametrize("formula", sorted(FORMULAS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sweep_is_the_scalar_call_bit_for_bit(formula, data):
+    """Over n = 1..N the array sweep is every per-n scalar call, bit for bit
+    with the same regime; where some n under- or overflows, the sweep raises
+    the scalar call's InputError for the first such n."""
+    fn, names = FORMULAS[formula]
+    params = data.draw(_row_params([k for k in names if k != "n"]))
+    ns = list(range(1, data.draw(st.integers(1, 300)) + 1))
+    scalar = []
+    for n in ns:
+        try:
+            scalar.append(fn(*params.values(), n))
+        except InputError as exc:
+            scalar.append(exc)
+    failed = [v for v in scalar if isinstance(v, InputError)]
+    if failed:
+        with pytest.raises(InputError) as swept:
+            sweep(formula, params, ns)
+        assert str(swept.value) == str(failed[0])
+        first = scalar.index(failed[0]) + 1
+        assert f"at n={first}:" in str(swept.value)
+        ns, scalar = ns[: first - 1], scalar[: first - 1]
+        if not ns:
+            return
+    values, regime = sweep(formula, params, ns)
+    assert [v.hex() for v in values.tolist()] == [float(v).hex() for v in scalar]
+    assert {getattr(v, "regime", None) for v in scalar} == {regime}
+
+
+@pytest.mark.parametrize("formula, params, first", [
+    ("gc-general", {"kappa1": 1.0, "M": 3.0}, 256),  # 4^(2n) = 2^1024
+    ("gc-markov", {"kappa1": 1.0, "L": 2.0}, 512),  # (2^m - 1)^2 rounds to 2^1024
+    ("ts-markov", {"alpha": 1.0, "L": 1.5, "s": 2.0}, 1749),  # e 1.5^n > 1.8e308
+])
+def test_sweep_names_the_first_n_that_overflows(formula, params, first):
+    with pytest.raises(InputError, match=rf"overflows in floating point at n={first}: "):
+        sweep(formula, params, range(1, 2000))
+    values, _ = sweep(formula, params, range(1, first))
+    assert np.all((values > 0.0) & np.isfinite(values))
+
+
+@pytest.mark.parametrize("fn, args, at", [
+    (gc_markov_kappa, (1.0, 2.81, 400), 1),
+    (ts_markov_alpha, (1.0, 1.5, 2.0, 2000), 1),
+    (ou_kappa, (-700.0, 1.0, 3), 0),
+    (gc_weak_kappa_general, (1.0, 1e200, 3), 1),
+])
+def test_numpy_scalar_parameters_take_the_float_path(fn, args, at):
+    """A NumPy scalar parameter gives the InputError of its Python float,
+    with no RuntimeWarning on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError) as plain:
+            fn(*args)
+        with pytest.raises(InputError) as numpy:
+            fn(*args[:at], np.float64(args[at]), *args[at + 1:])
+    assert str(numpy.value) == str(plain.value)
+    assert "overflows in floating point" in str(plain.value)
+
+
+def test_arma_blocks_of_powers_give_the_direct_sum(monkeypatch):
+    """The series does not depend on how its powers are blocked: with two
+    floats per block the powers come 1 .. 1 at a time, and a non-normal A
+    whose terms grow long before they decay needs many blocks past the
+    first, which only covers j < log(1e-15) / log(rho)."""
+    a = np.array([[0.5, 30.0], [0.0, 0.45]])
+    want = oracle_arma_alpha(a, np.eye(2))
+    assert arma_lsi_alpha(a, np.eye(2)) == pytest.approx(want, rel=1e-13)
+    monkeypatch.setattr(constants, "_BLOCK", 2)
+    assert arma_lsi_alpha(a, np.eye(2)) == pytest.approx(want, rel=1e-13)
 
 
 def test_gc_markov_examples():
