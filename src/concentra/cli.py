@@ -56,11 +56,30 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+# every byte as "0" (a digit), "." or " " (anything else): an integer of 19
+# or more digits, which orjson rounds to a float outside [-2**63, 2**64),
+# then reads as a space and 19 zeros (fraction digits follow a "."); two C
+# passes, where a regular expression with a look-behind takes longer than
+# the parse
+_TOKEN_SHAPE = bytes(48 if 48 <= b <= 57 else 46 if b == 46 else 32 for b in range(256))
+_LONG_INTEGER = b" " + b"0" * 19
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def _load_json(arg: str) -> dict:
+    """Inline JSON, or the JSON file at ``arg``. NaN and Infinity literals
+    raise ``ValueError``; an integer of any size is parsed exactly."""
     if arg.lstrip().startswith(("{", "[")):
-        return json.loads(arg)
-    with open(arg) as fh:
-        return json.load(fh)
+        data = arg.encode()
+    else:
+        with open(arg, "rb") as fh:
+            data = fh.read()
+    if _LONG_INTEGER in (b" " + data).translate(_TOKEN_SHAPE):
+        return json.loads(data, parse_constant=_reject_constant)
+    return orjson.loads(data)
 
 
 def _array_json(a: np.ndarray) -> bytes:

@@ -35,7 +35,7 @@ from .processes import (
     gaussian_chain_joint,
     tabular_joint_law,
 )
-from .transport import _northwest_corner, _TransportModel, wasserstein_exact, wasserstein_gaussian_w2
+from .transport import _lp_cost, _northwest_corner, _TransportModel, cost_matrix, wasserstein_gaussian_w2
 
 log = logging.getLogger(__name__)
 
@@ -87,20 +87,72 @@ def _pair_plans(q_rows: np.ndarray, p_rows: np.ndarray, space, cost: np.ndarray)
     return [np.concatenate([np.ravel(part[k]) for part in parts]) for k in range(4)]
 
 
-def _tabular_bound(q: TabularModel, p: TabularModel, n: int, s: float) -> CouplingBound:
-    """Step k costs m_k . c, with m_k the coupled pair's law and c the pair plan costs."""
+def _tabular_bound(q: TabularModel, p: TabularModel, n: int, s: float):
+    """Step k costs m_k . c, with m_k the coupled pair's law and c the pair plan costs.
+
+    Returns the bound and the coupling on the state pairs a * S + b: its
+    initial law and, at n > 1, its kernel as flat (pair, a, b, mass)."""
     cost = _tabular_cost(q, p, s)
     space, size = q.state_space, q.n_states * q.n_states
     _, a, b, mass = _pair_plans(q.init[None], p.init[None], space, cost)
     steps = [math.fsum(mass * cost[a, b])]
-    m = np.bincount(a * q.n_states + b, weights=mass, minlength=size)
+    m = init = np.bincount(a * q.n_states + b, weights=mass, minlength=size)
+    kernel = None
     if n > 1:
-        pair, a, b, mass = _pair_plans(q.transition, p.transition, space, cost)
+        kernel = pair, a, b, mass = _pair_plans(q.transition, p.transition, space, cost)
         c = np.bincount(pair, weights=mass * cost[a, b], minlength=size)
         for _ in range(1, n):
             steps.append(math.fsum(m * c))
             m = np.bincount(a * q.n_states + b, weights=m[pair] * mass, minlength=size)
-    return CouplingBound(math.fsum(steps) ** (1.0 / s), tuple(steps), s, "tabular-exact-steps")
+    bound = CouplingBound(math.fsum(steps) ** (1.0 / s), tuple(steps), s, "tabular-exact-steps")
+    return bound, (init, kernel)
+
+
+def _coupling_paths(coupling, n: int, n_states: int, q_joint, p_joint) -> np.ndarray:
+    """The step-optimal coupling of ``_tabular_bound`` on the path pairs of
+    two n-step joint laws, as a len(q_joint) x len(p_joint) array of masses.
+
+    A path pair (x, y) carries mass when the initial law charges (x_1, y_1)
+    and every step's kernel K_(x_(k-1), y_(k-1)) charges (x_k, y_k); its
+    mass is that product. The masses are a feasible coupling of the two
+    joint laws up to round-off, and their cost in the product metric is the
+    coupling bound's. Pairs whose path falls off a joint law's support
+    (a north-west-corner walk clamps round-off excess onto the last atom,
+    whatever its weight) are dropped.
+    """
+    init, kernel = coupling
+    size = init.size
+    paths = np.flatnonzero(init > 0)[:, None]
+    mass = init[paths[:, 0]]
+    if n > 1:
+        pair, a, b, k_mass = kernel
+        k = np.bincount(pair * size + a * n_states + b, weights=k_mass, minlength=size * size).reshape(size, size)
+        for _ in range(n - 1):
+            rows = k[paths[:, -1]]
+            src, nxt = np.nonzero(rows > 0)
+            paths = np.column_stack([paths[src], nxt])
+            mass = mass[src] * rows[src, nxt]
+    rows = _row_positions(np.asarray(q_joint.support), paths // n_states)
+    cols = _row_positions(np.asarray(p_joint.support), paths % n_states)
+    keep = (rows >= 0) & (cols >= 0)
+    out = np.zeros((len(q_joint), len(p_joint)))
+    out[rows[keep], cols[keep]] = mass[keep]
+    return out
+
+
+def _row_positions(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The position in ``table`` (distinct rows) of each row of ``rows``,
+    -1 where it is absent: one lexicographic sort of both."""
+    both = np.concatenate([table, rows])
+    order = np.lexsort(both.T[::-1])
+    ranked = both[order]
+    # stable: a table row sorts before the rows equal to it
+    in_table = order < len(table)
+    last = np.maximum.accumulate(np.where(in_table, np.arange(order.size), 0))
+    hit = ~in_table & in_table[last] & np.all(ranked == ranked[last], axis=1)
+    out = np.full(len(rows), -1)
+    out[order[hit] - len(table)] = order[last[hit]]
+    return out
 
 
 def _abs_moment(m: float, v: float, s: float) -> float:
@@ -149,6 +201,22 @@ def _gaussian_bound(q: GaussianKernelModel, p: GaussianKernelModel, n: int, s: f
     return CouplingBound(total ** (1.0 / s), tuple(steps), s, "gaussian-monotone-closed")
 
 
+def _coupling(p_model, q_model, n: int, s: float):
+    """``recursive_coupling_bound`` and, for tabular chains, the coupling
+    it costs (see ``_tabular_bound``); None for Gaussian chains."""
+    _check(n=n, s=s)
+    t0 = time.perf_counter()
+    if isinstance(p_model, TabularModel) and isinstance(q_model, TabularModel):
+        bound, coupling = _tabular_bound(q_model, p_model, n, s)
+    elif isinstance(p_model, GaussianKernelModel) and isinstance(q_model, GaussianKernelModel):
+        bound, coupling = _gaussian_bound(q_model, p_model, n, s), None
+    else:
+        raise InputError("both chains must be tabular or both Gaussian, on the same state space")
+    log.debug("coupling bound: method=%s n=%d s=%g wall=%.6fs",
+              bound.method, n, s, time.perf_counter() - t0)
+    return bound, coupling
+
+
 def recursive_coupling_bound(p_model, q_model, n: int, s: float) -> CouplingBound:
     """Certified upper bound on W_s between the length-n joint laws of two
     chains, built from per-step optimal couplings.
@@ -160,17 +228,7 @@ def recursive_coupling_bound(p_model, q_model, n: int, s: float) -> CouplingBoun
     use the comonotone coupling, whose step costs are the exact
     closed-form moments of a Gaussian gap, in O(n).
     """
-    _check(n=n, s=s)
-    t0 = time.perf_counter()
-    if isinstance(p_model, TabularModel) and isinstance(q_model, TabularModel):
-        bound = _tabular_bound(q_model, p_model, n, s)
-    elif isinstance(p_model, GaussianKernelModel) and isinstance(q_model, GaussianKernelModel):
-        bound = _gaussian_bound(q_model, p_model, n, s)
-    else:
-        raise InputError("both chains must be tabular or both Gaussian, on the same state space")
-    log.debug("coupling bound: method=%s n=%d s=%g wall=%.6fs",
-              bound.method, n, s, time.perf_counter() - t0)
-    return bound
+    return _coupling(p_model, q_model, n, s)[0]
 
 
 def transport_inequality_audit(
@@ -188,14 +246,23 @@ def transport_inequality_audit(
     relative entropy, and the slack against sqrt(2 Ent / alpha_n) with
     alpha_n derived from the declared hypothesis constants. The verdict
     is "pass" when the worst slack is at most ``_AUDIT_TOL`` = 1e-9.
+
+    For tabular chains the exact distance is the transport LP between the
+    two joint laws, solved by column generation whose first restricted LP
+    holds the north-west-corner plan and the path pairs that the
+    step-optimal coupling of the bound charges: a feasible plan near the
+    optimum. Pricing and its stopping test are those of every LP, so the
+    result is the full LP's optimum. Those entries also carry ``lp``, the
+    LP's rounds, simplex iterations and final column count (all 0 when
+    the two laws are equal at s = 1 and no mass moves).
     """
     alpha_n = ts_markov_alpha(alpha_hyp, L_hyp, s, n).value
     gaussian = isinstance(p_model, GaussianKernelModel)
     p_joint = gaussian_chain_joint(p_model, n) if gaussian else tabular_joint_law(p_model, n, s)
     entries = []
     for q_model in perturbations:
-        bound = recursive_coupling_bound(p_model, q_model, n, s)
-        w_exact = None
+        bound, coupling = _coupling(p_model, q_model, n, s)
+        w_exact, entry = None, {}
         if gaussian:
             q_joint = gaussian_chain_joint(q_model, n)
             ent = relative_entropy_gaussian(q_joint, p_joint)
@@ -204,7 +271,11 @@ def transport_inequality_audit(
         else:
             q_joint = tabular_joint_law(q_model, n, s)
             ent = relative_entropy_discrete(q_joint, p_joint)
-            w_exact = wasserstein_exact(q_joint, p_joint, s, space=q_joint.space)[0]
+            seed = _coupling_paths(coupling, n, q_model.n_states, q_joint, p_joint) > 0
+            cost = cost_matrix(q_joint, p_joint, s, q_joint.space)
+            raw, _, model = _lp_cost(cost, q_joint.weights, p_joint.weights, s, seed)
+            w_exact = float(max(raw, 0.0) ** (1.0 / s))
+            entry["lp"] = model.stats if model is not None else {"rounds": 0, "iterations": 0, "columns": 0}
         w_used = bound.upper_bound if w_exact is None else w_exact
         rhs = math.sqrt(2.0 * ent / alpha_n) if math.isfinite(ent) else math.inf
         slack = w_used - rhs if math.isfinite(rhs) else -math.inf
@@ -214,6 +285,7 @@ def transport_inequality_audit(
                 "w_exact": w_exact,
                 "entropy": ent,
                 "slack": slack,
+                **entry,
             }
         )
     worst = max((e["slack"] for e in entries), default=-math.inf)

@@ -109,9 +109,11 @@ def chain_rule_decompose(q: DiscreteMeasure, p) -> EntropyBreakdown:
     support tuples are ragged, ``q`` and ``p`` tuples differ in shape, or
     ``p`` is neither kind.
 
-    One grouped pass over the paths: at step k, every path's k-prefix gets
-    a group id from (its (k-1)-prefix id, its step k), Q's prefix masses
-    come from ``np.bincount`` over the ids, and the term is
+    One grouped pass over the paths, sorted once in lexicographic order:
+    at step k, a path starts a new k-prefix group where its first k steps
+    differ from the previous path's, so the group ids number the k-prefixes
+    in lexicographic order. Q's prefix masses come from ``np.bincount``
+    over the ids, and the term is
     sum q(x^k) [log q(x_k | x^(k-1)) - log p(x_k | x^(k-1))] over the
     prefixes Q charges. A discrete P's prefix masses come from the same ids
     on the stacked supports. Histories Q does not visit contribute nothing.
@@ -127,13 +129,20 @@ def chain_rule_decompose(q: DiscreteMeasure, p) -> EntropyBreakdown:
         log_kernel = _tabular_log_kernel(p, x)
     else:
         raise InputError("p must be a tabular chain or a discrete joint law")
-    group = np.zeros(len(x))
+    # stable, so each group's first sorted path is its first path in x
+    order = np.lexsort(x.reshape(len(x), -1).T[::-1])
+    ordered = x[order]
+    new = np.zeros(len(x), dtype=bool)
+    new[0] = True
+    group = np.zeros(len(x), dtype=np.intp)
     q_prev = p_prev = np.ones(1)
     terms = []
     for k in range(n):
-        _, first, inv = np.unique(np.column_stack([group, x[:, k]]), axis=0,
-                                  return_index=True, return_inverse=True)
-        parent, group = group[first].astype(np.intp), inv.ravel()
+        new[1:] |= np.any(ordered[1:, k] != ordered[:-1, k], axis=1)
+        first = order[new]
+        parent = group[first]
+        group = np.empty_like(group)
+        group[order] = np.cumsum(new) - 1
         q_k = np.bincount(group[:nq], weights=q.weights, minlength=first.size)
         with np.errstate(divide="ignore", invalid="ignore"):
             if log_kernel is None:

@@ -156,7 +156,11 @@ class ProductSpace:
             raise InputError(f"tuple length mismatch: {x.shape[1]} vs {y.shape[1]}")
         total = np.zeros((x.shape[0], y.shape[0]))
         for k in range(x.shape[1]):
-            total += self.base.pairwise(x[:, k], y[:, k]) ** self.order
+            # paths revisit few base points: each factor's powered distances
+            # are taken once per pair of distinct points, then gathered
+            ux, ix = np.unique(x[:, k], return_inverse=True)
+            uy, iy = np.unique(y[:, k], return_inverse=True)
+            total += (self.base.pairwise(ux, uy) ** self.order)[:, iy][ix]
         return total ** (1.0 / self.order)
 
 

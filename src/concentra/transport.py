@@ -192,7 +192,8 @@ class _TransportModel:
     constraint but the last, which the others imply; its columns are the
     active cells, in the order they were added. A new pair changes the row
     bounds and adds its north-west-corner cells, which keep the LP
-    feasible; a round adds the priced-in cells. So every ``run``
+    feasible, and the cells of its starting mask if one is given; a round
+    adds the priced-in cells. So every ``run``
     hot-starts from the last optimal basis, which stays dual feasible when
     bounds change and primal feasible when cells are added: a pair's first
     run is dual simplex, and each later round primal simplex, which goes on
@@ -231,23 +232,26 @@ class _TransportModel:
         self.highs.addCols(i.size, self.cost[i, j], np.zeros(i.size), np.full(i.size, np.inf),
                            index.size, starts, index, np.ones(index.size))
 
-    def solve(self, w_row: np.ndarray, w_col: np.ndarray):
+    def solve(self, w_row: np.ndarray, w_col: np.ndarray, mask: np.ndarray | None = None):
         """``(fsum(plan * cost), plan)`` for one marginal pair; see
-        ``solve_transport_lp``."""
+        ``solve_transport_lp``. Afterwards ``stats`` holds the solve's
+        rounds, simplex iterations and final column count."""
         t0 = time.perf_counter()
         highs, cost = self.highs, self.cost
         nr, nc = cost.shape
         rhs = np.concatenate([w_row, w_col[:-1]])
-        new = np.zeros((nr, nc), dtype=bool)
+        new = np.zeros((nr, nc), dtype=bool) if mask is None else mask.copy()
         i, j, _ = (a[0] for a in _northwest_corner(w_row[None, :], w_col))
         new[i, j] = True
-        if self.rhs is None:
+        first = self.rhs is None
+        if first:
             no_entries = np.zeros(rhs.size, dtype=np.int32)
             highs.addRows(rhs.size, rhs, rhs, 0, no_entries, no_entries[:0], np.zeros(0))
-            for axis in (0, 1):
-                k = min(_SHORTLIST, cost.shape[axis])
-                cheapest = np.argpartition(cost, k - 1, axis=axis)
-                np.put_along_axis(new, cheapest[:k] if axis == 0 else cheapest[:, :k], True, axis=axis)
+            if mask is None:
+                for axis in (0, 1):
+                    k = min(_SHORTLIST, cost.shape[axis])
+                    cheapest = np.argpartition(cost, k - 1, axis=axis)
+                    np.put_along_axis(new, cheapest[:k] if axis == 0 else cheapest[:, :k], True, axis=axis)
         else:
             for r in np.flatnonzero(rhs != self.rhs):
                 highs.changeRowBounds(int(r), rhs[r], rhs[r])
@@ -275,13 +279,18 @@ class _TransportModel:
         ci, cj = self.cells
         plan = np.zeros((nr, nc))
         plan[ci, cj] = x
+        self.stats = {"rounds": rounds, "iterations": iterations, "columns": ci.size}
         if log.isEnabledFor(logging.DEBUG):
-            log.debug("transport LP %dx%d: %d rounds, %d active cells, %d iterations, %.1f ms",
-                      nr, nc, rounds, ci.size, iterations, 1e3 * (time.perf_counter() - t0))
+            if mask is None:
+                start = "shortlist" if first else "previous"
+            else:
+                start = f"coupling cells={np.count_nonzero(mask)}"
+            log.debug("transport LP %dx%d: %d rounds, %d active cells, %d iterations, %.1f ms; start=%s",
+                      nr, nc, rounds, ci.size, iterations, 1e3 * (time.perf_counter() - t0), start)
         return math.fsum(x * cost[ci, cj]), plan
 
 
-def solve_transport_lp(cost: np.ndarray, w_row: np.ndarray, w_col: np.ndarray):
+def solve_transport_lp(cost: np.ndarray, w_row: np.ndarray, w_col: np.ndarray, mask: np.ndarray | None = None):
     """Minimum-cost transportation plan between two weight vectors, by
     exact shortlist column generation (Gottschlich & Schuhmacher, PLoS ONE
     9(10):e110214, 2014) on one HiGHS model.
@@ -289,7 +298,10 @@ def solve_transport_lp(cost: np.ndarray, w_row: np.ndarray, w_col: np.ndarray):
     The first restricted LP holds the north-west-corner plan, which keeps
     it feasible, and each row's and each column's ``_SHORTLIST`` cheapest
     cells, so a side with no more atoms than that starts with every cell.
-    Each round solves the active cells with HiGHS (called directly,
+    A boolean ``mask`` of the cost's shape replaces those shortlists: the
+    first LP then holds the north-west-corner plan and the masked cells,
+    e.g. the support of a known feasible coupling near the optimum. Each
+    round solves the active cells with HiGHS (called directly,
     presolve off, feasibility tolerances 1e-10) and adds every inactive
     cell whose reduced cost ``cost - u - v`` is below -1e-11; the first
     round runs the dual simplex, and each next round the primal simplex,
@@ -299,17 +311,18 @@ def solve_transport_lp(cost: np.ndarray, w_row: np.ndarray, w_col: np.ndarray):
     ``SolverError`` naming the HiGHS model status when a round is not
     solved to optimality, e.g. for marginals of different totals.
     """
-    return _TransportModel(cost).solve(w_row, w_col)
+    return _TransportModel(cost).solve(w_row, w_col, mask)
 
 
-def _w1_transport(cost: np.ndarray, w_row: np.ndarray, w_col: np.ndarray):
+def _w1_transport(cost: np.ndarray, w_row: np.ndarray, w_col: np.ndarray, mask: np.ndarray | None = None):
     """The W1 transportation LP over a metric cost matrix, with the shared
     mass left in place (see the module docstring).
 
     Every zero cell that is the only zero in its row and in its column
     keeps min(w_row[i], w_col[j]); the LP runs on the rows and columns
-    that still carry mass, and its plan is embedded beside the kept mass.
-    The kept cells cost 0, so the cost is the LP's. Returns
+    that still carry mass, and its plan is embedded beside the kept mass;
+    a starting ``mask`` (see ``solve_transport_lp``) is cut to those rows
+    and columns. The kept cells cost 0, so the cost is the LP's. Returns
     ``(fsum(plan * cost), plan, model, cols)``: ``model`` is the solved
     ``_TransportModel`` of the reduced LP, whose column potentials belong
     to the columns ``cols``, or None when no mass is left to move.
@@ -330,10 +343,23 @@ def _w1_transport(cost: np.ndarray, w_row: np.ndarray, w_col: np.ndarray):
     raw, model = 0.0, None
     if lp:
         model = _TransportModel(cost[np.ix_(rows, cols)])
-        raw, sub = model.solve(a[rows], b[cols])
+        raw, sub = model.solve(a[rows], b[cols], None if mask is None else mask[np.ix_(rows, cols)])
         # a kept cell's row or column is spent, so no LP cell overlaps it
         plan[np.ix_(rows, cols)] += sub
     return raw, plan, model, cols
+
+
+def _lp_cost(cost: np.ndarray, w_row: np.ndarray, w_col: np.ndarray, s: float, mask: np.ndarray | None = None):
+    """The order-s transport LP off the real line: at s = 1 with the shared
+    mass left in place (``_w1_transport``), else on the full supports.
+    Returns ``(fsum(plan * cost), plan, model)``, ``model`` being the
+    solved ``_TransportModel``, or None when no mass is left to move."""
+    if s == 1.0:
+        raw, plan, model, _ = _w1_transport(cost, w_row, w_col, mask)
+    else:
+        model = _TransportModel(cost)
+        raw, plan = model.solve(w_row, w_col, mask)
+    return raw, plan, model
 
 
 def wasserstein_exact(
@@ -360,11 +386,8 @@ def wasserstein_exact(
         # fsum is exact, so the nonzero cells alone give fsum(plan * cost)
         r, c = np.nonzero(plan)
         raw = math.fsum(plan[r, c] * np.abs(x[r] - y[c]) ** s)
-    elif s == 1.0:
-        raw, plan, _, _ = _w1_transport(cost_matrix(mu, nu, s, space), mu.weights, nu.weights)
     else:
-        cost = cost_matrix(mu, nu, s, space)
-        raw, plan = solve_transport_lp(cost, mu.weights, nu.weights)
+        raw, plan, _ = _lp_cost(cost_matrix(mu, nu, s, space), mu.weights, nu.weights, s)
     plan_obj = TransportPlan(mu, nu, plan, raw, s)
     return float(max(raw, 0.0) ** (1.0 / s)), plan_obj
 

@@ -177,6 +177,34 @@ def test_nonfinite_inputs_exit_2_with_nothing_written(capsys, tmp_path, argv, na
     assert code == 2 and out == "" and not target.exists()
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("long_digits", [False, True], ids=["orjson", "exact-integers"])
+@pytest.mark.parametrize("source", ["inline", "file"])
+def test_nonfinite_json_literals_exit_2_with_nothing_written(capsys, tmp_path, literal, long_digits, source):
+    """NaN and Infinity are not JSON: input holding one exits 2, also when a
+    run of 19 digits sends it to the exact-integer parser."""
+    digits = ', "pad": 12345678901234567890123' if long_digits else ""
+    mu = f'{{"type": "discrete", "support": [0.0, {literal}], "weights": [0.5, 0.5]{digits}}}'
+    if source == "file":
+        (tmp_path / "mu.json").write_text(mu)
+        mu = str(tmp_path / "mu.json")
+    target = tmp_path / "out"
+    code, out, err = run(capsys, "wasserstein", "--mu", mu, "--nu", TWO_POINT, "--s", "1", "--out", str(target))
+    assert code == 2 and out == "" and err.startswith("error: ") and not target.exists()
+
+
+def test_json_integers_beyond_64_bits_are_parsed_exactly(tmp_path):
+    """orjson rounds integers outside [-2**63, 2**64) to floats; those are
+    parsed exactly instead, inline and from a file."""
+    big = [2**64, -(2**63) - 1, 10**30 + 1, 2**64 - 1, 1.5]
+    text = json.dumps({"a": big})
+    (tmp_path / "big.json").write_text(text)
+    for arg in (text, str(tmp_path / "big.json")):
+        got = cli._load_json(arg)["a"]
+        assert got == big and [type(v) for v in got] == [int, int, int, int, float]
+    assert cli._load_json('{"a": [0.12345678901234567890123, 1]}') == {"a": [0.12345678901234568, 1]}
+
+
 _TWO_LABELS = json.dumps({"type": "finite", "labels": ["a", "b"], "dist": [[0, 1], [1, 0]]})
 
 

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import abs_moment_quad, comonotone_gap_laws, stepwise_coupling_costs
+from oracles import abs_moment_quad, all_cells_transport_lp, comonotone_gap_laws, stepwise_coupling_costs
 
 from concentra import (
     REAL_LINE,
@@ -28,7 +28,8 @@ from concentra import (
     wasserstein_gaussian_w2,
 )
 from concentra import coupling
-from concentra.coupling import _abs_moment, _tabular_cost
+from concentra.coupling import _abs_moment, _coupling, _coupling_paths, _tabular_cost
+from concentra.transport import _lp_cost
 
 
 def _random_tabular(rng):
@@ -247,6 +248,11 @@ def test_tabular_audit_runs_and_reports():
     report = transport_inequality_audit(p, 0.05, 1.0, 0.5, 2, [q])
     assert report["verdict"] == "pass"
     assert report["entries"][0]["w_exact"] is not None
+    lp = report["entries"][0]["lp"]
+    assert set(lp) == {"rounds", "iterations", "columns"} and lp["rounds"] >= 1 and lp["columns"] >= 1
+    # equal laws at s = 1 keep every atom in place: no LP runs
+    same = transport_inequality_audit(p, 0.05, 1.0, 0.5, 2, [p])["entries"][0]
+    assert same["w_exact"] == 0.0 and same["lp"] == {"rounds": 0, "iterations": 0, "columns": 0}
 
 
 def test_tabular_cost_uses_the_joint_law_metric():
@@ -360,3 +366,59 @@ def test_full_chain_audit_rejects_large_joint_law_fast():
     with pytest.raises(InputError):
         transport_inequality_audit(p, 1.0, 1.0, 0.5, 9, [p])
     assert time.perf_counter() - t0 < 1.0
+
+
+def _audit_pair(kind, k, seed):
+    """Two random k-state chains with dense kernels on one state space: a
+    labelled line or a declared finite space of plane points."""
+    rng = np.random.default_rng(seed)
+    labels = space = None
+    if kind == "labelled-line":
+        labels = tuple(rng.uniform(0.0, k, k))
+    else:
+        pts = rng.normal(size=(k, 2))
+        space = FiniteMetricSpace(tuple(range(k)), np.linalg.norm(pts[:, None] - pts[None], axis=-1))
+
+    def chain():
+        kernel = np.vstack([rng.dirichlet(np.ones(k)) for _ in range(k)])
+        return TabularModel(rng.dirichlet(np.ones(k)), kernel, labels=labels, space=space)
+
+    return chain(), chain()
+
+
+_AUDIT_SIZES = [(2, 3), (3, 5), (4, 4)]
+
+
+@pytest.mark.parametrize("kind", ["labelled-line", "finite-space"])
+@pytest.mark.parametrize("k, n", _AUDIT_SIZES)
+def test_markov_coupling_on_its_seed_couples_the_joint_laws(kind, k, n):
+    """The step-optimal coupling's path-pair masses reproduce both joint
+    laws and cost exactly the coupling bound."""
+    p, q = _audit_pair(kind, k, 7 * k + n)
+    for s in (1.0, 1.5, 2.0):
+        qj, pj = tabular_joint_law(q, n, s), tabular_joint_law(p, n, s)
+        bound, plans = _coupling(p, q, n, s)
+        mass = _coupling_paths(plans, n, k, qj, pj)
+        assert np.max(np.abs(mass.sum(axis=1) - qj.weights)) <= 1e-15
+        assert np.max(np.abs(mass.sum(axis=0) - pj.weights)) <= 1e-15
+        cost = qj.space.pairwise(qj.support, pj.support) ** s
+        assert math.fsum((mass * cost).ravel()) == pytest.approx(bound.upper_bound**s, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["labelled-line", "finite-space"])
+@pytest.mark.parametrize("k, n", _AUDIT_SIZES)
+@pytest.mark.parametrize("s", [1.0, 1.5, 2.0])
+def test_coupling_seeded_joint_law_lp_is_exact(kind, k, n, s):
+    """The audit's LP started from the coupling's support, the same LP
+    started from the shortlists and the LP over every cell agree."""
+    p, q = _audit_pair(kind, k, 7 * k + n)
+    qj, pj = tabular_joint_law(q, n, s), tabular_joint_law(p, n, s)
+    seed = _coupling_paths(_coupling(p, q, n, s)[1], n, k, qj, pj) > 0
+    cost = qj.space.pairwise(qj.support, pj.support) ** s
+    want, _ = all_cells_transport_lp(cost, qj.weights, pj.weights)
+    seeded = _lp_cost(cost, qj.weights, pj.weights, s, seed)[0]
+    assert seeded == pytest.approx(want, rel=1e-12)
+    assert _lp_cost(cost, qj.weights, pj.weights, s)[0] == pytest.approx(want, rel=1e-12)
+    entry = transport_inequality_audit(p, 1.0, s, 0.5, n, [q])["entries"][0]
+    assert entry["w_exact"] == max(seeded, 0.0) ** (1.0 / s)
+

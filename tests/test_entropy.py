@@ -18,7 +18,7 @@ from concentra import (
     tabular_joint_law,
 )
 from concentra.entropy import EntropyBreakdown
-from oracles import chain_rule_terms
+from oracles import chain_rule_by_unique, chain_rule_terms
 
 # frozen oracle: 0.75 ln(3/2) + 0.25 ln(1/2), summed by hand with fsum
 ENT_34_12 = 0.13081203594113694
@@ -195,6 +195,12 @@ def test_chain_rule_terms_match_prefix_kl_oracle(seed, kind):
     tol = 1e-12 * max(1.0, math.fsum(terms))
     for a, b in zip(got, terms):
         assert abs(a - b) <= tol
+    # one sort of the paths groups them as a per-step np.unique does, in any
+    # order of Q's support: every term is bit for bit the same
+    order = np.random.default_rng(seed).permutation(len(q))
+    for law in (q, DiscreteMeasure(tuple(q.support[i] for i in order), q.weights[order])):
+        bd = chain_rule_decompose(law, p)
+        assert (bd.total, bd.initial_term, bd.conditional_terms, bd.failure_step) == chain_rule_by_unique(law, p)
 
 
 def test_chain_rule_on_arma_empirical_laws():

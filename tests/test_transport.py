@@ -242,6 +242,13 @@ def test_solve_transport_lp_logs_one_debug_line(caplog, monkeypatch, n, full):
     assert rounds == len(runs) and iterations == sum(runs)
     # each round after the first prices in a cell of negative reduced cost
     assert iterations >= rounds and ms >= 0
+    assert message.endswith("; start=shortlist")
+    mask = rng.random(cost.shape) < 0.1
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="concentra.transport"):
+        solve_transport_lp(cost, rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n + 1)), mask)
+    (record,) = [r for r in caplog.records if r.name == "concentra.transport"]
+    assert record.getMessage().endswith(f"; start=coupling cells={np.count_nonzero(mask)}")
     caplog.clear()
     with caplog.at_level(logging.INFO, logger="concentra.transport"):
         solve_transport_lp(cost, np.full(n, 1 / n), np.full(n + 1, 1 / (n + 1)))
@@ -710,3 +717,29 @@ def test_w1_logs_one_reduction_line(caplog):
         kantorovich_dual_w1(mu, mu)
     (line,) = [r.getMessage() for r in caplog.records if r.name == "concentra.transport"]
     assert line == "W1 reduction 6x6: 6 atoms kept in place, mass 1 kept, reduced LP 0x0"
+
+
+@pytest.mark.parametrize("mask", ["empty", "random", "all"])
+def test_any_starting_mask_gives_the_exact_optimum(mask):
+    """A starting mask only changes the first restricted LP: with no cell,
+    a random tenth or every cell masked, every order still attains the
+    optimum over every cell, and at s = 1 so does the LP left after the
+    shared mass of a grid stays in place."""
+    rng = np.random.default_rng(17)
+    n, m = 60, 70
+    p, q = rng.integers(0, 5, size=(n, 2)), rng.integers(0, 5, size=(m, 2))
+    dist = np.abs(p[:, None, :] - q[None, :, :]).sum(axis=-1).astype(float)
+    cells = {"empty": np.zeros((n, m), dtype=bool), "random": rng.random((n, m)) < 0.1,
+             "all": np.ones((n, m), dtype=bool)}[mask]
+    w_row, w_col = _weights_with_zeros(rng, n, 3), _weights_with_zeros(rng, m, 3)
+    for s in (1.0, 1.5, 2.0):
+        cost = dist**s
+        want, _ = oracles.all_cells_transport_lp(cost, w_row, w_col)
+        value, plan = solve_transport_lp(cost, w_row, w_col, cells)
+        TransportPlan(DiscreteMeasure(tuple(range(n)), w_row), DiscreteMeasure(tuple(range(m)), w_col),
+                      plan, value, s).validate(cost)
+        assert value == pytest.approx(want, rel=1e-12)
+    value, plan, model, _ = transport._w1_transport(dist, w_row, w_col, cells)
+    assert model.cost.size < n * m  # shared grid points keep their mass in place
+    assert value == pytest.approx(oracles.all_cells_transport_lp(dist, w_row, w_col)[0], rel=1e-12)
+
