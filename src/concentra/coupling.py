@@ -67,9 +67,9 @@ def _tabular_cost(model_q: TabularModel, model_p: TabularModel, s: float) -> np.
 
 def _pair_plans(q_rows: np.ndarray, p_rows: np.ndarray, space, cost: np.ndarray):
     """Optimal plans from each row of q_rows to each row of p_rows as flat
-    (pair, a, b, mass), pair = r * len(p_rows) + c: on a line by one
-    north-west-corner walk per row of p_rows in label order, else by LPs on
-    one HiGHS model, hot-started pair to pair."""
+    (pair, a, b, mass) over the cells with mass, pair = r * len(p_rows) + c:
+    on a line by one north-west-corner walk per row of p_rows in label
+    order, else by LPs on one HiGHS model, hot-started pair to pair."""
     nq, npr = len(q_rows), len(p_rows)
     parts = []
     if isinstance(space, (RealLine, _LabelLine)):
@@ -77,7 +77,9 @@ def _pair_plans(q_rows: np.ndarray, p_rows: np.ndarray, space, cost: np.ndarray)
         order = np.argsort(pos, kind="stable")
         for c in range(npr):
             i, j, mass = _northwest_corner(q_rows[:, order], p_rows[c, order])
-            parts.append((np.repeat(np.arange(nq) * npr + c, i.shape[1]), order[i], order[j], mass))
+            # a walk has len(cost) + len(cost) pieces, most of no mass on sparse rows
+            r, k = np.nonzero(mass)
+            parts.append((r * npr + c, order[i[r, k]], order[j[r, k]], mass[r, k]))
     else:
         model = _TransportModel(cost)
         for r, c in np.ndindex(nq, npr):
@@ -108,9 +110,11 @@ def _tabular_bound(q: TabularModel, p: TabularModel, n: int, s: float):
     return bound, (init, kernel)
 
 
-def _coupling_paths(coupling, n: int, n_states: int, q_joint, p_joint) -> np.ndarray:
+def _coupling_paths(coupling, n: int, n_states: int, q_joint, p_joint):
     """The step-optimal coupling of ``_tabular_bound`` on the path pairs of
-    two n-step joint laws, as a len(q_joint) x len(p_joint) array of masses.
+    two n-step joint laws, as ``(rows, cols, mass)``: path pair
+    (q_joint.support[rows[t]], p_joint.support[cols[t]]) carries mass[t]
+    (a pair may repeat; its masses add).
 
     A path pair (x, y) carries mass when the initial law charges (x_1, y_1)
     and every step's kernel K_(x_(k-1), y_(k-1)) charges (x_k, y_k); its
@@ -118,26 +122,31 @@ def _coupling_paths(coupling, n: int, n_states: int, q_joint, p_joint) -> np.nda
     joint laws up to round-off, and their cost in the product metric is the
     coupling bound's. Pairs whose path falls off a joint law's support
     (a north-west-corner walk clamps round-off excess onto the last atom,
-    whatever its weight) are dropped.
+    whatever its weight) are dropped. The kernel stays flat: each path
+    branches into its last pair's entries, so the work is the path pairs'.
     """
     init, kernel = coupling
-    size = init.size
     paths = np.flatnonzero(init > 0)[:, None]
     mass = init[paths[:, 0]]
     if n > 1:
         pair, a, b, k_mass = kernel
-        k = np.bincount(pair * size + a * n_states + b, weights=k_mass, minlength=size * size).reshape(size, size)
+        # pair r's kernel entries are by_pair[start[r] : start[r] + count[r]]
+        by_pair = np.argsort(pair, kind="stable")
+        count = np.bincount(pair, minlength=init.size)
+        start = np.cumsum(count) - count
+        nxt = a * n_states + b
         for _ in range(n - 1):
-            rows = k[paths[:, -1]]
-            src, nxt = np.nonzero(rows > 0)
-            paths = np.column_stack([paths[src], nxt])
-            mass = mass[src] * rows[src, nxt]
+            last = paths[:, -1]
+            c = count[last]
+            src = np.repeat(np.arange(len(paths)), c)
+            # child t of a path takes entry t - (the path's first child) of its pair's
+            entry = by_pair[np.repeat(start[last] - (np.cumsum(c) - c), c) + np.arange(src.size)]
+            paths = np.column_stack([paths[src], nxt[entry]])
+            mass = mass[src] * k_mass[entry]
     rows = _row_positions(np.asarray(q_joint.support), paths // n_states)
     cols = _row_positions(np.asarray(p_joint.support), paths % n_states)
     keep = (rows >= 0) & (cols >= 0)
-    out = np.zeros((len(q_joint), len(p_joint)))
-    out[rows[keep], cols[keep]] = mass[keep]
-    return out
+    return rows[keep], cols[keep], mass[keep]
 
 
 def _row_positions(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -251,10 +260,12 @@ def transport_inequality_audit(
     two joint laws, solved by column generation whose first restricted LP
     holds the north-west-corner plan and the path pairs that the
     step-optimal coupling of the bound charges: a feasible plan near the
-    optimum. Pricing and its stopping test are those of every LP, so the
-    result is the full LP's optimum. Those entries also carry ``lp``, the
-    LP's rounds, simplex iterations and final column count (all 0 when
-    the two laws are equal at s = 1 and no mass moves).
+    optimum (at s = 1, those of the rows and columns that still carry mass
+    once the shared mass stays in place). Pricing and its stopping test
+    are those of every LP, so the result is the full LP's optimum. Those
+    entries also carry ``lp``, the LP's rounds, simplex iterations and
+    final column count (all 0 when the two laws are equal at s = 1 and no
+    mass moves).
     """
     alpha_n = ts_markov_alpha(alpha_hyp, L_hyp, s, n).value
     gaussian = isinstance(p_model, GaussianKernelModel)
@@ -271,8 +282,9 @@ def transport_inequality_audit(
         else:
             q_joint = tabular_joint_law(q_model, n, s)
             ent = relative_entropy_discrete(q_joint, p_joint)
-            seed = _coupling_paths(coupling, n, q_model.n_states, q_joint, p_joint) > 0
             cost = cost_matrix(q_joint, p_joint, s, q_joint.space)
+            seed = np.zeros(cost.shape, dtype=bool)
+            seed[_coupling_paths(coupling, n, q_model.n_states, q_joint, p_joint)[:2]] = True
             raw, _, model = _lp_cost(cost, q_joint.weights, p_joint.weights, s, seed)
             w_exact = float(max(raw, 0.0) ** (1.0 / s))
             entry["lp"] = model.stats if model is not None else {"rounds": 0, "iterations": 0, "columns": 0}

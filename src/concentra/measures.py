@@ -155,12 +155,17 @@ class ProductSpace:
         if x.shape[1] != y.shape[1]:
             raise InputError(f"tuple length mismatch: {x.shape[1]} vs {y.shape[1]}")
         total = np.zeros((x.shape[0], y.shape[0]))
+        # paths of state indices revisit few states: each factor's powered
+        # distances are then taken once per pair of distinct states, and
+        # gathered; other points (e.g. real coordinates) rarely repeat
+        indices = x.dtype.kind in "iu" and y.dtype.kind in "iu"
         for k in range(x.shape[1]):
-            # paths revisit few base points: each factor's powered distances
-            # are taken once per pair of distinct points, then gathered
-            ux, ix = np.unique(x[:, k], return_inverse=True)
-            uy, iy = np.unique(y[:, k], return_inverse=True)
-            total += (self.base.pairwise(ux, uy) ** self.order)[:, iy][ix]
+            if indices:
+                ux, ix = np.unique(x[:, k], return_inverse=True)
+                uy, iy = np.unique(y[:, k], return_inverse=True)
+                total += (self.base.pairwise(ux, uy) ** self.order)[:, iy][ix]
+            else:
+                total += self.base.pairwise(x[:, k], y[:, k]) ** self.order
         return total ** (1.0 / self.order)
 
 

@@ -234,8 +234,12 @@ class _TransportModel:
 
     def solve(self, w_row: np.ndarray, w_col: np.ndarray, mask: np.ndarray | None = None):
         """``(fsum(plan * cost), plan)`` for one marginal pair; see
-        ``solve_transport_lp``. Afterwards ``stats`` holds the solve's
-        rounds, simplex iterations and final column count."""
+        ``solve_transport_lp``. A boolean ``mask`` of the cost's shape
+        replaces the shortlists of a first solve: its first restricted LP
+        then holds the north-west-corner plan and the masked cells, e.g.
+        the support of a known feasible coupling near the optimum.
+        Afterwards ``stats`` holds the solve's rounds, simplex iterations
+        and final column count."""
         t0 = time.perf_counter()
         highs, cost = self.highs, self.cost
         nr, nc = cost.shape
@@ -290,7 +294,7 @@ class _TransportModel:
         return math.fsum(x * cost[ci, cj]), plan
 
 
-def solve_transport_lp(cost: np.ndarray, w_row: np.ndarray, w_col: np.ndarray, mask: np.ndarray | None = None):
+def solve_transport_lp(cost: np.ndarray, w_row: np.ndarray, w_col: np.ndarray):
     """Minimum-cost transportation plan between two weight vectors, by
     exact shortlist column generation (Gottschlich & Schuhmacher, PLoS ONE
     9(10):e110214, 2014) on one HiGHS model.
@@ -298,10 +302,7 @@ def solve_transport_lp(cost: np.ndarray, w_row: np.ndarray, w_col: np.ndarray, m
     The first restricted LP holds the north-west-corner plan, which keeps
     it feasible, and each row's and each column's ``_SHORTLIST`` cheapest
     cells, so a side with no more atoms than that starts with every cell.
-    A boolean ``mask`` of the cost's shape replaces those shortlists: the
-    first LP then holds the north-west-corner plan and the masked cells,
-    e.g. the support of a known feasible coupling near the optimum. Each
-    round solves the active cells with HiGHS (called directly,
+    Each round solves the active cells with HiGHS (called directly,
     presolve off, feasibility tolerances 1e-10) and adds every inactive
     cell whose reduced cost ``cost - u - v`` is below -1e-11; the first
     round runs the dual simplex, and each next round the primal simplex,
@@ -311,7 +312,7 @@ def solve_transport_lp(cost: np.ndarray, w_row: np.ndarray, w_col: np.ndarray, m
     ``SolverError`` naming the HiGHS model status when a round is not
     solved to optimality, e.g. for marginals of different totals.
     """
-    return _TransportModel(cost).solve(w_row, w_col, mask)
+    return _TransportModel(cost).solve(w_row, w_col)
 
 
 def _w1_transport(cost: np.ndarray, w_row: np.ndarray, w_col: np.ndarray, mask: np.ndarray | None = None):
@@ -321,7 +322,7 @@ def _w1_transport(cost: np.ndarray, w_row: np.ndarray, w_col: np.ndarray, mask: 
     Every zero cell that is the only zero in its row and in its column
     keeps min(w_row[i], w_col[j]); the LP runs on the rows and columns
     that still carry mass, and its plan is embedded beside the kept mass;
-    a starting ``mask`` (see ``solve_transport_lp``) is cut to those rows
+    a starting ``mask`` (see ``_TransportModel.solve``) is cut to those rows
     and columns. The kept cells cost 0, so the cost is the LP's. Returns
     ``(fsum(plan * cost), plan, model, cols)``: ``model`` is the solved
     ``_TransportModel`` of the reduced LP, whose column potentials belong
@@ -351,9 +352,11 @@ def _w1_transport(cost: np.ndarray, w_row: np.ndarray, w_col: np.ndarray, mask: 
 
 def _lp_cost(cost: np.ndarray, w_row: np.ndarray, w_col: np.ndarray, s: float, mask: np.ndarray | None = None):
     """The order-s transport LP off the real line: at s = 1 with the shared
-    mass left in place (``_w1_transport``), else on the full supports.
-    Returns ``(fsum(plan * cost), plan, model)``, ``model`` being the
-    solved ``_TransportModel``, or None when no mass is left to move."""
+    mass left in place (``_w1_transport``), else on the full supports; a
+    boolean ``mask`` seeds the first restricted LP (see
+    ``_TransportModel.solve``). Returns ``(fsum(plan * cost), plan,
+    model)``, ``model`` being the solved ``_TransportModel``, or None when
+    no mass is left to move."""
     if s == 1.0:
         raw, plan, model, _ = _w1_transport(cost, w_row, w_col, mask)
     else:

@@ -2,6 +2,7 @@ import itertools
 import logging
 import math
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -29,7 +30,7 @@ from concentra import (
 )
 from concentra import coupling
 from concentra.coupling import _abs_moment, _coupling, _coupling_paths, _tabular_cost
-from concentra.transport import _lp_cost
+from concentra.transport import _lp_cost, _TransportModel
 
 
 def _random_tabular(rng):
@@ -398,7 +399,9 @@ def test_markov_coupling_on_its_seed_couples_the_joint_laws(kind, k, n):
     for s in (1.0, 1.5, 2.0):
         qj, pj = tabular_joint_law(q, n, s), tabular_joint_law(p, n, s)
         bound, plans = _coupling(p, q, n, s)
-        mass = _coupling_paths(plans, n, k, qj, pj)
+        rows, cols, masses = _coupling_paths(plans, n, k, qj, pj)
+        mass = np.zeros((len(qj), len(pj)))
+        np.add.at(mass, (rows, cols), masses)
         assert np.max(np.abs(mass.sum(axis=1) - qj.weights)) <= 1e-15
         assert np.max(np.abs(mass.sum(axis=0) - pj.weights)) <= 1e-15
         cost = qj.space.pairwise(qj.support, pj.support) ** s
@@ -409,16 +412,49 @@ def test_markov_coupling_on_its_seed_couples_the_joint_laws(kind, k, n):
 @pytest.mark.parametrize("k, n", _AUDIT_SIZES)
 @pytest.mark.parametrize("s", [1.0, 1.5, 2.0])
 def test_coupling_seeded_joint_law_lp_is_exact(kind, k, n, s):
-    """The audit's LP started from the coupling's support, the same LP
-    started from the shortlists and the LP over every cell agree."""
+    """The joint-law LP started from the coupling's support, the same LP
+    started from the shortlists and the LP over every cell agree, also at
+    s = 1 where the audit cuts the seed to the LP left after the shared
+    mass stays in place."""
     p, q = _audit_pair(kind, k, 7 * k + n)
     qj, pj = tabular_joint_law(q, n, s), tabular_joint_law(p, n, s)
-    seed = _coupling_paths(_coupling(p, q, n, s)[1], n, k, qj, pj) > 0
+    seed = np.zeros((len(qj), len(pj)), dtype=bool)
+    seed[_coupling_paths(_coupling(p, q, n, s)[1], n, k, qj, pj)[:2]] = True
     cost = qj.space.pairwise(qj.support, pj.support) ** s
     want, _ = all_cells_transport_lp(cost, qj.weights, pj.weights)
     seeded = _lp_cost(cost, qj.weights, pj.weights, s, seed)[0]
-    assert seeded == pytest.approx(want, rel=1e-12)
-    assert _lp_cost(cost, qj.weights, pj.weights, s)[0] == pytest.approx(want, rel=1e-12)
+    for value in (seeded, _TransportModel(cost).solve(qj.weights, pj.weights, seed)[0],
+                  _lp_cost(cost, qj.weights, pj.weights, s)[0]):
+        assert value == pytest.approx(want, rel=1e-12)
     entry = transport_inequality_audit(p, 1.0, s, 0.5, n, [q])["entries"][0]
     assert entry["w_exact"] == max(seeded, 0.0) ** (1.0 / s)
 
+
+@pytest.mark.parametrize("s", [1.0, 1.5])
+def test_audit_of_a_sparse_chain_on_many_states_stays_small(s):
+    """The coupling's path pairs come from its flat kernel, not a dense
+    (S^2) x (S^2) one, and the pair plans keep only charged cells: two
+    200-state chains that each step to a neighbour on a ring audit at n = 2
+    in a few MB of NumPy memory, with the exact distance of the shortlist
+    start."""
+    rng = np.random.default_rng(5)
+    k = 200
+
+    def chain():
+        kernel = np.zeros((k, k))
+        up = rng.uniform(0.2, 0.8, k)
+        kernel[np.arange(k), (np.arange(k) + 1) % k] = up
+        kernel[np.arange(k), (np.arange(k) - 1) % k] = 1.0 - up
+        return TabularModel(rng.dirichlet(np.ones(k)), kernel)
+
+    p, q = chain(), chain()
+    tracemalloc.start()
+    try:
+        entry = transport_inequality_audit(p, 1.0, s, 0.5, 2, [q])["entries"][0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    qj, pj = tabular_joint_law(q, 2, s), tabular_joint_law(p, 2, s)
+    want = _lp_cost(qj.space.pairwise(qj.support, pj.support) ** s, qj.weights, pj.weights, s)[0]
+    assert entry["w_exact"] == pytest.approx(max(want, 0.0) ** (1.0 / s), rel=1e-12)

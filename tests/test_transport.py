@@ -246,7 +246,7 @@ def test_solve_transport_lp_logs_one_debug_line(caplog, monkeypatch, n, full):
     mask = rng.random(cost.shape) < 0.1
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="concentra.transport"):
-        solve_transport_lp(cost, rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n + 1)), mask)
+        _TransportModel(cost).solve(rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n + 1)), mask)
     (record,) = [r for r in caplog.records if r.name == "concentra.transport"]
     assert record.getMessage().endswith(f"; start=coupling cells={np.count_nonzero(mask)}")
     caplog.clear()
@@ -735,11 +735,12 @@ def test_any_starting_mask_gives_the_exact_optimum(mask):
     for s in (1.0, 1.5, 2.0):
         cost = dist**s
         want, _ = oracles.all_cells_transport_lp(cost, w_row, w_col)
-        value, plan = solve_transport_lp(cost, w_row, w_col, cells)
+        model = _TransportModel(cost)
+        value, plan = model.solve(w_row, w_col, cells)
         TransportPlan(DiscreteMeasure(tuple(range(n)), w_row), DiscreteMeasure(tuple(range(m)), w_col),
                       plan, value, s).validate(cost)
         assert value == pytest.approx(want, rel=1e-12)
+        assert model.stats["columns"] >= np.count_nonzero(cells)
     value, plan, model, _ = transport._w1_transport(dist, w_row, w_col, cells)
     assert model.cost.size < n * m  # shared grid points keep their mass in place
     assert value == pytest.approx(oracles.all_cells_transport_lp(dist, w_row, w_col)[0], rel=1e-12)
-
