@@ -22,6 +22,7 @@ its family's pass/fail boundary, the critical constant, in closed form.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -85,23 +86,13 @@ def _blocks(count: int, per_item: int) -> list[slice]:
     return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
-def lipschitz_polytope_vertices(dist: np.ndarray) -> list[np.ndarray]:
-    """All extreme 1-Lipschitz functions on a small metric space, up to an
-    additive constant (anchored at point 0).
-
-    A vertex is determined by a spanning tree of tight constraints
-    f_i - f_j = +/- d_ij. An (n-1)-edge subset is a spanning tree exactly
-    when its incidence matrix without the column of point 0 is
-    nonsingular, and the inverse of that matrix is integral (incidence
-    matrices are totally unimodular). Every tree is solved at once for
-    each sign pattern, and a solution is kept when it satisfies all
-    remaining constraints.
-    """
-    n = dist.shape[0]
-    if n > 6:
-        raise InputError("vertex enumeration is limited to 6 points")
-    if n == 1:
-        return [np.zeros(1)]
+@functools.cache
+def _vertex_tables(n: int):
+    """``(edges, paths, signs)`` for vertex enumeration on n >= 2 points,
+    read-only and made once per n: ``edges[t]`` holds spanning tree t's
+    n - 1 edges as indices into ``np.triu_indices(n, 1)``, ``paths[t]`` is
+    the integral inverse of its incidence matrix without the column of
+    point 0, and ``signs`` holds the 2^(n-1) sign patterns, one per row."""
     ei, ej = np.triu_indices(n, 1)
     subsets = np.array(list(itertools.combinations(range(ei.size), n - 1)))
     incidence = np.zeros((len(subsets), n - 1, n))
@@ -110,20 +101,53 @@ def lipschitz_polytope_vertices(dist: np.ndarray) -> list[np.ndarray]:
     incidence[sub, edge, ej[subsets]] = -1.0
     incidence = incidence[:, :, 1:]
     trees = np.abs(np.linalg.det(incidence)) > 0.5
-    paths = np.rint(np.linalg.inv(incidence[trees]))
-    lengths = dist[ei, ej][subsets[trees]]
+    tables = (subsets[trees], np.rint(np.linalg.inv(incidence[trees])),
+              np.array(list(itertools.product((1.0, -1.0), repeat=n - 1))))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def lipschitz_polytope_vertices(dist: np.ndarray) -> list[np.ndarray]:
+    """All extreme 1-Lipschitz functions on a small metric space, up to an
+    additive constant (anchored at point 0).
+
+    A vertex is determined by a spanning tree of tight constraints
+    f_i - f_j = +/- d_ij. An (n-1)-edge subset is a spanning tree exactly
+    when its incidence matrix without the column of point 0 is
+    nonsingular, and the inverse of that matrix is integral (incidence
+    matrices are totally unimodular); the trees, inverses and sign
+    patterns depend on n only (``_vertex_tables``). Every tree is solved
+    at once for a block of sign patterns, and a solution is kept when it
+    satisfies all remaining constraints.
+    """
+    n = dist.shape[0]
+    if n > 6:
+        raise InputError("vertex enumeration is limited to 6 points")
+    if n == 1:
+        return [np.zeros(1)]
+    ei, ej = np.triu_indices(n, 1)
+    edges, paths, signs = _vertex_tables(n)
+    lengths = dist[ei, ej][edges]
     bound = np.minimum(dist, dist.T)[ei, ej]
     found = []
-    # one sign pattern at a time: all tree x sign candidates together would
-    # be 41,472 rows at n = 6
-    for signs in itertools.product((1.0, -1.0), repeat=n - 1):
-        f = np.zeros((len(paths), n))
-        f[:, 1:] = np.einsum("tij,tj->ti", paths, lengths * np.array(signs))
+    # sign patterns in blocks: all tree x sign candidates together would be
+    # 41,472 rows at n = 6; below 6 points one block holds them all
+    for b in _blocks(len(signs), len(paths) * n):
+        f = np.zeros((len(signs[b]), len(paths), n))
+        f[:, :, 1:] = np.einsum("tij,stj->sti", paths, lengths * signs[b, None, :])
+        f = f.reshape(-1, n)
         ok = np.all(np.abs(f[:, ei] - f[:, ej]) - bound <= 1e-12, axis=1)
         found.append(f[ok])
     verts = np.concatenate(found)
-    _, first = np.unique(np.round(verts, 12), axis=0, return_index=True)
-    return list(verts[np.sort(first)])
+    # the first of each group of candidates equal to 12 decimals, in order:
+    # a stable sort puts it first in its group
+    key = np.round(verts, 12)
+    order = np.lexsort(key.T[::-1])
+    key = key[order]
+    first = np.ones(len(key), dtype=bool)
+    first[1:] = np.any(key[1:] != key[:-1], axis=1)
+    return list(verts[np.sort(order[first])])
 
 
 def lipschitz_family(

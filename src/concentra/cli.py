@@ -23,7 +23,7 @@ import os
 import re
 import sys
 import time
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 import orjson
@@ -126,6 +126,42 @@ def _dumps(value, path: str) -> bytes:
     return data
 
 
+# rows of an ndarray table per block of output text: _emit holds the table
+# and one block's text (about 1 MB at 60 float columns), never the whole text
+_EMIT_ROWS = 1024
+
+
+def _csv_blocks(table: np.ndarray):
+    """The CSV lines of a 2-D ``table``, one bytes block per ``_EMIT_ROWS``
+    rows: each block's ``_array_json`` text with one row per line, ending
+    in a newline. A 0-row table is one empty line."""
+    for lo in range(0, max(len(table), 1), _EMIT_ROWS):
+        # [[a,b],[c,d]] -> a,b\nc,d\n: found through a uint8 view, the
+        # comma after each row's "]" and the last "]" become newlines and
+        # every "[" a "]", and one single-byte replace drops them all; a
+        # search for the three bytes "],[" scans far slower, and each
+        # further block-sized temporary costs about as much as the scan
+        text = bytearray(_array_json(table[lo:lo + _EMIT_ROWS]))
+        view = np.frombuffer(text, np.uint8)
+        ends = np.flatnonzero(view == ord("]"))[:-2]
+        view[ends + 1] = ord("\n")
+        view[ends + 2] = view[:2] = ord("]")
+        view[-1] = ord("\n")
+        yield text.replace(b"]", b"")
+
+
+def _json_blocks(a: np.ndarray):
+    """``_array_json(a)`` of an array with at least one axis, in blocks of
+    ``_EMIT_ROWS`` entries along its first: ``[``, each block's text
+    without its outer brackets, joined by ``,``, and ``]``."""
+    yield b"["
+    for lo in range(0, len(a), _EMIT_ROWS):
+        if lo:
+            yield b","
+        yield memoryview(_array_json(a[lo:lo + _EMIT_ROWS]))[1:-1]
+    yield b"]"
+
+
 def _emit(payload: dict, args, table=None, header=None) -> None:
     """Write results as one line of JSON with sorted keys (default), or as
     CSV with the config echo in a leading ``#`` line.
@@ -139,51 +175,57 @@ def _emit(payload: dict, args, table=None, header=None) -> None:
     CSV: an ndarray ``table`` is ``_array_json``'s text with one row per
     line; a sequence of tuple rows writes floats as ``%.17g`` (``_fmt``)
     and every other cell as ``str``.
+
+    An ndarray table, and a top-level ndarray JSON value with at least one
+    axis, is written ``_EMIT_ROWS`` rows at a time (``_csv_blocks``,
+    ``_json_blocks``): the bytes are those of the whole text, and peak
+    memory is the table plus one block's text.
     """
     t0 = time.perf_counter()
     if args.format == "csv" and table is not None:
         config = _dumps(payload.get("config", {}), "config")
-        chunks = [b"# ", config, ("\n" + ",".join(header) + "\n").encode()]
+        head = [b"# ", config, ("\n" + ",".join(header) + "\n").encode()]
         if isinstance(table, np.ndarray):
-            # [[a,b],[c,d]] -> a,b\nc,d: found through a uint8 view, the
-            # comma after each row's "]" becomes a newline and every "["
-            # a "]", and one single-byte replace drops them all; a search
-            # for the three bytes "],[" scans far slower, and each further
-            # table-sized temporary costs about as much as the scan
-            text = bytearray(_array_json(table))
-            view = np.frombuffer(text, np.uint8)
-            ends = np.flatnonzero(view == ord("]"))[:-2]
-            view[ends + 1] = ord("\n")
-            view[ends + 2] = view[:2] = ord("]")
-            chunks += [text.replace(b"]", b""), b"\n"]
+            body = _csv_blocks(table)
         else:
-            chunks += [(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n").encode()
-                       for row in table]
+            body = [(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n").encode()
+                    for row in table]
+        pieces = [head, body]
         rows = len(table)
     else:
-        chunks = []
+        pieces = []
         for key in sorted(payload):
             value = payload[key]
             if isinstance(value, np.ndarray):
-                value = _array_json(value)
-            elif not isinstance(value, bytes):
-                value = _dumps(value, key)
-            chunks += [b"," if chunks else b"{", orjson.dumps(key), b":", value]
-        chunks.append(b"}\n")
+                value = _json_blocks(value) if value.ndim else [_array_json(value)]
+            else:
+                value = [value if isinstance(value, bytes) else _dumps(value, key)]
+            pieces += [[b"," if pieces else b"{", orjson.dumps(key), b":"], value]
+        pieces.append([b"}\n"])
         rows = 1
-    # the chunks are written one after another, not joined into one more copy
+    written = 0
+
+    def chunks():
+        # the chunks are written one after another as they are made, not
+        # joined into one more copy
+        nonlocal written
+        for chunk in chain.from_iterable(pieces):
+            written += len(chunk)
+            yield chunk
+
     if args.out:
         with open(args.out, "wb") as out:
-            out.writelines(chunks)
+            out.writelines(chunks())
     elif hasattr(sys.stdout, "buffer"):
         sys.stdout.flush()
-        sys.stdout.buffer.writelines(chunks)
+        sys.stdout.buffer.writelines(chunks())
         sys.stdout.buffer.flush()
     else:
-        sys.stdout.write(b"".join(chunks).decode())
+        for chunk in chunks():
+            sys.stdout.write(str(chunk, "utf-8"))
     if log.isEnabledFor(logging.DEBUG):
-        log.debug("emit %s: %d rows, %d bytes, %.1f ms", args.format, rows,
-                  sum(map(len, chunks)), 1e3 * (time.perf_counter() - t0))
+        log.debug("emit %s: %d rows, %d bytes, %.1f ms", args.format, rows, written,
+                  1e3 * (time.perf_counter() - t0))
 
 
 def _config(args, keys) -> dict:

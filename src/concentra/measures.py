@@ -151,6 +151,11 @@ class ProductSpace:
 
     def pairwise(self, xs, ys) -> np.ndarray:
         """Distance matrix between two lists of equal-length tuples."""
+        return self._power_sums(xs, ys) ** (1.0 / self.order)
+
+    def _power_sums(self, xs, ys) -> np.ndarray:
+        """sum_j d(x_j, y_j)**order between two lists of equal-length
+        tuples: ``pairwise``'s matrix before its root is taken."""
         x, y = _factor_columns(xs), _factor_columns(ys)
         if x.shape[1] != y.shape[1]:
             raise InputError(f"tuple length mismatch: {x.shape[1]} vs {y.shape[1]}")
@@ -166,7 +171,7 @@ class ProductSpace:
                 total += (self.base.pairwise(ux, uy) ** self.order)[:, iy][ix]
             else:
                 total += self.base.pairwise(x[:, k], y[:, k]) ** self.order
-        return total ** (1.0 / self.order)
+        return total
 
 
 def _factor_columns(points) -> np.ndarray:

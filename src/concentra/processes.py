@@ -245,8 +245,9 @@ def simulate_path_sums(model: GaussianKernelModel, n: int, N: int, seed: int = 0
     return sums
 
 
-# most paths per block of the linear sampler: a block of 20-step scalar
-# paths (640 KB) stays in a core's L2 cache through the whole recursion
+# most paths per block of the linear and tabular samplers: a block of
+# 20-step scalar paths (640 KB) stays in a core's L2 cache through the
+# whole recursion
 _BLOCK_PATHS = 4096
 
 _POOL = None  # (pid, executor or None, helpers): the linear sampler's helper threads
@@ -353,14 +354,32 @@ def _simulate_linear(A, B, mean1, root1, n, N, seed, sums=False):
     return out, finite.all(axis=0)
 
 
+def _capped_cumsum(p: np.ndarray) -> np.ndarray:
+    """Cumulative sums along the last axis of probability vectors ``p``,
+    +inf from each vector's last positive entry on."""
+    cum = np.cumsum(p, axis=-1)
+    last = p.shape[-1] - 1 - np.argmax(p[..., ::-1] > 0, axis=-1)
+    cum[np.arange(p.shape[-1]) >= np.expand_dims(last, -1)] = np.inf
+    return cum
+
+
 def _simulate_tabular(model: TabularModel, n, N, rng):
-    u = rng.random((N, n))
+    """Paths of a finite-state chain by inverse-CDF draws. The uniforms are
+    one row-major (N, n) stream from ``rng``, drawn and used one
+    ``_BLOCK_PATHS`` block of paths at a time, so each path depends on its
+    own row of draws only and the per-step gather and comparison are
+    (block, S) temporaries. A state is the count of its law's cumulative
+    probabilities at or below the draw; they are +inf from the last
+    positive-probability state on (``_capped_cumsum``), so a draw at or
+    past a law's total, which may be 1 - ``PROB_ATOL``, takes that state."""
+    init, cum = _capped_cumsum(model.init), _capped_cumsum(model.transition)
     out = np.empty((N, n), dtype=int)
-    out[:, 0] = np.searchsorted(np.cumsum(model.init), u[:, 0], side="right")
-    cum = np.cumsum(model.transition, axis=1)
-    for k in range(1, n):
-        rows = cum[out[:, k - 1]]
-        out[:, k] = (u[:, k, None] >= rows).sum(axis=1)
+    for lo in range(0, N, _BLOCK_PATHS):
+        x = out[lo:lo + _BLOCK_PATHS]
+        u = rng.random(x.shape)
+        x[:, 0] = np.searchsorted(init, u[:, 0], side="right")
+        for k in range(1, n):
+            x[:, k] = (u[:, k, None] >= cum[x[:, k - 1]]).sum(axis=1)
     return out
 
 

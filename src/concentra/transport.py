@@ -49,7 +49,8 @@ import numpy as np
 import scipy
 
 from .errors import InputError, SolverError, _check
-from .measures import REAL_LINE, DiscreteMeasure, GaussianMeasure, RealLine, _matches, _point_key
+from .measures import (REAL_LINE, DiscreteMeasure, GaussianMeasure, ProductSpace, RealLine, _matches,
+                       _point_key)
 
 PLAN_ATOL = 1e-10
 log = logging.getLogger(__name__)
@@ -135,7 +136,12 @@ def _resolve_space(mu: DiscreteMeasure, nu: DiscreteMeasure, space):
 
 
 def cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, s: float, space=None) -> np.ndarray:
+    """d(x, y)**s between the support points. On a product space of order
+    s that is sum_j d(x_j, y_j)**s, taken as it is, not as the s-th power
+    of its s-th root."""
     space = _resolve_space(mu, nu, space)
+    if isinstance(space, ProductSpace) and space.order == s:
+        return space._power_sums(mu.support, nu.support)
     return space.pairwise(mu.support, nu.support) ** s
 
 

@@ -453,6 +453,20 @@ def simulate_linear_path_major(A, B, mean1, root1, n, N, seed, block_paths=4096)
     return out
 
 
+def simulate_tabular_whole_table(model, n, N, rng):
+    """(N, n) state paths of a tabular chain from one (N, n) draw of
+    uniforms: the first state by a search of the initial law's cumulative
+    sums, each later one as the count of its row's cumulative sums at or
+    below the draw, over all N paths at once."""
+    u = rng.random((N, n))
+    out = np.empty((N, n), dtype=int)
+    out[:, 0] = np.searchsorted(np.cumsum(model.init), u[:, 0], side="right")
+    cum = np.cumsum(model.transition, axis=1)
+    for k in range(1, n):
+        out[:, k] = (u[:, k, None] >= cum[out[:, k - 1]]).sum(axis=1)
+    return out
+
+
 def gaussian_w2_sqrtm(m1, s1, m2, s2):
     """W2 between N(m1, s1) and N(m2, s2) from the trace of sqrtm(s1 s2):
     s1 s2 is similar to s1^(1/2) s2 s1^(1/2), so their principal roots have

@@ -24,6 +24,7 @@ from concentra.certify import (
     Certificate,
     _line_wasserstein,
     _logsumexp,
+    _vertex_tables,
     default_lsi_family,
     default_t_grid,
     gc_slack,
@@ -598,6 +599,19 @@ def test_vertices_match_traversal_oracle():
         got = lipschitz_polytope_vertices(dist)
         assert _vertex_set(got) == _vertex_set(oracles.oracle_lipschitz_vertices(dist))
         assert len(got) == len(_vertex_set(got))
+
+
+def test_spanning_tree_tables_are_made_once_per_n_and_read_only():
+    """The complete graph on n points has n^(n-2) spanning trees (Cayley);
+    their tables and the sign patterns are made once per n and shared
+    read-only by every vertex enumeration."""
+    for n in range(2, 7):
+        edges, paths, signs = _vertex_tables(n)
+        assert _vertex_tables(n)[1] is paths
+        assert len(edges) == len(paths) == n ** (n - 2)
+        assert signs.shape == (2 ** (n - 1), n - 1)
+        for table in (edges, paths, signs):
+            assert not table.flags.writeable
 
 
 def _peak_bytes(fn):

@@ -7,6 +7,7 @@ import logging
 import math
 import os
 import re
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -22,6 +23,7 @@ from concentra.cli import _emit, _normal_sample_checks, build_parser, main
 from concentra.constants import FORMULAS
 
 TWO_POINT = json.dumps({"type": "discrete", "support": [0.0, 1.0], "weights": [0.5, 0.5]})
+_B = cli._EMIT_ROWS  # rows per block of an ndarray table's text
 
 
 def run(capsys, *argv):
@@ -613,6 +615,79 @@ def test_emit_csv_table_is_the_array_text_with_one_row_per_line(shape, dtype):
     assert buf.getvalue() == "# {}\n" + ",".join(("x",) * shape[1]) + "\n" + body
 
 
+def _whole_table_text(fmt, config, table):
+    """The bytes of a path table written as one text: the CSV rows are the
+    array's JSON text with every "],[" a newline, and JSON holds the array's
+    text as the ``paths`` value."""
+    if fmt == "csv":
+        header = ",".join(f"x{k}" for k in range(table.shape[1]))
+        body = cli._array_json(table).replace(b"],[", b"\n")[2:-2]
+        return b"# " + _compact(config).encode() + b"\n" + header.encode() + b"\n" + body + b"\n"
+    return b'{"config":' + _compact(config).encode() + b',"paths":' + cli._array_json(table) + b"}\n"
+
+
+def _emit_table(fmt, table, out=None):
+    """``_emit`` of a path table as ``simulate`` hands it over."""
+    args = SimpleNamespace(format=fmt, out=out)
+    if fmt == "json":
+        _emit({"config": {}, "paths": table}, args)
+    else:
+        _emit({"config": {}}, args, table, tuple(f"x{k}" for k in range(table.shape[1])))
+
+
+@pytest.mark.parametrize("rows", [0, 1, _B - 1, _B, _B + 1, 2 * _B + 3])
+@pytest.mark.parametrize("dtype", [float, np.int64])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_block_writer_bytes_are_the_whole_table_text(capsysbinary, tmp_path, fmt, dtype, rows):
+    """Written in blocks of _EMIT_ROWS rows, a table's bytes are those of
+    its whole text, below, at and above the block size, with no columns,
+    on stdout, on a text-only stdout and in an --out file; a 0-row CSV
+    table is still one empty line."""
+    table = np.random.default_rng(rows).normal(0.0, 1e3, (rows, 3)).astype(dtype)
+    out_file = tmp_path / "table.out"
+    for t in (table, np.empty((rows, 0), dtype)):
+        want = _whole_table_text(fmt, {}, t)
+        _emit_table(fmt, t)
+        assert capsysbinary.readouterr().out == want
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            _emit_table(fmt, t)
+        assert buf.getvalue().encode() == want
+        _emit_table(fmt, t, str(out_file))
+        assert out_file.read_bytes() == want
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("model", SIM_MODELS)
+def test_emit_simulate_bytes_are_the_whole_table_text(capsysbinary, tmp_path, model, fmt):
+    """simulate's bytes above one block are the whole-table text of the
+    simulated paths, on stdout and with --out."""
+    blob, samples = json.dumps(model), _B + 1
+    argv = ["simulate", "--model", blob, "--n", "3", "--samples", str(samples), "--seed", "2", "--format", fmt]
+    values = simulate_joint(jsonio.model_from_json(model), 3, samples, seed=2).values.reshape(samples, -1)
+    want = _whole_table_text(fmt, {"model": blob, "n": 3, "samples": samples, "seed": 2}, values)
+    assert main(argv) == 0
+    assert capsysbinary.readouterr().out == want
+    assert main(argv + ["--out", str(tmp_path / "paths.out")]) == 0
+    assert (tmp_path / "paths.out").read_bytes() == want
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_peak_memory_is_below_the_table_size(tmp_path, fmt):
+    """_emit holds one block's text, not the whole text: writing a
+    20,000 x 20 float table (about 7.5 MB of text) allocates less than the
+    table's own 3.2 MB at its peak."""
+    table = np.random.default_rng(0).normal(size=(20_000, 20))
+    tracemalloc.start()
+    try:
+        _emit_table(fmt, table, str(tmp_path / "table.out"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "table.out").stat().st_size > 2 * table.nbytes
+    assert peak < table.nbytes
+
+
 SUBCOMMAND_ARGV = CONSTANTS_ARGV + [
     ("wasserstein", "--mu", TWO_POINT, "--nu", json.dumps({"type": "discrete", "support": [0.5, 2.0], "weights": [0.3, 0.7]})),
     ("wasserstein", "--mu", json.dumps({"type": "gaussian", "mean": [0.0], "cov": [[1.0]]}),
@@ -682,12 +757,18 @@ def test_constants_json_rows_are_the_scalar_calls(capsys, argv):
         assert row["value"].hex() == want.hex()
 
 
-@pytest.mark.parametrize("fmt, rows", [("csv", 4), ("json", 1)])
-def test_emit_logs_one_debug_line(capsys, caplog, tmp_path, fmt, rows):
+@pytest.mark.parametrize("fmt, samples, rows", [
+    pytest.param("csv", 4, 4, id="csv-4"),
+    pytest.param("json", 4, 1, id="json-1"),
+    pytest.param("csv", 2 * _B + 3, 2 * _B + 3, id="csv-blocks"),
+    pytest.param("json", 2 * _B + 3, 1, id="json-blocks"),
+])
+def test_emit_logs_one_debug_line(capsys, caplog, tmp_path, fmt, samples, rows):
+    """One line per write, counting the bytes written over all blocks."""
     model = json.dumps({"kind": "gaussian_kernel", "theta": 0.5, "sigma2": 1.0})
     out_file = tmp_path / "paths.out"
     with caplog.at_level(logging.DEBUG, logger="concentra"):
-        code, _, _ = run(capsys, "simulate", "--model", model, "--n", "3", "--samples", "4",
+        code, _, _ = run(capsys, "simulate", "--model", model, "--n", "3", "--samples", str(samples),
                          "--format", fmt, "--out", str(out_file))
     assert code == 0
     lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("emit ")]

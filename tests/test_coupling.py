@@ -30,7 +30,7 @@ from concentra import (
 )
 from concentra import coupling
 from concentra.coupling import _abs_moment, _coupling, _coupling_paths, _tabular_cost
-from concentra.transport import _lp_cost, _TransportModel
+from concentra.transport import _lp_cost, _TransportModel, cost_matrix
 
 
 def _random_tabular(rng):
@@ -420,7 +420,7 @@ def test_coupling_seeded_joint_law_lp_is_exact(kind, k, n, s):
     qj, pj = tabular_joint_law(q, n, s), tabular_joint_law(p, n, s)
     seed = np.zeros((len(qj), len(pj)), dtype=bool)
     seed[_coupling_paths(_coupling(p, q, n, s)[1], n, k, qj, pj)[:2]] = True
-    cost = qj.space.pairwise(qj.support, pj.support) ** s
+    cost = cost_matrix(qj, pj, s, qj.space)  # the audit's cost
     want, _ = all_cells_transport_lp(cost, qj.weights, pj.weights)
     seeded = _lp_cost(cost, qj.weights, pj.weights, s, seed)[0]
     for value in (seeded, _TransportModel(cost).solve(qj.weights, pj.weights, seed)[0],

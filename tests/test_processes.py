@@ -29,7 +29,7 @@ from concentra import (
     tabular_joint_law,
 )
 from concentra import processes
-from concentra.processes import _BLOCK_PATHS, _simulate_linear
+from concentra.processes import _BLOCK_PATHS, _rng, _simulate_linear, _simulate_tabular
 
 import oracles
 
@@ -236,6 +236,64 @@ def test_tabular_simulation_matches_joint_law():
     for pt, w in zip(law.support, law.weights):
         emp = counts.get(tuple(int(v) for v in pt), 0) / paths.n_paths
         assert emp == pytest.approx(float(w), abs=0.005)
+
+
+_TABULAR_CHAINS = [
+    TabularModel([0.6, 0.4], [[0.7, 0.3], [0.2, 0.8]]),
+    # zero-probability states, leading, inner and trailing
+    TabularModel([0.0, 0.3, 0.0, 0.7, 0.0],
+                 [[0.0, 0.5, 0.5, 0.0, 0.0], [0.2, 0.0, 0.3, 0.5, 0.0], [0.0, 0.0, 0.0, 1.0, 0.0],
+                  [0.1, 0.2, 0.3, 0.4, 0.0], [0.25, 0.25, 0.25, 0.25, 0.0]]),
+    TabularModel(np.full(10, 0.1), np.random.default_rng(2).dirichlet(np.ones(10), size=10)),
+]
+
+
+def test_blocked_tabular_sampler_is_the_whole_table_sampler(monkeypatch):
+    """Drawn one _BLOCK_PATHS block of paths at a time from one stream, the
+    paths equal those of one (N, n) draw for every N, at the real block
+    size around its boundaries and at a block of 3 for every N to 3 blocks
+    and 5 paths."""
+    for model in _TABULAR_CHAINS:
+        for N in (1, 2, _BLOCK_PATHS - 1, _BLOCK_PATHS, _BLOCK_PATHS + 1, 3 * _BLOCK_PATHS + 5):
+            for n in (1, 4):
+                want = oracles.simulate_tabular_whole_table(model, n, N, _rng(7))
+                assert np.array_equal(_simulate_tabular(model, n, N, _rng(7)), want), (N, n)
+        assert np.array_equal(simulate_joint(model, 6, 2 * _BLOCK_PATHS + 1, seed=4).values,
+                              oracles.simulate_tabular_whole_table(model, 6, 2 * _BLOCK_PATHS + 1, _rng(4)))
+    monkeypatch.setattr(processes, "_BLOCK_PATHS", 3)
+    for model in _TABULAR_CHAINS:
+        for N in range(1, 3 * 3 + 6):
+            want = oracles.simulate_tabular_whole_table(model, 5, N, _rng(N))
+            assert np.array_equal(_simulate_tabular(model, 5, N, _rng(N)), want), N
+
+
+class _ConstantDraws:
+    """An ``rng`` stand-in whose every uniform is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, shape):
+        return np.full(shape, self.u)
+
+
+def test_tabular_draw_past_the_row_total_takes_the_last_positive_state():
+    """Rows may sum to 1 - PROB_ATOL: a draw at or past a row's total goes
+    to the row's last positive-probability state, never to a state out of
+    range or of zero probability."""
+    short = 1.0 - 1e-12
+    model = TabularModel([0.5, short - 0.5], [[0.5, short - 0.5], [0.25, short - 0.25]])
+    for u in (short, 1.0 - 5e-13):
+        assert _simulate_tabular(model, 1, 2, _ConstantDraws(u)).tolist() == [[1], [1]]
+        assert _simulate_tabular(model, 3, 2, _ConstantDraws(u)).tolist() == [[1, 1, 1]] * 2
+    trailing = TabularModel([0.5, short - 0.5, 0.0], [[short, 0.0, 0.0], [0.0, short, 0.0], [0.0, 0.5, 0.5]])
+    paths = _simulate_tabular(trailing, 4, 3, _ConstantDraws(1.0 - 5e-13))
+    assert paths.tolist() == [[1, 1, 1, 1]] * 3
+    # below the total the draws are those of the plain cumulative sums
+    below = _ConstantDraws(short - 1e-15)
+    for m in (model, trailing):
+        assert np.array_equal(_simulate_tabular(m, 4, 2, below),
+                              oracles.simulate_tabular_whole_table(m, 4, 2, below))
 
 
 def test_arma_simulation_covariance():

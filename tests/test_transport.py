@@ -664,6 +664,32 @@ def test_w1_with_shared_mass_kept_matches_the_full_lp_and_its_dual(space, n, m, 
     assert np.all(np.abs(f[:, None] - f[None, :]) <= dist + 1e-9)
 
 
+@pytest.mark.parametrize("factors", [2, 3, 6])
+@pytest.mark.parametrize("s", [1.0, 1.5, 2.0])
+def test_product_cost_matrix_of_order_s_is_the_sum_of_powers(s, factors):
+    """On a product space of order s the cost is sum_k d^s as summed, not
+    the s-th power of its s-th root: the fsum of the terms at two factors
+    (one rounding), and within one rounding per further factor; at another
+    order it stays pairwise ** s. Index points (label lines) and real
+    coordinates take different routes to the terms."""
+    rng = np.random.default_rng(factors)
+    labels = _LabelLine(tuple(np.sort(rng.uniform(0.0, 3.0, 5)).tolist()))
+    for base, draw in ((labels, lambda: rng.integers(0, 5, (40, factors))),
+                       (REAL_LINE, lambda: rng.normal(0.0, 2.0, (40, factors)))):
+        space = ProductSpace(base, factors, s)
+        points = [tuple(map(tuple, np.unique(draw(), axis=0).tolist())) for _ in range(2)]
+        mu, nu = (DiscreteMeasure(p, np.full(len(p), 1.0 / len(p)), space=space) for p in points)
+        x, y = np.asarray(mu.support), np.asarray(nu.support)
+        terms = [base.pairwise(x[:, k], y[:, k]) ** s for k in range(factors)]
+        want = np.array([[math.fsum(t[i, j] for t in terms) for j in range(len(y))] for i in range(len(x))])
+        cost = transport.cost_matrix(mu, nu, s)
+        if factors == 2:
+            assert np.array_equal(cost, want)
+        assert np.all(np.abs(cost - want) <= (factors - 1) * np.finfo(float).eps * want)
+        other = ProductSpace(base, factors, 1.0 if s == 2.0 else 2.0)
+        assert np.array_equal(transport.cost_matrix(mu, nu, s, other), other.pairwise(mu.support, nu.support) ** s)
+
+
 def test_shared_mass_moves_at_order_two():
     """1/2 d0 + 1/2 d1 against 1/2 d1 + 1/2 d2: keeping the shared atom in
     place costs 2, shifting all mass by 1 costs 1, so W_2 is 1 (and W_1 is
