@@ -7,14 +7,19 @@ constant. Certificates therefore record the family size and a witness
 that re-evaluates to the reported worst slack, so every verdict can be
 replayed.
 
-Every family is scored as an array, with the same members, t-grid and
-family sizes as a member-by-member loop: the Lipschitz family and the LSI
-test functions are matrices with one function per row, and T_s
-perturbations are weight rows on the support of mu. GC and T_s
+Every family is built and scored as an array, with the same members,
+t-grid and family sizes as a member-by-member loop: the Lipschitz family
+and the LSI test functions are matrices with one function per row, and
+T_s perturbations are weight rows on the support of mu. The default LSI
+family's random bumps come from draws that do not depend on the grid, made
+once per integer seed, and all their Gaussians are evaluated in one
+``np.exp``; every member is bit for bit the loop's. GC and T_s
 evaluation runs in blocks of about ``_BLOCK`` floats, so working memory
 stays proportional to the family size times the support size. The
 scalar slacks ``gc_slack``, ``transport_slack`` and ``lsi_slack`` are
-the reference that ``replay`` evaluates.
+the reference that ``replay`` evaluates. ``check_lsi_grid`` logs one
+DEBUG line per call with its grid size, family size and the time spent
+building and scoring the family.
 
 No family depends on the constant, and each slack is affine in kappa
 (GC), alpha^(-1/2) (T_s) or 1/alpha (LSI), so every certificate records
@@ -24,7 +29,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+import logging
 import math
+import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -34,6 +41,8 @@ from .entropy import relative_entropy_discrete
 from .errors import InputError, _check
 from .measures import DiscreteMeasure, RealLine, _matches
 from .transport import _northwest_corner, _resolve_space, _TransportModel, wasserstein_exact
+
+log = logging.getLogger(__name__)
 
 GC = "GC"
 TS = "T_s"
@@ -396,23 +405,33 @@ def check_transport(
     )
 
 
-def _grid_gradient(f: np.ndarray, h: float) -> np.ndarray:
-    """Central differences along the last axis, one-sided at the ends."""
-    g = np.empty_like(f)
-    g[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2.0 * h)
-    g[..., 0] = (f[..., 1] - f[..., 0]) / h
-    g[..., -1] = (f[..., -1] - f[..., -2]) / h
-    return g
+def _grid_gradient(f: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
+    """Central differences along the last axis, one-sided at the ends,
+    written into ``out``."""
+    inner = out[..., 1:-1]
+    np.subtract(f[..., 2:], f[..., :-2], out=inner)
+    inner /= 2.0 * h
+    np.subtract(f[..., 1], f[..., 0], out=out[..., 0])
+    out[..., 0] /= h
+    np.subtract(f[..., -1], f[..., -2], out=out[..., -1])
+    out[..., -1] /= h
+    return out
 
 
 def _lsi_terms(weights: np.ndarray, f: np.ndarray, h: float):
     """int f^2 dmu, the terms f^2 log(f^2 / int f^2 dmu) of Ent_mu(f^2),
     and int |f'|^2 dmu, for functions along the last axis of ``f``."""
-    f2 = f**2
+    f2 = np.square(f, dtype=float)
     m = f2 @ weights
+    positive = f2 > 0
+    terms = np.zeros_like(f2)  # log(f^2 / m) where f^2 > 0, then times f^2
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = f2 * np.where(f2 > 0, np.log(np.where(f2 > 0, f2, 1.0) / m[..., None]), 0.0)
-    return m, terms, _grid_gradient(f, h) ** 2 @ weights
+        np.divide(f2, m[..., None], out=terms, where=positive)
+        np.log(terms, out=terms, where=positive)
+    terms *= f2
+    g = _grid_gradient(f, h, out=f2)  # f^2 is no longer needed
+    np.square(g, out=g)
+    return m, terms, g @ weights
 
 
 def lsi_slack(weights: np.ndarray, f: np.ndarray, h: float, alpha: float) -> float:
@@ -421,23 +440,94 @@ def lsi_slack(weights: np.ndarray, f: np.ndarray, h: float, alpha: float) -> flo
     return 0.0 if m <= 0 else float(terms @ weights) - 2.0 / alpha * float(dirichlet)
 
 
+def _draw_bumps(rng: np.random.Generator) -> tuple[np.ndarray, int, int, np.ndarray]:
+    """The bumps' random draws, made in the order of a member-by-member
+    build: per bump one ``integers(1, 4)`` Gaussian count, then per
+    Gaussian the unit draws of its amplitude, centre and width.
+
+    Returns, read-only, the (Gaussians, 3) unit draws laid out for summing
+    in place, the numbers of bumps with at least 2 and with 3 Gaussians,
+    and each bump's row in that layout. The bumps are sorted by falling
+    count (stably), and the rows hold their first Gaussians, then the
+    second Gaussians of the first ``two`` bumps, then the third Gaussians
+    of the first ``three``."""
+    counts = np.empty(_LSI_BUMPS, dtype=int)
+    draws = []
+    for b in range(_LSI_BUMPS):
+        counts[b] = rng.integers(1, 4)
+        draws.append(rng.random((counts[b], 3)))
+    by_count = np.argsort(-counts, kind="stable")
+    units = np.array([draws[b][j] for j in range(3) for b in by_count if counts[b] > j])
+    row = np.argsort(by_count)
+    for a in (units, row):
+        a.setflags(write=False)
+    return units, int(np.sum(counts >= 2)), int(np.sum(counts == 3)), row
+
+
+@functools.lru_cache(maxsize=32, typed=True)
+def _seeded_bumps(seed: int) -> tuple[np.ndarray, int, int, np.ndarray]:
+    return _draw_bumps(np.random.default_rng(seed))
+
+
 def default_lsi_family(grid: np.ndarray, seed: int = 0) -> list[np.ndarray]:
+    """The default LSI test functions on a float grid x, one array per
+    member; all are rows of one array, built in place:
+
+    - x, x^2, x^3, x^4, 1 + x and 1 + x + x^2;
+    - e^{tx/2} for t = 0.25, -0.25, 0.5, -0.5, 1, -1, 1.5, -1.5, 2, -2;
+    - ``_LSI_BUMPS`` bumps 1 + sum_j a_j exp(-(x - c_j)^2 / (2 w_j^2)) of
+      1 to 3 Gaussians, with a_j uniform on [-1, 1], c_j on the middle 60 %
+      of the grid's span and w_j on [0.05, 0.3] times the span.
+
+    ``seed`` (anything ``np.random.default_rng`` takes) fixes the bumps'
+    Gaussian counts and unit draws, which do not depend on the grid: a
+    draw on [lo, hi] is lo + (hi - lo) u for a unit draw u. A Python int
+    seed's draws are made once and cached (the last 32 such seeds); any
+    other seed draws on every call, so a ``Generator`` advances by one
+    ``integers`` call per bump and three ``random`` draws per Gaussian."""
     x = grid
-    family = [x, x**2, x**3, x**4, 1.0 + x, 1.0 + x + x**2]
-    for t in (0.25, -0.25, 0.5, -0.5, 1.0, -1.0, 1.5, -1.5, 2.0, -2.0):
-        family.append(np.exp(t * x / 2.0))
-    rng = np.random.default_rng(seed)
-    span = x[-1] - x[0]
-    for _ in range(_LSI_BUMPS):
-        k = rng.integers(1, 4)
-        f = np.zeros_like(x)
-        for _ in range(k):
-            a = rng.uniform(-1.0, 1.0)
-            c = rng.uniform(x[0] + 0.2 * span, x[-1] - 0.2 * span)
-            width = rng.uniform(0.05 * span, 0.3 * span)
-            f = f + a * np.exp(-((x - c) ** 2) / (2.0 * width**2))
-        family.append(1.0 + f)
-    return family
+    units, two, three, row = (_seeded_bumps(seed) if isinstance(seed, int)
+                              else _draw_bumps(np.random.default_rng(seed)))
+    x0, x1 = float(x[0]), float(x[-1])
+    span = x1 - x0
+    lo_c, lo_w = x0 + 0.2 * span, 0.05 * span
+    range_c, range_w = (x1 - 0.2 * span) - lo_c, 0.3 * span - lo_w
+    if not (0.0 <= range_c < math.inf and 0.0 <= range_w < math.inf):
+        raise InputError("the grid must be increasing with a finite span")
+    # Python floats, as a member-by-member build forms them: w ** 2 is
+    # libm pow, which can differ from np.square in the last bit
+    amp, centre, scale = [], [], []
+    for ua, uc, uw in units.tolist():
+        width = lo_w + range_w * uw
+        amp.append(-1.0 + 2.0 * ua)
+        centre.append(lo_c + range_c * uc)
+        scale.append(2.0 * width**2)
+    out = np.empty((16 + len(units), x.size))
+    out[0] = x
+    out[1] = x**2
+    out[2] = x**3
+    out[3] = x**4
+    np.add(1.0, x, out=out[4])
+    np.add(out[4], out[1], out=out[5])
+    tilts = out[6:16]
+    np.multiply(np.array([0.25, -0.25, 0.5, -0.5, 1.0, -1.0, 1.5, -1.5, 2.0, -2.0])[:, None], x, out=tilts)
+    tilts /= 2.0
+    np.exp(tilts, out=tilts)
+    # every Gaussian a exp(-(x - c)^2 / (2 w^2)) at once, one per row
+    g = out[16:]
+    np.subtract(x, np.array(centre)[:, None], out=g)
+    np.square(g, out=g)
+    np.negative(g, out=g)
+    g /= np.array(scale)[:, None]
+    np.exp(g, out=g)
+    g *= np.array(amp)[:, None]
+    # each bump sums its Gaussians in draw order (from 0, whose only trace,
+    # the sign of a zero sum, 1 + f drops), level by level in place
+    bumps = g[:_LSI_BUMPS]
+    bumps[:two] += g[_LSI_BUMPS:_LSI_BUMPS + two]
+    bumps[:three] += g[_LSI_BUMPS + two:]
+    bumps += 1.0
+    return [*out[:16], *(bumps[r] for r in row.tolist())]
 
 
 def check_lsi_grid(
@@ -466,29 +556,36 @@ def check_lsi_grid(
     if not _uniform(grid, h):
         raise InputError("grid must be uniform")
     weights = density / density.sum()
+    t0 = time.perf_counter()
     family = default_lsi_family(grid, seed) if test_functions is None else list(test_functions)
     if not family or any(np.shape(f) != grid.shape for f in family):
         raise InputError("the test family must be nonempty, with one value per grid point")
-    tol = 1e-6 + 10.0 * h**2
     f = np.array(family, dtype=float)
+    del family  # free the members' own arrays before scoring
+    t1 = time.perf_counter()
+    tol = 1e-6 + 10.0 * h**2
     m, terms, dirichlet = _lsi_terms(weights, f, h)
     ent = terms @ weights
     slack = np.where(m > 0, ent - 2.0 / alpha * dirichlet, 0.0)
-    # summation order moves a slack by far less than this margin
-    margin = 1e-12 * (m + np.abs(terms) @ weights + 2.0 / alpha * dirichlet)
+    # summation order moves a slack by far less than this margin (terms is
+    # spent: its absolute values are taken in place)
+    margin = 1e-12 * (m + np.abs(terms, out=terms) @ weights + 2.0 / alpha * dirichlet)
     near = np.flatnonzero(slack + margin >= np.max(slack - margin))
     rescored = [lsi_slack(weights, f[i], h, alpha) for i in near]
     k = int(np.argmax(rescored))  # the first maximum
     i, worst = int(near[k]), rescored[k]
     critical = float(np.min(2.0 * dirichlet[ent > tol] / (ent[ent > tol] - tol), initial=math.inf))
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("LSI grid check: %d points, %d members, family %.3f ms, scoring %.3f ms",
+                  grid.size, len(f), 1e3 * (t1 - t0), 1e3 * (time.perf_counter() - t1))
     return Certificate(
         inequality=LSI,
         constant=float(alpha),
         order_s=None,
         worst_slack=worst,
-        witness={"family_index": i, "f_values": [float(v) for v in f[i]]},
+        witness={"family_index": i, "f_values": f[i].tolist()},
         verdict=_verdict(worst, tol),
-        search_size=len(family),
+        search_size=len(f),
         tolerance=tol,
         family="poly+exp+bumps" if test_functions is None else "user",
         grid_h=h,

@@ -218,16 +218,15 @@ def simulate_joint(model: MarkovModel, n: int, N: int, seed: int = 0) -> SampleP
         values, finite = _simulate_linear(*model.linear_form, n, N, seed)
         if isinstance(model, GaussianKernelModel):
             values = values[..., 0]
-    else:
-        rng = _rng(seed)
+    elif isinstance(model, TabularModel):
+        # integer states: nothing can overflow
+        return SamplePaths(_simulate_tabular(model, n, N, _rng(seed)), int(seed), model)
+    elif isinstance(model, ContractionNoiseModel):
         with np.errstate(over="ignore", invalid="ignore"):
-            if isinstance(model, TabularModel):
-                values = _simulate_tabular(model, n, N, rng)
-            elif isinstance(model, ContractionNoiseModel):
-                values = _simulate_contraction(model, n, N, rng)
-            else:
-                raise InputError(f"unknown model {model!r}")
+            values = _simulate_contraction(model, n, N, _rng(seed))
         finite = np.isfinite(values).reshape(N, n, -1).all(axis=(0, 2))
+    else:
+        raise InputError(f"unknown model {model!r}")
     _raise_on_overflow(finite, n)
     return SamplePaths(values, int(seed), model)
 

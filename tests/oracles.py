@@ -6,7 +6,8 @@ path-major sampler of a linear-Gaussian chain, a
 pair-by-pair recursion for the step-optimal coupling of two tabular
 chains, prefix-marginal differences for the chain rule of relative
 entropy, bisection of a checker's verdicts for the critical
-constants of the certificates, the transport LP over every cell
+constants of the certificates, the default LSI test family built
+member by member, the transport LP over every cell
 posed through SciPy's ``linprog``, the Kantorovich-Rubinstein dual
 LP over every pair of points, and the Gaussian W2 closed form through
 SciPy's Schur-based ``sqrtm``.
@@ -474,3 +475,25 @@ def gaussian_w2_sqrtm(m1, s1, m2, s2):
     cross = np.trace(sqrtm(np.asarray(s1) @ np.asarray(s2))).real
     gap = float(np.sum((np.asarray(m1) - np.asarray(m2)) ** 2))
     return math.sqrt(gap + np.trace(s1) + np.trace(s2) - 2.0 * cross)
+
+
+def default_lsi_family_loop(x, seed=0):
+    """The default LSI test family built one member at a time: six
+    polynomials, ten tilts e^{tx/2}, then 16 bumps, each 1 plus a sum of
+    1 to 3 Gaussians whose amplitude, centre and width are ``uniform``
+    draws made in that order."""
+    family = [x, x**2, x**3, x**4, 1.0 + x, 1.0 + x + x**2]
+    for t in (0.25, -0.25, 0.5, -0.5, 1.0, -1.0, 1.5, -1.5, 2.0, -2.0):
+        family.append(np.exp(t * x / 2.0))
+    rng = np.random.default_rng(seed)
+    span = x[-1] - x[0]
+    for _ in range(16):
+        k = rng.integers(1, 4)
+        f = np.zeros_like(x)
+        for _ in range(k):
+            a = rng.uniform(-1.0, 1.0)
+            c = rng.uniform(x[0] + 0.2 * span, x[-1] - 0.2 * span)
+            width = rng.uniform(0.05 * span, 0.3 * span)
+            f = f + a * np.exp(-((x - c) ** 2) / (2.0 * width**2))
+        family.append(1.0 + f)
+    return family

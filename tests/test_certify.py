@@ -1,3 +1,5 @@
+import dataclasses
+import logging
 import math
 import tracemalloc
 import warnings
@@ -24,6 +26,7 @@ from concentra.certify import (
     Certificate,
     _line_wasserstein,
     _logsumexp,
+    _seeded_bumps,
     _vertex_tables,
     default_lsi_family,
     default_t_grid,
@@ -239,6 +242,109 @@ def test_check_lsi_input_validation():
     for family in ([grid, grid[:-1]], [np.ones((11, 2))], []):
         with pytest.raises(InputError):
             check_lsi_grid(grid, np.ones_like(grid), 1.0, test_functions=family)
+
+
+def _lsi_grid_cases(count, seed):
+    """Random uniform grids of 3 to 1,200 points at a random offset and
+    span, each with a Gaussian density of random centre and scale, kept
+    positive where it underflows."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        points = int(rng.integers(3, 1201))
+        x0, span = rng.uniform(-50.0, 50.0), 10 ** rng.uniform(-2.0, 2.0)
+        grid = np.linspace(x0, x0 + span, points)
+        centre, scale = x0 + rng.uniform(0.2, 0.8) * span, span / rng.uniform(2.0, 12.0)
+        yield grid, np.exp(-(((grid - centre) / scale) ** 2) / 2.0) + 1e-300
+
+
+def _assert_same_members(got, want):
+    assert len(got) == len(want) == 32
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert a.shape == b.shape and np.array_equal(a, b, equal_nan=True), i
+
+
+def test_default_lsi_family_matches_member_loop():
+    """Built as one array, every member is bit for bit the member-by-member
+    build's, and the default-family certificate is the one the loop's
+    members give as a user family, at seeds 0 to 40."""
+    for seed, (grid, density) in enumerate(_lsi_grid_cases(41, 5)):
+        want = oracles.default_lsi_family_loop(grid, seed)
+        _assert_same_members(default_lsi_family(grid, seed), want)
+        for alpha in (0.5, 2.0):
+            cert = check_lsi_grid(grid, density, alpha, seed=seed)
+            user = check_lsi_grid(grid, density, alpha, test_functions=want, seed=seed)
+            assert cert == dataclasses.replace(user, family="poly+exp+bumps")
+
+
+def test_default_lsi_family_squares_widths_as_python_floats():
+    """At seed 0 on a span of 7 one width w has w ** 2 != w * w (libm pow
+    against one rounded product); the member built from it still matches
+    the loop, which squares each width as a Python float."""
+    grid = np.linspace(-3.5, 3.5, 301)
+    span = 7.0
+    rng = np.random.default_rng(0)
+    widths = []
+    for _ in range(16):
+        for _ in range(rng.integers(1, 4)):
+            rng.uniform(-1.0, 1.0), rng.uniform(-3.5 + 0.2 * span, 3.5 - 0.2 * span)
+            widths.append(rng.uniform(0.05 * span, 0.3 * span))
+    assert any(w**2 != w * w for w in widths)
+    _assert_same_members(default_lsi_family(grid, 0), oracles.default_lsi_family_loop(grid, 0))
+
+
+def test_default_lsi_family_seeds():
+    """A Generator draws on every call and advances as the loop advances it;
+    an int seed's cached draws are read-only and its members fresh arrays."""
+    grid = np.linspace(-2.0, 5.0, 97)
+    ours, theirs = np.random.default_rng(12), np.random.default_rng(12)
+    for _ in range(3):
+        _assert_same_members(default_lsi_family(grid, ours), oracles.default_lsi_family_loop(grid, theirs))
+        assert ours.bit_generator.state == theirs.bit_generator.state
+    first = default_lsi_family(grid, 3)
+    first[20][:] = 0.0
+    _assert_same_members(default_lsi_family(grid, 3), oracles.default_lsi_family_loop(grid, 3))
+    _assert_same_members(default_lsi_family(grid, np.int64(3)), oracles.default_lsi_family_loop(grid, 3))
+    units, _, _, row = _seeded_bumps(3)
+    assert not units.flags.writeable and not row.flags.writeable
+    with pytest.raises(InputError, match="increasing"):
+        default_lsi_family(grid[::-1], 0)
+
+
+def test_check_lsi_user_family_forms():
+    """A user family given as a list, a tuple or a 2-D array gives the same
+    certificate, pinned; an empty family or a member of the wrong length
+    raises InputError."""
+    grid = np.linspace(-3.0, 3.0, 61)
+    density = np.exp(-(grid**2) / 2.0)
+    family = [grid, 1.0 + grid**2, np.exp(grid / 2.0), np.zeros(61)]
+    for alpha, slack, index, verdict in ((0.5, 0.0, 3, "pass"), (1.5, 0.21850811431474582, 2, "fail")):
+        certs = [check_lsi_grid(grid, density, alpha, test_functions=form)
+                 for form in (family, tuple(family), np.array(family))]
+        assert certs[0] == certs[1] == certs[2]
+        cert = certs[0]
+        assert (cert.worst_slack, cert.witness["family_index"], cert.verdict) == (slack, index, verdict)
+        assert cert.witness["f_values"] == family[index].tolist()
+        assert cert.critical == 1.2300650134123767 and cert.search_size == 4 and cert.family == "user"
+    message = "the test family must be nonempty, with one value per grid point"
+    for bad in ([], np.empty((0, 61)), [grid, grid[:-1]], np.ones((2, 60)), [np.ones((61, 2))]):
+        with pytest.raises(InputError, match=message):
+            check_lsi_grid(grid, density, 1.0, test_functions=bad)
+
+
+def test_lsi_slack_takes_integer_values():
+    grid = np.linspace(-3.0, 3.0, 31)
+    weights = np.exp(-(grid**2) / 2.0)
+    weights /= weights.sum()
+    f = np.arange(31)
+    assert lsi_slack(weights, f, 0.2, 1.0) == lsi_slack(weights, f.astype(float), 0.2, 1.0)
+
+
+def test_check_lsi_logs_one_debug_line(caplog):
+    grid = np.linspace(-3.0, 3.0, 61)
+    with caplog.at_level(logging.DEBUG, logger="concentra.certify"):
+        check_lsi_grid(grid, np.exp(-(grid**2) / 2.0), 1.0)
+    lines = [r.getMessage() for r in caplog.records if r.name == "concentra.certify"]
+    assert len(lines) == 1 and "61 points, 32 members" in lines[0]
 
 
 def test_lsi_slack_oracle_exponential_function():

@@ -81,8 +81,13 @@ def test_simulation_is_reproducible_and_seed_sensitive():
     assert a.n_paths == 100 and a.horizon == 4
 
 
-@pytest.mark.parametrize("model", [ARMAModel([[1e200]], [[1.0]]), GaussianKernelModel(1e200, 1.0)],
-                         ids=["arma", "gaussian_kernel"])
+_EXPLODING = ContractionNoiseModel(theta_map=lambda z: 1e200 * z, lipschitz=1e200,
+                                   noise_sampler=lambda rng, size: rng.standard_normal(size),
+                                   init_sampler=lambda rng, size: rng.standard_normal(size))
+
+
+@pytest.mark.parametrize("model", [ARMAModel([[1e200]], [[1.0]]), GaussianKernelModel(1e200, 1.0), _EXPLODING],
+                         ids=["arma", "gaussian_kernel", "contraction"])
 def test_simulate_joint_raises_on_an_overflowing_chain(model):
     """In one block, and across blocks run on worker threads, whose NumPy
     error state is their own."""
@@ -258,8 +263,10 @@ def test_blocked_tabular_sampler_is_the_whole_table_sampler(monkeypatch):
             for n in (1, 4):
                 want = oracles.simulate_tabular_whole_table(model, n, N, _rng(7))
                 assert np.array_equal(_simulate_tabular(model, n, N, _rng(7)), want), (N, n)
-        assert np.array_equal(simulate_joint(model, 6, 2 * _BLOCK_PATHS + 1, seed=4).values,
-                              oracles.simulate_tabular_whole_table(model, 6, 2 * _BLOCK_PATHS + 1, _rng(4)))
+        # simulate_joint returns the integer path table as drawn, with no finite check
+        paths = simulate_joint(model, 6, 2 * _BLOCK_PATHS + 1, seed=4).values
+        assert paths.dtype.kind == "i"
+        assert np.array_equal(paths, oracles.simulate_tabular_whole_table(model, 6, 2 * _BLOCK_PATHS + 1, _rng(4)))
     monkeypatch.setattr(processes, "_BLOCK_PATHS", 3)
     for model in _TABULAR_CHAINS:
         for N in range(1, 3 * 3 + 6):
