@@ -85,7 +85,7 @@ def _verdict(worst: float, tol: float) -> str:
 
 
 def _support_distances(mu: DiscreteMeasure) -> np.ndarray:
-    return mu.resolved_space().pairwise(mu.support, mu.support)
+    return mu.resolved_space().pairwise(mu.points, mu.points)
 
 
 def _blocks(count: int, per_item: int) -> list[slice]:
@@ -292,7 +292,7 @@ def _member_rows(family: list, mu: DiscreteMeasure) -> tuple[np.ndarray, np.ndar
     rows = np.zeros((len(family), len(mu)))
     off = np.zeros(len(family), dtype=bool)
     for r, nu in enumerate(family):
-        index = _matches(nu.support, mu.support)
+        index = _matches(nu.points, mu.points)
         on, held = index >= 0, nu.weights > 0
         off[r] = np.any(held & ~on)
         rows[r, index[on & held]] = nu.weights[on & held]
@@ -313,7 +313,7 @@ def _row_entropy(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
 def _line_wasserstein(rows: np.ndarray, mu: DiscreteMeasure, s: float) -> np.ndarray:
     """W_s(nu_r, mu) on the real line for weight rows nu_r on mu's support,
     from one north-west-corner walk of all rows along the sorted support."""
-    x = np.asarray(mu.support, dtype=float)
+    x = np.asarray(mu.points, dtype=float)
     order = np.argsort(x, kind="stable")
     i, j, mass = _northwest_corner(rows[:, order], mu.weights[order])
     xs = x[order]
@@ -390,8 +390,8 @@ def check_transport(
     critical = float(np.min(2.0 * ent[binding] / (ws[binding] - SLACK_TOL) ** 2, initial=math.inf))
     witness = {}
     if worst > -math.inf:
-        support, weights = (mu.support, rows[i]) if members is None else (members[i].support, members[i].weights)
-        witness = {"family_index": i, "support": list(support), "weights": [float(w) for w in weights]}
+        support, weights = (mu.points, rows[i]) if members is None else (members[i].points, members[i].weights)
+        witness = {"family_index": i, "support": support.tolist(), "weights": weights.tolist()}
     return Certificate(
         inequality=TS,
         constant=float(alpha),
@@ -552,9 +552,9 @@ def check_lsi_grid(
     if grid.ndim != 1 or grid.size < 3 or density.shape != grid.shape:
         raise InputError("grid and density must be matching 1-D arrays")
     _check(grid=grid, density=density, alpha=alpha)
-    h = float(grid[1] - grid[0])
+    h = float(grid[1]) - float(grid[0])  # inf, not a NumPy overflow warning
     if not _uniform(grid, h):
-        raise InputError("grid must be uniform")
+        raise InputError("grid must be uniform, with a finite step h > 0")
     weights = density / density.sum()
     t0 = time.perf_counter()
     family = default_lsi_family(grid, seed) if test_functions is None else list(test_functions)
@@ -594,8 +594,9 @@ def check_lsi_grid(
 
 
 def _uniform(grid: np.ndarray, h: float) -> bool:
-    """Whether every step of ``grid`` is h to within 1e-9 h."""
-    return bool(np.all(np.abs(np.diff(grid) - h) <= 1e-9 * h))
+    """Whether h is finite and > 0 and every step of ``grid`` is h to
+    within 1e-9 h."""
+    return bool(0.0 < h < math.inf and np.all(np.abs(np.diff(grid) - h) <= 1e-9 * h))
 
 
 def replay(cert: Certificate, mu=None, grid=None, density=None) -> float:
@@ -608,7 +609,7 @@ def replay(cert: Certificate, mu=None, grid=None, density=None) -> float:
         if "support" not in cert.witness:
             raise InputError("certificate has no witness to replay: no member was scored")
         nu = DiscreteMeasure(
-            tuple(cert.witness["support"]),
+            cert.witness["support"],
             np.asarray(cert.witness["weights"]),
             space=mu.space,
         )

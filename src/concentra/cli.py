@@ -297,17 +297,15 @@ def _cmd_constants(args) -> int:
 # -------------------------------------------------------------- wasserstein
 
 def _cmd_wasserstein(args) -> int:
-    mu = jsonio.measure_from_json(_load_json(args.mu))
-    nu = jsonio.measure_from_json(_load_json(args.nu))
+    # built on --space, a support of labels is named as no point index
+    space = jsonio.space_from_json(_load_json(args.space)) if args.space else None
+    mu = jsonio.measure_from_json(_load_json(args.mu), space=space)
+    nu = jsonio.measure_from_json(_load_json(args.nu), space=space)
     if isinstance(mu, GaussianMeasure) and isinstance(nu, GaussianMeasure):
         if args.s != 2.0:
             raise InputError("the Gaussian closed form covers order s = 2 only")
         value, plan = wasserstein_gaussian_w2(mu, nu), None
     elif isinstance(mu, DiscreteMeasure) and isinstance(nu, DiscreteMeasure):
-        space = jsonio.space_from_json(_load_json(args.space)) if args.space else None
-        if space is not None:
-            mu = DiscreteMeasure(mu.support, mu.weights, space=space)
-            nu = DiscreteMeasure(nu.support, nu.weights, space=space)
         value, plan = wasserstein_exact(mu, nu, args.s)
     else:
         raise InputError("mu and nu must both be discrete or both Gaussian")

@@ -113,7 +113,7 @@ def _tabular_bound(q: TabularModel, p: TabularModel, n: int, s: float):
 def _coupling_paths(coupling, n: int, n_states: int, q_joint, p_joint):
     """The step-optimal coupling of ``_tabular_bound`` on the path pairs of
     two n-step joint laws, as ``(rows, cols, mass)``: path pair
-    (q_joint.support[rows[t]], p_joint.support[cols[t]]) carries mass[t]
+    (q_joint.points[rows[t]], p_joint.points[cols[t]]) carries mass[t]
     (a pair may repeat; its masses add).
 
     A path pair (x, y) carries mass when the initial law charges (x_1, y_1)
@@ -143,8 +143,8 @@ def _coupling_paths(coupling, n: int, n_states: int, q_joint, p_joint):
             entry = by_pair[np.repeat(start[last] - (np.cumsum(c) - c), c) + np.arange(src.size)]
             paths = np.column_stack([paths[src], nxt[entry]])
             mass = mass[src] * k_mass[entry]
-    rows = _row_positions(np.asarray(q_joint.support), paths // n_states)
-    cols = _row_positions(np.asarray(p_joint.support), paths % n_states)
+    rows = _row_positions(q_joint.points, paths // n_states)
+    cols = _row_positions(p_joint.points, paths % n_states)
     keep = (rows >= 0) & (cols >= 0)
     return rows[keep], cols[keep], mass[keep]
 

@@ -23,7 +23,7 @@ def relative_entropy_discrete(nu: DiscreteMeasure, mu: DiscreteMeasure) -> float
 
     The fsum of one term per atom of nu with positive weight, each
     ``w * math.log(w / m)``."""
-    match = _matches(nu.support, mu.support)
+    match = _matches(nu.points, mu.points)
     live = nu.weights > 0.0
     w = nu.weights[live]
     m = np.where(match >= 0, mu.weights[match], 0.0)[live]
@@ -75,16 +75,12 @@ class EntropyBreakdown:
                 raise InputError("entropy terms must be nonnegative")
 
 
-def _paths(support) -> np.ndarray:
-    """Joint-law support as an array of shape (paths, n, m): m = 1 for
-    scalar steps, the vector length for vector-valued steps."""
-    try:
-        x = np.asarray(support, dtype=float)
-    except (TypeError, ValueError):
-        x = None
-    if x is None or x.ndim < 2 or x.shape[1] == 0:
-        raise InputError("joint support tuples must share one length")
-    return x.reshape(x.shape[0], x.shape[1], -1)
+def _paths(points: np.ndarray) -> np.ndarray:
+    """A joint law's ``points`` as an array of shape (paths, n, m): m = 1
+    for scalar steps, the vector length for vector-valued steps."""
+    if points.ndim < 2:
+        raise InputError("a joint law's support points must be tuples")
+    return points.reshape(points.shape[0], points.shape[1], -1)
 
 
 def _tabular_log_kernel(model: TabularModel, x: np.ndarray) -> np.ndarray:
@@ -118,10 +114,10 @@ def chain_rule_decompose(q: DiscreteMeasure, p) -> EntropyBreakdown:
     prefixes Q charges. A discrete P's prefix masses come from the same ids
     on the stacked supports. Histories Q does not visit contribute nothing.
     """
-    x = _paths(q.support)
+    x = _paths(q.points)
     nq, n = x.shape[0], x.shape[1]
     if isinstance(p, DiscreteMeasure):
-        y = _paths(p.support)
+        y = _paths(p.points)
         if y.shape[1:] != x.shape[1:]:
             raise InputError(f"q and p paths differ in shape: {x.shape[1:]} vs {y.shape[1:]}")
         x, log_kernel = np.concatenate([x, y]), None

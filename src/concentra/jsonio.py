@@ -35,8 +35,7 @@ def space_from_json(obj: dict) -> FiniteMetricSpace:
 
 def measure_to_json(measure) -> dict:
     if isinstance(measure, DiscreteMeasure):
-        support = [list(p) if isinstance(p, (tuple, list)) else p for p in measure.support]
-        return {"type": "discrete", "support": support, "weights": measure.weights.tolist()}
+        return {"type": "discrete", "support": measure.points.tolist(), "weights": measure.weights.tolist()}
     if isinstance(measure, GaussianMeasure):
         return {"type": "gaussian", "mean": measure.mean.tolist(), "cov": measure.cov.tolist()}
     raise InputError(f"cannot serialize {type(measure).__name__}")
@@ -45,8 +44,7 @@ def measure_to_json(measure) -> dict:
 def measure_from_json(obj: dict, space=None):
     kind = obj.get("type")
     if kind == "discrete":
-        support = tuple(tuple(p) if isinstance(p, list) else p for p in obj["support"])
-        return DiscreteMeasure(support, np.asarray(obj["weights"], dtype=float), space=space)
+        return DiscreteMeasure(obj["support"], np.asarray(obj["weights"], dtype=float), space=space)
     if kind == "gaussian":
         return GaussianMeasure(np.asarray(obj["mean"], float), np.asarray(obj["cov"], float))
     raise InputError(f"unknown measure type {kind!r}")

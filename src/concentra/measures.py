@@ -4,14 +4,14 @@ These are the shared value types: finite metric spaces with a dense distance
 matrix, the real line as an implicit space, product spaces carrying the
 order-s product metric, and discrete / Gaussian probability measures.
 All objects are immutable after construction and validate their invariants
-on construction.
+on construction. A discrete measure holds its support once, as one array
+(``points``, a (paths, n) table on a product space), which every route reads.
 """
 from __future__ import annotations
 
+import functools
 import math
-from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -156,9 +156,9 @@ class ProductSpace:
     def _power_sums(self, xs, ys) -> np.ndarray:
         """sum_j d(x_j, y_j)**order between two lists of equal-length
         tuples: ``pairwise``'s matrix before its root is taken."""
-        x, y = _factor_columns(xs), _factor_columns(ys)
-        if x.shape[1] != y.shape[1]:
-            raise InputError(f"tuple length mismatch: {x.shape[1]} vs {y.shape[1]}")
+        x, y = _points(xs, None), _points(ys, None)
+        if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
+            raise InputError(f"tuple length mismatch: {x.shape[1:]} vs {y.shape[1:]}")
         total = np.zeros((x.shape[0], y.shape[0]))
         # paths of state indices revisit few states: each factor's powered
         # distances are then taken once per pair of distinct states, and
@@ -174,17 +174,6 @@ class ProductSpace:
         return total
 
 
-def _factor_columns(points) -> np.ndarray:
-    """Stack tuple points as rows of a 2-D array, one column per factor."""
-    try:
-        arr = np.asarray(points)
-    except ValueError:
-        arr = None
-    if arr is None or arr.ndim != 2:
-        raise InputError("product-space points must be tuples of one common length")
-    return arr
-
-
 def product_distance(x: Sequence, y: Sequence, s: float, base=REAL_LINE) -> float:
     """Order-s product metric between equal-length tuples of base points."""
     if len(x) != len(y):
@@ -197,183 +186,141 @@ def product_distance(x: Sequence, y: Sequence, s: float, base=REAL_LINE) -> floa
     return float(np.power(np.sum(terms), 1.0 / s)) if terms else 0.0
 
 
-def _point_key(p):
-    """Hashable identity of a support point."""
-    if isinstance(p, np.ndarray):
-        return _point_key(p.tolist())
-    if isinstance(p, (list, tuple)):
-        return tuple(_point_key(q) for q in p)
-    if isinstance(p, (np.floating, np.integer)):
-        return p.item()
-    return p
+_NOT_POINTS = "support points must be real numbers or tuples of them, all of one shape"
 
 
-def _numeric(support: tuple):
-    """The support as a nonempty 1-D or 2-D integer or float array (one
-    entry or row per point), or None when it converts to nothing of that
-    kind."""
+def _tuples(x):
+    """``tolist()`` output with every list made a tuple."""
+    return tuple(map(_tuples, x)) if isinstance(x, list) else x
+
+
+def _points(support, space) -> np.ndarray:
+    """The validated array of ``DiscreteMeasure.points`` on ``space``, its
+    distinctness left to the caller."""
     try:
         points = np.asarray(support)
     except ValueError:  # ragged
-        return None
-    if points.dtype.kind in "iuf" and points.ndim in (1, 2) and points.size:
-        return points
-    return None
-
-
-def _distinct(support: tuple, points=None) -> bool:
-    """Whether the points are pairwise distinct under ``_point_key``
-    equality (so 1 == 1.0 and 0.0 == -0.0); ``points`` is ``_numeric`` of
-    the support when the caller has it.
-
-    A support that converts to a nonempty 1-D or 2-D integer or float
-    array without NaN is checked by one sort, its rows compared as whole
-    points. A float conversion never splits points that are equal, so if
-    the sort finds no repeat there is none; any repeat it finds (float
-    conversion can merge distinct large ints), and every other support
-    (ragged, object, string or NaN-holding), is settled by the keys."""
-    if points is None:
-        points = _numeric(support)
-    if points is not None and not (points.dtype.kind == "f" and np.isnan(points).any()):
-        rows = points.reshape(len(points), -1)
-        rows = rows[np.lexsort(rows.T[::-1])]
-        if np.all(np.any(rows[1:] != rows[:-1], axis=1)):
-            return True
-    keys = [_point_key(p) for p in support]
-    return len(set(keys)) == len(keys)
-
-
-def _finite_point(p) -> bool:
-    if isinstance(p, (float, np.floating)):
-        return math.isfinite(p)
-    if isinstance(p, np.ndarray):
-        return _finite_point(p.tolist())
-    if isinstance(p, (list, tuple)):
-        return all(_finite_point(q) for q in p)
-    return True
-
-
-def _finite(support: tuple, points) -> bool:
-    """Whether no point is, or holds, a NaN or infinite float; ``points``
-    is ``_numeric`` of the support."""
-    if points is not None:
-        return points.dtype.kind != "f" or bool(np.isfinite(points).all())
-    return all(_finite_point(p) for p in support)
-
-
-_EXACT_INTS = 2.0**53  # every int of smaller magnitude converts to float exactly
-
-
-def _matches(support: tuple, other: tuple) -> np.ndarray:
-    """For each point of ``support``, the index of the equal point of
-    ``other`` under ``_point_key`` equality, or -1; both are supports of
-    ``DiscreteMeasure``s, so pairwise distinct and finite.
-
-    Two supports that convert (``_numeric``) to arrays of one shape per
-    point are aligned by one sort of their stacked rows, where an equal
-    pair sits side by side. A float array whose entries all lie below
-    2**53 in magnitude holds every int exactly, so the sort merges no
-    distinct points; any other pair of supports is matched by the keys."""
-    p, q = _numeric(support), _numeric(other)
-    if p is not None and q is not None and p.shape[1:] == q.shape[1:]:
-        rows = np.concatenate([p.reshape(len(p), -1), q.reshape(len(q), -1)])
-        if rows.dtype.kind != "f" or np.abs(rows).max() < _EXACT_INTS:
-            order = np.lexsort(rows.T[::-1])
-            rows = rows[order]
-            # ties keep the stacked order, so support's point comes first
-            k = np.flatnonzero(np.all(rows[1:] == rows[:-1], axis=1))
-            out = np.full(len(p), -1, dtype=np.intp)
-            out[order[k]] = order[k + 1] - len(p)
-            return out
-    index = {_point_key(x): j for j, x in enumerate(other)}
-    return np.array([index.get(_point_key(x), -1) for x in support], dtype=np.intp)
-
-
-def _index_error(support: tuple, points, space):
-    """Why the support is not one of point indices of ``space``, or None.
-
-    On a ``FiniteMetricSpace`` or ``_LabelLine`` of n points every support
-    point must be an integer in [0, n), and on a ``ProductSpace`` over one
-    every coordinate; the message names the first point that breaks this.
-    ``points`` is ``_numeric`` of the support."""
+        raise InputError(_NOT_POINTS) from None
+    if points.ndim == 0 or points.size == 0:
+        raise InputError("support must be a nonempty sequence of nonempty points")
+    kind = points.dtype.kind
+    if kind == "f" and not np.isfinite(points).all():
+        raise InputError("support points must be finite")
     product = isinstance(space, ProductSpace)
     base = space.base if product else space
-    if not isinstance(base, (FiniteMetricSpace, _LabelLine)):
-        return None
-    n = base.n_points
-    if (points is not None and points.dtype.kind in "iu" and points.ndim == 1 + product
-            and points.min() >= 0 and points.max() < n):
-        return None
-    for p in support:
-        coords = p if product and isinstance(p, (tuple, list, np.ndarray)) else (p,)
-        if not all(isinstance(c, (int, np.integer)) and 0 <= c < n for c in coords):
-            what = "has a coordinate that is not" if product else "is not"
-            return (f"support point {_point_key(p)!r} {what} a point index of its finite space: "
-                    f"an integer in [0, {n})")
-    return None
+    if isinstance(base, (FiniteMetricSpace, _LabelLine)):
+        n = base.n_points
+        if kind in "iu" and points.ndim == 1 + product:
+            rows = points.reshape(len(points), -1)
+            bad = np.flatnonzero(np.any((rows < 0) | (rows >= n), axis=1))
+            if not bad.size:
+                return points.astype(np.intp)
+            shown = _tuples(points[bad[0]].tolist())
+        else:  # named by the first point with a coordinate of another type
+            k = next((k for k, p in enumerate(support) if np.asarray(p).dtype.kind not in "iu"), 0)
+            shown = _tuples(np.asarray(support[k], dtype=object).tolist())
+        what = "has a coordinate that is not" if product else "is not"
+        raise InputError(f"support point {shown!r} {what} a point index of its finite space: "
+                         f"an integer in [0, {n})")
+    if kind not in "iuf":
+        raise InputError(_NOT_POINTS)
+    # the line is float64: an integer at or past 2**53 would merge or round
+    # (a float array is searched for one only when it holds such a value)
+    big = (points >= 2**53) | (points <= -(2**53))
+    if big.any() and (kind != "f" or any(isinstance(c, (int, np.integer))
+                                         for c in np.asarray(support, dtype=object)[big])):
+        raise InputError("integer support coordinates must lie below 2**53 in magnitude")
+    return points.astype(np.int64 if kind in "iu" else np.float64)
 
 
-@dataclass(frozen=True)
+def _matches(points: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """For each of ``points``, the index of the equal point of ``other``
+    (both a measure's distinct ``points``), or -1, by one sort of the
+    stacked rows. Mixed dtypes meet as float64, exactly since integers lie
+    below 2**53; points of another shape never match."""
+    out = np.full(len(points), -1, dtype=np.intp)
+    if points.shape[1:] != other.shape[1:]:
+        return out
+    rows = np.concatenate([points.reshape(len(points), -1), other.reshape(len(other), -1)])
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
+    # ties keep the stacked order, so ``points``' point comes first
+    k = np.flatnonzero(np.all(rows[1:] == rows[:-1], axis=1))
+    out[order[k]] = order[k + 1] - len(points)
+    return out
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class DiscreteMeasure:
-    """Finitely supported probability measure.
+    """Finitely supported probability measure, ``DiscreteMeasure(support,
+    weights, space=None)``.
 
-    Support points are plain reals (space = the real line), tuples
-    (product spaces), or, on a ``FiniteMetricSpace`` (or a tabular chain's
-    label line) of n points, integer indices in [0, n), and tuples of them
-    on a product of one.
+    Support points are reals (the real line), tuples of one length (product
+    spaces; equal-length vectors as vector-valued steps) or, on a
+    ``FiniteMetricSpace`` or a tabular chain's label line of n points,
+    integer indices in [0, n), and tuples of them on a product of one.
+    ``points`` stores them once, read-only, of shape (N,) or (N, n): intp
+    on an index space, else int64 when every coordinate is an integer and
+    float64 otherwise. Equal values are one point (1 == 1.0, 0.0 == -0.0),
+    and points must be pairwise distinct. ``InputError`` rejects ragged,
+    string, complex or other non-numeric supports, empty tuples, non-finite
+    points and, off an index space, integers of magnitude >= 2**53 (the line
+    is float64: they would merge or round). ``support`` is a tuple view of
+    ``points`` in Python numbers, built on first read; no route reads it.
+
     Weights must be finite. Weights summing to 1 within ``WEIGHT_SLACK``
     are renormalized; worse deviations are rejected as genuine bugs.
     Weights already within ``len(weights)`` machine epsilons of 1 are kept
     as given, so a measure rebuilt from its own weights is bit-identical.
     """
 
-    support: tuple
+    points: np.ndarray
     weights: np.ndarray
     space: object = None
 
-    def __post_init__(self):
-        support = tuple(self.support)
-        w = np.array(self.weights, dtype=float)
-        if len(support) == 0:
-            raise InputError("support must be nonempty")
-        if len(support) > MAX_SUPPORT:
+    def __init__(self, support, weights, space=None):
+        self.__post_init__(support, weights, space)
+
+    def __post_init__(self, support, weights, space):
+        points = _points(support, space)
+        w = np.array(weights, dtype=float)
+        if len(points) > MAX_SUPPORT:
             raise InputError(f"support exceeds the {MAX_SUPPORT}-point cap")
-        if w.shape != (len(support),):
+        if w.shape != (len(points),):
             raise InputError("weights must match the support length")
         _check(weights=w)
         total = float(np.sum(w))
         if abs(total - 1.0) > WEIGHT_SLACK:
             raise InputError(f"weights sum to {total!r}, not 1")
-        points = _numeric(support)
-        if not _distinct(support, points):
+        rows = points.reshape(len(points), -1)
+        rows = rows[np.lexsort(rows.T[::-1])]
+        if np.any(np.all(rows[1:] == rows[:-1], axis=1)):
             raise InputError("support points must be pairwise distinct")
-        if not _finite(support, points):
-            raise InputError("support points must be finite")
-        error = _index_error(support, points, self.space)
-        if error is not None:
-            raise InputError(error)
         if abs(total - 1.0) > len(w) * np.finfo(float).eps:
             w = w / total
-        object.__setattr__(self, "support", support)
+        points.setflags(write=False)
+        object.__setattr__(self, "points", points)
         object.__setattr__(self, "weights", _frozen_array(w))
+        object.__setattr__(self, "space", space)
+
+    @functools.cached_property
+    def support(self) -> tuple:
+        return _tuples(self.points.tolist())
 
     def __len__(self) -> int:
-        return len(self.support)
+        return len(self.points)
 
     def resolved_space(self):
         if self.space is not None:
             return self.space
-        p = self.support[0]
-        if isinstance(p, (tuple, list, np.ndarray)):
-            return ProductSpace(REAL_LINE, len(p), 1.0)
-        return REAL_LINE
+        return ProductSpace(REAL_LINE, self.points.shape[1], 1.0) if self.points.ndim > 1 else REAL_LINE
 
     def as_dict(self) -> dict:
-        return {_point_key(p): float(w) for p, w in zip(self.support, self.weights)}
+        return dict(zip(self.support, self.weights.tolist()))
 
     def total_variation(self, other: "DiscreteMeasure") -> float:
         """Half the fsum of |self(x) - other(x)| over the union of supports."""
-        match = _matches(self.support, other.support)
+        match = _matches(self.points, other.points)
         unmatched = np.ones(len(other), dtype=bool)
         unmatched[match[match >= 0]] = False
         b = np.where(match >= 0, other.weights[match], 0.0)
@@ -407,25 +354,17 @@ class GaussianMeasure:
 
 
 def empirical_measure(samples: Sequence, space=None) -> DiscreteMeasure:
-    """Empirical distribution of a sample list.
-
-    Weights are exact relative frequencies: counts are accumulated as
-    integers and divided only at the end, so they sum to 1 by construction.
-    """
-    samples = list(samples)
-    if not samples:
+    """Empirical distribution of a sample list: its support in first-seen
+    order, each weight count / total in one correctly rounded division."""
+    if len(samples) == 0:
         raise InputError("empty sample list")
-    counts = Counter(_point_key(p) for p in samples)
-    first_seen = {}
-    for p in samples:
-        first_seen.setdefault(_point_key(p), p)
-    total = len(samples)
-    support = [first_seen[k] for k in counts]
-    weights = [float(Fraction(counts[k], total)) for k in counts]
-    return DiscreteMeasure(tuple(support), np.array(weights), space=space)
+    points = _points(samples, space)
+    _, first, counts = np.unique(points, axis=0, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return DiscreteMeasure(points[first[order]], counts[order] / len(points), space=space)
 
 
 def moment_order_s(mu: DiscreteMeasure, x0, s: float) -> float:
     """s-th moment of the distance to ``x0``: sum_i w_i d(x0, y_i)**s."""
-    d = mu.resolved_space().pairwise([x0], mu.support)[0]
+    d = mu.resolved_space().pairwise([x0], mu.points)[0]
     return float(np.dot(mu.weights, d**s))

@@ -405,9 +405,7 @@ def kernel_law(model: MarkovModel, x):
             raise InputError("tabular kernel laws need real-valued labels")
         row = model.transition[int(x)]
         keep = row > 0
-        return DiscreteMeasure(
-            tuple(np.asarray(model.labels)[keep]), row[keep], space=REAL_LINE
-        )
+        return DiscreteMeasure(np.asarray(model.labels)[keep], row[keep], space=REAL_LINE)
     raise InputError(f"kernel law unavailable for model kind {model.kind!r}")
 
 
@@ -445,7 +443,7 @@ def _kernel_nodes(model: MarkovModel, x: float, order: int):
         return model.theta * float(x) + math.sqrt(model.sigma2) * nodes, weights / math.sqrt(2.0 * math.pi)
     if isinstance(model, TabularModel):
         law = kernel_law(model, x)
-        return np.asarray(law.support), law.weights
+        return law.points, law.weights
     raise InputError(f"unsupported model kind {model.kind!r}")
 
 
@@ -568,4 +566,4 @@ def tabular_joint_law(model: TabularModel, n: int, s: float = 1.0) -> DiscreteMe
         paths = np.column_stack([paths[src], nxt])
         weights = weights[src] * rows[src, nxt]
     space = ProductSpace(model.state_space, n, s)
-    return DiscreteMeasure(tuple(map(tuple, paths.tolist())), weights, space=space)
+    return DiscreteMeasure(paths, weights, space=space)

@@ -49,8 +49,7 @@ import numpy as np
 import scipy
 
 from .errors import InputError, SolverError, _check
-from .measures import (REAL_LINE, DiscreteMeasure, GaussianMeasure, ProductSpace, RealLine, _matches,
-                       _point_key)
+from .measures import REAL_LINE, DiscreteMeasure, GaussianMeasure, ProductSpace, RealLine, _matches, _tuples
 
 PLAN_ATOL = 1e-10
 log = logging.getLogger(__name__)
@@ -141,8 +140,8 @@ def cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, s: float, space=None) 
     of its s-th root."""
     space = _resolve_space(mu, nu, space)
     if isinstance(space, ProductSpace) and space.order == s:
-        return space._power_sums(mu.support, nu.support)
-    return space.pairwise(mu.support, nu.support) ** s
+        return space._power_sums(mu.points, nu.points)
+    return space.pairwise(mu.points, nu.points) ** s
 
 
 _SHORTLIST = 16
@@ -386,8 +385,8 @@ def wasserstein_exact(
     _check(s=s)
     space = _resolve_space(mu, nu, space)
     if isinstance(space, RealLine):
-        x = np.asarray(mu.support, dtype=float)
-        y = np.asarray(nu.support, dtype=float)
+        x = np.asarray(mu.points, dtype=float)
+        y = np.asarray(nu.points, dtype=float)
         ix, iy = np.argsort(x, kind="stable"), np.argsort(y, kind="stable")
         i, j, mass = (a[0] for a in _northwest_corner(mu.weights[ix][None, :], nu.weights[iy]))
         plan = np.zeros((len(mu), len(nu)))
@@ -440,25 +439,26 @@ def kantorovich_dual_w1(
     1-Lipschitz functions f is 1-Lipschitz; it equals the row potential
     on every row that still carries mass and is at most -v_j on column j,
     so int f d(mu - nu) attains the primal optimum up to the LP
-    tolerance. Returns ``(fsum(mu f) - fsum(nu f), {point: f(point)})``.
+    tolerance. Returns ``(fsum(mu f) - fsum(nu f), {point: f(point)})``,
+    each point as the measures' tuple view shows it (a Python number, a
+    tuple on a product space), built from ``points.tolist()``.
     """
     space = _resolve_space(mu, nu, space)
     cost = cost_matrix(mu, nu, 1.0, space)
     _, _, model, cols = _w1_transport(cost, mu.weights, nu.weights)
     # nu's points that are not mu's follow mu's points in the joint support
-    match = _matches(nu.support, mu.support)
+    match = _matches(nu.points, mu.points)
     extra = np.flatnonzero(match < 0)
-    points = list(mu.support) + [nu.support[k] for k in extra]
     if model is None:
-        f = np.zeros(len(points))
+        f = np.zeros(len(mu) + extra.size)
     else:
         d = cost[:, cols]
         if extra.size:
-            y = [nu.support[j] for j in cols]
-            d = np.vstack([d, space.pairwise([nu.support[k] for k in extra], y)])
+            d = np.vstack([d, space.pairwise(nu.points[extra], nu.points[cols])])
         f = np.min(d - model.v[None, :], axis=1)
         f -= f[0]
     at_nu = match.copy()
     at_nu[extra] = len(mu) + np.arange(extra.size)
     value = math.fsum(mu.weights * f[: len(mu)]) - math.fsum(nu.weights * f[at_nu])
-    return value, {_point_key(p): float(v) for p, v in zip(points, f)}
+    points = _tuples(mu.points.tolist()) + _tuples(nu.points[extra].tolist())
+    return value, dict(zip(points, f.tolist()))

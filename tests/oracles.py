@@ -18,6 +18,8 @@ cannot hide in shared code.
 """
 import itertools
 import math
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 from scipy import sparse
@@ -385,11 +387,11 @@ def chain_rule_by_unique(q, p):
     from concentra import DiscreteMeasure
     from concentra.entropy import _paths, _tabular_log_kernel
 
-    x = _paths(q.support)
+    x = _paths(q.points)
     nq, n = x.shape[0], x.shape[1]
     log_kernel = None
     if isinstance(p, DiscreteMeasure):
-        x = np.concatenate([x, _paths(p.support)])
+        x = np.concatenate([x, _paths(p.points)])
     else:
         log_kernel = _tabular_log_kernel(p, x)
     group = np.zeros(len(x))
@@ -497,3 +499,64 @@ def default_lsi_family_loop(x, seed=0):
             f = f + a * np.exp(-((x - c) ** 2) / (2.0 * width**2))
         family.append(1.0 + f)
     return family
+
+
+def _value_key(p):
+    """A point as a hashable Python value: numbers as Python numbers,
+    sequences and arrays as tuples, so equal values are equal keys (1 and
+    1.0, 0.0 and -0.0) and a 1-tuple is not its coordinate."""
+    if isinstance(p, (list, tuple, np.ndarray)):
+        return tuple(_value_key(q) for q in p)
+    return p.item() if isinstance(p, np.generic) else p
+
+
+def distinct_by_keys(points):
+    """Whether the stored points (an array, one entry or row per point)
+    are pairwise distinct as dict keys."""
+    keys = [_value_key(p) for p in points]
+    return len(set(keys)) == len(keys)
+
+
+def matches_by_keys(points, other):
+    """For each stored point of ``points``, the index of the equal point of
+    ``other`` by a dict keyed on the values, or -1."""
+    index = {_value_key(q): j for j, q in enumerate(other)}
+    return [index.get(_value_key(p), -1) for p in points]
+
+
+def kl_by_keys(nu, mu):
+    """KL(nu | mu) by the dict loop over the stored points: one term
+    w log(w / m) per atom of nu with positive weight, summed by fsum."""
+    mu_w = {_value_key(p): w for p, w in zip(mu.points, mu.weights.tolist())}
+    terms = []
+    for p, w in zip(nu.points, nu.weights.tolist()):
+        if w == 0.0:
+            continue
+        m = mu_w.get(_value_key(p), 0.0)
+        if m == 0.0:
+            return math.inf
+        terms.append(w * math.log(w / m))
+    return max(math.fsum(terms), 0.0)
+
+
+def tv_by_keys(a, b):
+    """Half the fsum of |a(x) - b(x)| over the union of the stored points."""
+    a, b = ({_value_key(p): w for p, w in zip(m.points, m.weights.tolist())} for m in (a, b))
+    return 0.5 * math.fsum(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in set(a) | set(b))
+
+
+def empirical_by_counter(samples):
+    """The empirical law by a Counter over the samples' values: its support
+    in first-seen order and weights float(Fraction(count, total))."""
+    counts = Counter(_value_key(p) for p in samples)
+    return list(counts), [float(Fraction(c, len(samples))) for c in counts.values()]
+
+
+def joint_charge_by_keys(mu, nu):
+    """The joint support of mu and nu by a dict keyed on the stored values
+    (mu's points, then nu's others, in support order) and mu - nu on it."""
+    index = {p: i for i, p in enumerate(dict.fromkeys(mu.support + nu.support))}
+    c = np.zeros(len(index))
+    np.add.at(c, [index[p] for p in mu.support], mu.weights)
+    np.add.at(c, [index[p] for p in nu.support], -nu.weights)
+    return list(index), c

@@ -230,6 +230,21 @@ def test_replay_checks_the_grid_it_is_given():
     assert replay(bad, grid=grid + 1.0, density=dens) == pytest.approx(bad.worst_slack, abs=1e-9)
 
 
+@pytest.mark.parametrize("grid", [np.ones(5), np.linspace(1.0, -1.0, 5), np.array([-1.5e308, 1.5e308, 1.6e308])],
+                         ids=["constant", "decreasing", "overflowing"])
+def test_lsi_grid_step_must_be_finite_and_positive(grid):
+    """A constant grid (h = 0) passed the uniformity test and died in
+    np.argmax with a raw ValueError; a step that is not finite and > 0 is
+    an InputError in the check and in replay."""
+    with pytest.raises(InputError, match="grid must be uniform"):
+        check_lsi_grid(grid, np.ones(grid.size), 1.0)
+    good = np.linspace(-6.0, 6.0, 61)
+    cert = check_lsi_grid(good, np.exp(-(good**2) / 2.0), 1.0)
+    for h, grid in ((0.0, np.ones(good.size)), (-0.2, good[::-1]), (math.inf, good), (math.nan, good)):
+        with pytest.raises(InputError, match="grid"):
+            replay(dataclasses.replace(cert, grid_h=h), grid=grid, density=np.exp(-(good**2) / 2.0))
+
+
 def test_check_lsi_input_validation():
     grid = np.linspace(-1.0, 1.0, 11)
     with pytest.raises(InputError):

@@ -128,9 +128,11 @@ def test_chain_rule_rejects_mismatched_inputs():
     vec = DiscreteMeasure((((0, 0),), ((0, 1),)), np.array([0.5, 0.5]))
     with pytest.raises(InputError):
         chain_rule_decompose(vec, DiscreteMeasure((((0, 0, 0),),), np.array([1.0])))
-    ragged = DiscreteMeasure(((0, 0), (0, 1, 1)), np.array([0.5, 0.5]))
+    with pytest.raises(InputError):  # ragged paths make no measure
+        DiscreteMeasure(((0, 0), (0, 1, 1)), np.array([0.5, 0.5]))
+    scalar = DiscreteMeasure((0, 1), np.array([0.5, 0.5]))
     chain = TabularModel(np.array([0.5, 0.5]), np.full((2, 2), 0.5))
-    for args in ((ragged, chain), (ragged, ragged), (q, ragged), (q, GaussianMeasure([0.0], [[1.0]]))):
+    for args in ((scalar, chain), (scalar, scalar), (q, scalar), (q, GaussianMeasure([0.0], [[1.0]]))):
         with pytest.raises(InputError):
             chain_rule_decompose(*args)
 

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -12,12 +13,21 @@ from concentra import (
     InputError,
     ProductSpace,
     REAL_LINE,
+    TabularModel,
+    chain_rule_decompose,
+    check_gc,
+    check_transport,
+    cli,
     empirical_measure,
+    recursive_coupling_bound,
+    tabular_joint_law,
+    transport_inequality_audit,
     wasserstein_exact,
 )
 from concentra.coupling import _LabelLine
 from concentra import relative_entropy_discrete
-from concentra.measures import _distinct, _matches, _point_key, moment_order_s, product_distance
+from concentra.measures import _matches, moment_order_s, product_distance
+from oracles import distinct_by_keys, empirical_by_counter, kl_by_keys, matches_by_keys, tv_by_keys
 
 
 def test_real_line_distance():
@@ -201,43 +211,41 @@ def test_rebuilt_measure_is_bit_identical(n, seed):
     assert np.array_equal(DiscreteMeasure(support, list(map(float, mu.weights))).weights, mu.weights)
 
 
-def _distinct_by_keys(support):
-    keys = [_point_key(p) for p in support]
-    return len(set(keys)) == len(keys)
-
-
-_NAN = float("nan")
-
-
 @pytest.mark.parametrize("support, distinct", [
     ((1, 1.0), False),
     ((0.0, -0.0), False),
     ((True, 1), False),
     ((np.float64(2.0), 2), False),
-    ((2**53, 2**53 + 1), True),  # distinct ints that float conversion merges
-    ((2**53 + 1, float(2**53)), True),
-    ((2**70, 2**70 + 1), True),
-    ((float("nan"), float("nan")), True),  # two NaN objects are two keys
-    ((_NAN, _NAN), False),  # one NaN object twice is one key
-    (((1.0, _NAN), (1.0, _NAN)), False),
+    ((2**53 - 1, 2**53 - 2), True),  # ints just below 2**53
+    ((2**53 - 1, float(2**53)), True),
+    ((-(2**53) + 1, 2**53 - 1), True),
+    ((1e300, -1e300), True),
+    ((0.5, np.float32(0.5)), False),
+    (((1.0, 0.5), (1, 0.5)), False),
     (((1, 2), (1, 2.0)), False),
     (((0.0, 1), (-0.0, 1)), False),
     (((1, 2), (2, 1)), True),
     ((np.array([1.0, 2.0]), (1.0, 2.0)), False),
-    (((1, 2), (3,)), True),  # ragged
-    ((1, (2, 3)), True),
-    (("a", "b"), True),
-    (("a", "a"), False),
-    ((1j, 2j), True),
-    (((), ()), False),
+    (((1, 2), (3, 4)), True),
+    ((((0, 1), (2, 3)), ((0, 1), (2, 4))), True),  # vector steps
+    ((np.int32(1), np.int64(2)), True),
+    ((np.int32(1), 1.0), False),
+    ((np.uint64(7), 7.5), True),
+    (((0.0,), (-0.0,)), False),
     ((((1, 2), (3, 4)), ((1, 2), (3, 4))), False),
-    ((np.inf, np.inf), False),
+    ((np.array([3, 4]), [3.0, 4.0]), False),
 ])
 def test_support_distinctness_follows_point_key_equality(support, distinct):
-    assert _distinct(support) == _distinct_by_keys(support) == distinct
-    if not distinct:
+    """Points are distinct unless their stored values are equal as dict
+    keys (so 1 == 1.0 and 0.0 == -0.0): the one-sort check at
+    construction agrees with the key set."""
+    assert distinct_by_keys(np.asarray(support)) == distinct
+    weights = np.full(len(support), 1.0 / len(support))
+    if distinct:
+        assert len(DiscreteMeasure(support, weights)) == len(support)
+    else:
         with pytest.raises(InputError, match="pairwise distinct"):
-            DiscreteMeasure(support, np.full(len(support), 1.0 / len(support)))
+            DiscreteMeasure(support, weights)
 
 
 @settings(max_examples=80, deadline=None)
@@ -252,9 +260,15 @@ def test_sorted_distinctness_matches_the_keys(n, width, seed):
     signed = np.copysign(grid * 0.5, rng.choice([-1.0, 1.0], size=grid.shape))
     for points in (grid, signed, grid[:, 0], signed[:, 0]):
         support = tuple(map(tuple, points.tolist())) if points.ndim == 2 else tuple(points.tolist())
-        assert _distinct(support) == _distinct_by_keys(support)
+        try:
+            built = len(DiscreteMeasure(support, np.full(n, 1.0 / n))) == n
+        except InputError as exc:
+            assert "pairwise distinct" in str(exc)
+            built = False
+        assert built == distinct_by_keys(points)
 
 
+_NAN = float("nan")
 _INF = float("inf")
 
 
@@ -267,9 +281,9 @@ _INF = float("inf")
     ((0.0, _NAN), (1.0, 2.0)),
     ((1, _INF), (1, 2)),
     ((-_INF, 0.0),),
-    ((1.0,), (-_INF, 2.0)),  # ragged
+    ((1.0, 3.0), (-_INF, 2.0)),
     (np.array([0.0, _NAN]), (1.0, 1.0)),
-    ("a", _INF),
+    ((0, 1), (2, _NAN)),
 ])
 def test_non_finite_support_points_rejected(support):
     """A NaN or infinite coordinate is an InputError at construction, not a
@@ -279,53 +293,88 @@ def test_non_finite_support_points_rejected(support):
 
 
 def test_large_ints_and_non_numeric_points_are_finite():
-    for support in ((2**70, 2**70 + 1), (("a", 1), ("b", 2)), (1j, 2j), ((2**80, 0.5), (1, 0.5))):
+    """Ints below 2**53 in magnitude and huge floats are finite points;
+    labels and complex numbers are no points at all, not non-finite ones."""
+    for support in ((2**53 - 1, -(2**53) + 1), ((2**52, 0.5), (1, 0.5)), (1e300, -1e300)):
         assert len(DiscreteMeasure(support, [0.5, 0.5])) == 2
+    for support in ((("a", 1), ("b", 2)), (1j, 2j)):
+        with pytest.raises(InputError, match="must be real numbers"):
+            DiscreteMeasure(support, [0.5, 0.5])
 
 
-def _matches_by_keys(support, other):
-    index = {_point_key(q): j for j, q in enumerate(other)}
-    return [index.get(_point_key(p), -1) for p in support]
+@pytest.mark.parametrize("support, why", [
+    (("a", "b"), "must be real numbers"),
+    ((1j, 2j), "must be real numbers"),
+    ((1.0, 2 + 0j), "must be real numbers"),
+    (((1, 2), (3,)), "must be real numbers"),  # ragged
+    ((1, (2, 3)), "must be real numbers"),
+    ((2**70, 1), "must be real numbers"),  # beyond int64
+    (((2**80, 0.5), (1, 0.5)), "must be real numbers"),
+    ((None, 1.0), "must be real numbers"),
+    ((True, False), "must be real numbers"),
+    (((), ()), "nonempty"),
+    ((), "nonempty"),
+    ((2**53, 2**53 + 1), "below 2\\*\\*53"),  # float64 would merge them
+    ((2**63, 1), "below 2\\*\\*53"),  # converts to float64
+    ((np.uint64(2**63 + 1), 3), "below 2\\*\\*53"),
+    ((-(2**53), 0), "below 2\\*\\*53"),
+    (((2**53, 0.5), (1, 0.5)), "below 2\\*\\*53"),  # an int among floats
+])
+def test_inputs_that_no_route_computes_on_raise_at_construction(support, why):
+    """Such a support used to build a measure, and W_s then died in a raw
+    ValueError or TypeError, or KL and W_1 disagreed on (2**53, 2**53 + 1):
+    two points for KL, one for the float64 distances."""
+    weights = np.full(max(len(support), 1), 1.0 / max(len(support), 1))
+    with pytest.raises(InputError, match=why):
+        mu = DiscreteMeasure(support, weights)
+        wasserstein_exact(mu, mu, 1.0)
+
+
+def test_index_points_are_intp_and_others_int64_or_float64():
+    sp = FiniteMetricSpace(("a", "b", "c"), [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    assert DiscreteMeasure((np.int32(2), 0), [0.5, 0.5], space=sp).points.dtype == np.intp
+    assert DiscreteMeasure(((0, 2), (1, 1)), [0.5, 0.5], space=ProductSpace(sp, 2)).points.dtype == np.intp
+    assert DiscreteMeasure((np.int32(2), 0), [0.5, 0.5]).points.dtype == np.int64
+    mixed = DiscreteMeasure((0, 0.5), [0.5, 0.5])
+    assert mixed.points.dtype == np.float64 and mixed.support == (0.0, 0.5)
+    assert [type(v) for v in mixed.support] == [float, float]
+    mu = DiscreteMeasure([[0, 1], [1, 2]], [0.5, 0.5])
+    assert mu.points.shape == (2, 2) and mu.support == ((0, 1), (1, 2))
+    assert not mu.points.flags.writeable
+    # array fields make no ambiguous comparison: a measure equals only itself
+    assert mu == mu and mu != DiscreteMeasure([[0, 1], [1, 2]], [0.5, 0.5])
+    # the measure keeps its own copy of an array support
+    x = np.array([0.0, 1.0])
+    nu = DiscreteMeasure(x, [0.5, 0.5])
+    x[0] = 5.0
+    assert nu.points.tolist() == [0.0, 1.0]
+    # the 2**53 rule binds off index spaces only: there the index range does
+    with pytest.raises(InputError, match=r"support point 9007199254740992 is not a point index"):
+        DiscreteMeasure((0, 2**53), [0.5, 0.5], space=sp)
 
 
 @pytest.mark.parametrize("support, other", [
     ((1, 2, 3), (3.0, 1.0)),
     ((0.0, 1.5), (-0.0, 2.5)),
-    ((2**53 + 1, 5), (float(2**53), 5)),  # float conversion would merge them
-    ((2**53, 7), (2**53 + 1, 7.0)),
-    ((-(2**53) - 1,), (float(-(2**53)),)),
-    (((2**53 + 1, 0.5), (1, 2.0)), ((float(2**53), 0.5), (1.0, 2))),
-    ((np.uint64(2**63 + 1), 3), (np.int64(3), np.int64(-1))),
-    ((2**70, 1), (2**70, 1)),
+    ((2**53 - 1, 5), (float(2**53), 5)),  # exact in float64, so no merge
+    ((2**53 - 1, 7), (float(2**53 - 1), 7.0)),
+    ((-(2**53) + 1,), (float(-(2**53)),)),
+    (((2**53 - 1, 0.5), (1, 2.0)), ((float(2**53), 0.5), (1.0, 2))),
+    ((np.uint64(5), 3), (np.int64(3), np.int64(-1))),
+    ((np.float32(0.5), 1), (0.5, 1)),
     (((1, 2), (3, 4)), ((3, 4), (1, 2), (5, 6))),
     (((1.0,), (2.0,)), (1.0, 2.0)),  # a 1-tuple is not its coordinate
     (((1, 2), (3, 4)), ((1, 2, 3),)),
-    (((1, 2), (3,)), ((3,), (1, 2))),  # ragged
-    (("a", "b"), ("b", "c")),
+    (((1, 2), (3, 4)), ((3.0, 4.0), (1, 2.5))),
+    ((-0.0, 3), (0.0, -3)),
     ((1e300, -1e300), (-1e300, 0.0)),
     ((np.array([1.0, 2.0]), (3.0, 4.0)), ((3, 4), (1, 2))),
 ])
 def test_matches_follow_point_key_equality(support, other):
-    assert _matches(support, other).tolist() == _matches_by_keys(support, other)
-
-
-def _kl_by_keys(nu, mu):
-    """The dict loop: one term per atom of nu with positive weight."""
-    mu_w = mu.as_dict()
-    terms = []
-    for p, w in zip(nu.support, nu.weights):
-        if w == 0.0:
-            continue
-        m = mu_w.get(_point_key(p), 0.0)
-        if m == 0.0:
-            return math.inf
-        terms.append(w * math.log(w / m))
-    return max(math.fsum(terms), 0.0)
-
-
-def _tv_by_keys(a, b):
-    a, b = a.as_dict(), b.as_dict()
-    return 0.5 * math.fsum(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in set(a) | set(b))
+    """The one-sort alignment of two measures' points is the dict lookup
+    keyed on their stored values."""
+    mu, nu = (DiscreteMeasure(p, np.full(len(p), 1.0 / len(p))) for p in (support, other))
+    assert _matches(mu.points, nu.points).tolist() == matches_by_keys(mu.points, nu.points)
 
 
 @settings(max_examples=80, deadline=None)
@@ -338,16 +387,13 @@ def test_aligned_kl_and_tv_are_the_key_loops_bit_for_bit(n, m, kind, zeros, seed
     rng = np.random.default_rng(seed)
     if kind == "pairs":
         pool = [(int(i), float(j) / 2) for i, j in rng.integers(-4, 4, size=(40, 2))]
-    elif kind == "big":  # ints beyond 2**53 beside their float neighbours
-        pool = [2**53 + int(k) for k in range(-6, 6)] + [float(2**53 + 2 * k) for k in range(-6, 6)]
+    elif kind == "big":  # ints just below 2**53 beside their float neighbours
+        pool = [2**53 - 1 - k for k in range(12)] + [float(2**53 - 2 * k) for k in range(12)]
     else:
         pool = rng.integers(-20, 20, size=40).tolist()
         if kind != "int":
             pool = [float(v) / 2 if kind == "float" or i % 2 else v for i, v in enumerate(pool)]
-    keys = {}
-    for p in pool:
-        keys.setdefault(_point_key(p), p)
-    pool = list(keys.values())
+    pool = list(dict.fromkeys(pool))
 
     def measure(k):
         support = [pool[i] for i in rng.choice(len(pool), min(k, len(pool)), replace=False)]
@@ -356,8 +402,79 @@ def test_aligned_kl_and_tv_are_the_key_loops_bit_for_bit(n, m, kind, zeros, seed
         return DiscreteMeasure(tuple(support), w / w.sum())
 
     nu, mu = measure(n), measure(m)
-    assert _matches(nu.support, mu.support).tolist() == _matches_by_keys(nu.support, mu.support)
+    assert _matches(nu.points, mu.points).tolist() == matches_by_keys(nu.points, mu.points)
     for a, b in ((nu, mu), (mu, nu), (nu, nu)):
         kl = relative_entropy_discrete(a, b)
-        assert kl == _kl_by_keys(a, b) or (math.isinf(kl) and math.isinf(_kl_by_keys(a, b)))
-        assert a.total_variation(b) == _tv_by_keys(a, b)
+        assert kl == kl_by_keys(a, b) or (math.isinf(kl) and math.isinf(kl_by_keys(a, b)))
+        assert a.total_variation(b) == tv_by_keys(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["real", "int", "signed", "pairs", "rows"]), st.integers(min_value=1, max_value=400),
+       st.integers(min_value=0, max_value=10_000))
+def test_empirical_measure_is_the_counter_loop(kind, size, seed):
+    """``np.unique`` counts in first-seen order give the support and the
+    weights float(Fraction(count, total)) of a Counter over the samples."""
+    rng = np.random.default_rng(seed)
+    if kind == "real":
+        samples = (rng.integers(-5, 5, size) * 0.25).tolist()
+    elif kind == "int":
+        samples = rng.integers(-5, 5, size).tolist()
+    elif kind == "signed":
+        samples = np.copysign(rng.integers(0, 3, size) * 0.5, rng.choice([-1.0, 1.0], size)).tolist()
+    elif kind == "pairs":
+        samples = [tuple(p) for p in rng.integers(0, 3, (size, 2)).tolist()]
+    else:
+        samples = list(rng.integers(-2, 2, (size, 3)) * 0.5)
+    mu = empirical_measure(samples)
+    support, weights = empirical_by_counter(samples)
+    assert mu.support == tuple(support)
+    assert [math.copysign(1.0, v) for v in np.ravel(mu.points)] == \
+        [math.copysign(1.0, v) for v in np.ravel(support)]
+    assert mu.weights.tolist() == weights
+
+
+def _hot_path_cases(tmp_path):
+    """(name, fresh measures, call) for each route that must never build
+    the tuple view."""
+    rng = np.random.default_rng(5)
+    line = [DiscreteMeasure(rng.normal(size=6), rng.dirichlet(np.ones(6))) for _ in range(2)]
+    plane = [DiscreteMeasure(rng.normal(size=(5, 2)), rng.dirichlet(np.ones(5))) for _ in range(2)]
+    space = FiniteMetricSpace(tuple(range(4)), _metric(rng, 4))
+    finite = [DiscreteMeasure((0, 1, 2, 3), rng.dirichlet(np.ones(4)), space=space) for _ in range(2)]
+    p = TabularModel(np.array([0.5, 0.5]), np.array([[0.9, 0.1], [0.2, 0.8]]), labels=(0.0, 1.0))
+    q = TabularModel(np.array([0.4, 0.6]), np.array([[0.7, 0.3], [0.4, 0.6]]), labels=(0.0, 1.0))
+    joint = [tabular_joint_law(m, 3) for m in (q, p)]
+    q_file, p_file = tmp_path / "q.json", tmp_path / "p.json"
+    q_file.write_text(json.dumps({"type": "discrete", "support": joint[0].points.tolist(),
+                                  "weights": joint[0].weights.tolist()}))
+    p_file.write_text(json.dumps({"kind": "tabular", "init": p.init.tolist(), "transition": p.transition.tolist()}))
+    return [
+        ("wasserstein line", line, lambda: wasserstein_exact(*line, 2.0)),
+        ("wasserstein plane", plane, lambda: wasserstein_exact(*plane, 1.0)),
+        ("wasserstein finite", finite, lambda: wasserstein_exact(*finite, 1.5)),
+        ("kl and tv", line, lambda: (relative_entropy_discrete(*line), line[0].total_variation(line[1]))),
+        ("chain rule", joint, lambda: chain_rule_decompose(joint[0], p)),
+        ("check_gc", line + finite, lambda: (check_gc(line[0], 1.0), check_gc(finite[0], 1.0))),
+        ("check_transport", line + finite,
+         lambda: (check_transport(line[0], 1.0, 2.0), check_transport(finite[0], 1.0, 1.0, [finite[1]]))),
+        ("coupling", [], lambda: (recursive_coupling_bound(p, q, 3, 1.0),
+                                  transport_inequality_audit(p, 1.0, 1.0, 0.9, 3, [q]))),
+        ("entropy cli", [], lambda: cli.main(["entropy", "--q", str(q_file), "--model", str(p_file),
+                                              "--out", str(tmp_path / "out.json")])),
+    ]
+
+
+def test_hot_paths_never_build_the_tuple_view(tmp_path, monkeypatch):
+    """Every route reads ``points``: the cached ``support`` of the inputs
+    stays absent, and no measure built on the way reads its view."""
+    reads = []
+    view = DiscreteMeasure.__dict__["support"].func
+    for name, measures, call in _hot_path_cases(tmp_path):
+        with monkeypatch.context() as patch:
+            patch.setattr(DiscreteMeasure, "support", property(lambda self: reads.append(name) or view(self)))
+            call()
+        assert not reads, name
+        assert all("support" not in mu.__dict__ for mu in measures), name
+    mu = DiscreteMeasure(((0, 1), (1, 1)), [0.5, 0.5])
+    assert mu.support == ((0, 1), (1, 1)) and mu.__dict__["support"] is mu.support
