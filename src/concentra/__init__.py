@@ -29,7 +29,7 @@ from .constants import (
     ts_markov_alpha,
     ts_weak_alpha,
 )
-from .coupling import CouplingBound, recursive_coupling_bound, transport_inequality_audit
+from .coupling import CouplingBound, kernel_lipschitz, recursive_coupling_bound, transport_inequality_audit
 from .entropy import (
     EntropyBreakdown,
     chain_rule_decompose,
@@ -53,11 +53,6 @@ from .processes import (
     SamplePaths,
     TabularModel,
     gaussian_chain_joint,
-    kernel_law,
-    kernel_lipschitz_estimate,
-    lambda_mgf_estimate,
-    ms_estimate,
-    ou_transition,
     simulate_joint,
     simulate_path_sums,
     tabular_joint_law,

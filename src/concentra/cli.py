@@ -30,7 +30,7 @@ import orjson
 
 from . import certify, constants, coupling, jsonio
 from .entropy import chain_rule_decompose, relative_entropy_discrete, relative_entropy_gaussian
-from .errors import InputError
+from .errors import InputError, _check
 from .measures import DiscreteMeasure, GaussianMeasure
 from .processes import (
     ARMAModel,
@@ -485,6 +485,7 @@ def _cmd_verify_ou(args) -> int:
 # -------------------------------------------------------------- verify-arma
 
 def _cmd_verify_arma(args) -> int:
+    _check(tol=args.tol)
     A = np.asarray(_load_json(args.A), float)
     B = np.asarray(_load_json(args.B), float) if args.B else np.eye(A.shape[0])
     alpha = constants.arma_lsi_alpha(A, B)

@@ -14,6 +14,9 @@ step-optimal coupling is comonotone, so both chains share their standard
 normal innovations, the pair (gap, P-state) is a linear-Gaussian chain
 whose moments come from the recursion in ``processes``, and each step's
 gap is exactly Gaussian with a closed-form s-th absolute moment.
+
+``kernel_lipschitz`` gives a chain kernel's exact Lipschitz constant into
+(Prob_s, W_s), for tabular chains from the same pair plans.
 """
 from __future__ import annotations
 
@@ -27,8 +30,9 @@ import numpy as np
 from .constants import ts_markov_alpha
 from .entropy import relative_entropy_discrete, relative_entropy_gaussian
 from .errors import InputError, _check
-from .measures import RealLine, _LabelLine
+from .measures import RealLine, _LabelLine, _matches
 from .processes import (
+    ARMAModel,
     GaussianKernelModel,
     TabularModel,
     _linear_moments,
@@ -89,6 +93,53 @@ def _pair_plans(q_rows: np.ndarray, p_rows: np.ndarray, space, cost: np.ndarray)
     return [np.concatenate([np.ravel(part[k]) for part in parts]) for k in range(4)]
 
 
+def kernel_lipschitz(model, s: float) -> float:
+    """The kernel's Lipschitz constant into (Prob_s, W_s), exactly:
+    sup over x != y of W_s(P_x, P_y) / d(x, y).
+
+    Gaussian kernel and OU: |theta| for every s in [1, 2]. P_x and P_y are
+    N(theta x, sigma2) and N(theta y, sigma2); under any coupling
+    E|X - Y| >= |E X - E Y| = |theta| |x - y|, so W_s >= W_1 >= |theta| |x - y|
+    (Jensen), and the translation coupling Y = X + theta (y - x) attains it.
+
+    ARMA: ||A||_2 in the Euclidean norm, by the same argument with
+    P_z = N(A z, B B^T): W_s(P_z, P_w) = |A (z - w)|, whose largest ratio
+    to |z - w| is the top singular value of A.
+
+    Tabular: the max over state pairs i != j of W_s(P_i, P_j) / d(i, j) on
+    ``TabularModel.state_space``, a finite max of exact W_s, from the rows'
+    pair plans (``_pair_plans``: north-west-corner walks on a line, else
+    LPs on one hot-started model); 0.0 for a single state. A pair at
+    distance 0 is skipped when its rows are equal; one with W_s > 0 raises
+    ``InputError``, since the kernel is not Lipschitz there.
+
+    A contraction-noise chain raises ``InputError``: its map is a callable,
+    and its ``lipschitz`` is already the declared hypothesis.
+    """
+    _check(s=s)
+    if isinstance(model, GaussianKernelModel):
+        return float(abs(model.theta))
+    if isinstance(model, ARMAModel):
+        return float(np.linalg.norm(model.A, 2))
+    if not isinstance(model, TabularModel):
+        raise InputError(f"no exact kernel Lipschitz constant for model kind {model.kind!r}: "
+                         "its map is a callable, and its declared lipschitz is the hypothesis")
+    rows, size = model.transition, model.n_states
+    states = np.arange(size)
+    d = model.state_space.pairwise(states, states)
+    cost = d ** s
+    pair, a, b, mass = _pair_plans(rows, rows, model.state_space, cost)
+    ws = np.bincount(pair, weights=mass * cost[a, b], minlength=size * size).reshape(size, size)
+    i, j = np.nonzero(d == 0.0)
+    moved = (i != j) & (ws[i, j] > 0.0) & np.any(rows[i] != rows[j], axis=1)
+    if moved.any():
+        k = np.argmax(moved)
+        raise InputError(f"states {i[k]} and {j[k]} are at distance 0 but their rows are W_s > 0 "
+                         "apart: the kernel is not Lipschitz")
+    apart = d > 0.0
+    return float(np.max(np.maximum(ws[apart], 0.0) ** (1.0 / s) / d[apart], initial=0.0))
+
+
 def _tabular_bound(q: TabularModel, p: TabularModel, n: int, s: float):
     """Step k costs m_k . c, with m_k the coupled pair's law and c the pair plan costs.
 
@@ -143,25 +194,10 @@ def _coupling_paths(coupling, n: int, n_states: int, q_joint, p_joint):
             entry = by_pair[np.repeat(start[last] - (np.cumsum(c) - c), c) + np.arange(src.size)]
             paths = np.column_stack([paths[src], nxt[entry]])
             mass = mass[src] * k_mass[entry]
-    rows = _row_positions(q_joint.points, paths // n_states)
-    cols = _row_positions(p_joint.points, paths % n_states)
+    rows = _matches(paths // n_states, q_joint.points)
+    cols = _matches(paths % n_states, p_joint.points)
     keep = (rows >= 0) & (cols >= 0)
     return rows[keep], cols[keep], mass[keep]
-
-
-def _row_positions(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The position in ``table`` (distinct rows) of each row of ``rows``,
-    -1 where it is absent: one lexicographic sort of both."""
-    both = np.concatenate([table, rows])
-    order = np.lexsort(both.T[::-1])
-    ranked = both[order]
-    # stable: a table row sorts before the rows equal to it
-    in_table = order < len(table)
-    last = np.maximum.accumulate(np.where(in_table, np.arange(order.size), 0))
-    hit = ~in_table & in_table[last] & np.all(ranked == ranked[last], axis=1)
-    out = np.full(len(rows), -1)
-    out[order[hit] - len(table)] = order[last[hit]]
-    return out
 
 
 def _abs_moment(m: float, v: float, s: float) -> float:

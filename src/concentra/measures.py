@@ -234,19 +234,22 @@ def _points(support, space) -> np.ndarray:
 
 
 def _matches(points: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """For each of ``points``, the index of the equal point of ``other``
-    (both a measure's distinct ``points``), or -1, by one sort of the
-    stacked rows. Mixed dtypes meet as float64, exactly since integers lie
-    below 2**53; points of another shape never match."""
+    """For each of ``points`` (which may repeat), the index of the equal
+    point of ``other`` (distinct, as a measure's ``points``), or -1, by one
+    sort of the stacked rows. Mixed dtypes meet as float64, exactly since
+    integers lie below 2**53; points of another shape never match."""
     out = np.full(len(points), -1, dtype=np.intp)
     if points.shape[1:] != other.shape[1:]:
         return out
-    rows = np.concatenate([points.reshape(len(points), -1), other.reshape(len(other), -1)])
+    rows = np.concatenate([other.reshape(len(other), -1), points.reshape(len(points), -1)])
     order = np.lexsort(rows.T[::-1])
     rows = rows[order]
-    # ties keep the stacked order, so ``points``' point comes first
-    k = np.flatnonzero(np.all(rows[1:] == rows[:-1], axis=1))
-    out[order[k]] = order[k + 1] - len(points)
+    # ties keep the stacked order, so an ``other`` point sorts before the
+    # ``points`` equal to it: each takes the last ``other`` point before it
+    known = order < len(other)
+    last = np.maximum.accumulate(np.where(known, np.arange(order.size), 0))
+    hit = ~known & known[last] & np.all(rows == rows[last], axis=1)
+    out[order[hit] - len(other)] = order[last[hit]]
     return out
 
 

@@ -1,14 +1,11 @@
-"""Markov process models, joint-law simulation and hypothesis estimators.
+"""Markov process models and joint-law simulation.
 
 Models are horizon-free descriptions (initial law plus kernel).
 Gaussian-kernel (so OU) and ARMA chains share one ``linear_form``,
 X_1 = mean1 + root1 Y_1 and X_{k+1} = A X_k + B Y_{k+1} with standard
 Gaussian Y: one moment recursion, started from the variances as given
 (``linear_covariances``), gives their joint laws (and the Gaussian
-coupling's gap moments) and one sampler their paths. The estimators
-report sup-type hypothesis quantities over declared probe sets, so they
-are lower bounds on the true constants: the verification stance is "no
-violation found at this resolution", never a proof.
+coupling's gap moments) and one sampler their paths.
 """
 from __future__ import annotations
 
@@ -16,19 +13,16 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
-from numpy.polynomial.hermite_e import hermegauss
 
 from .constants import ou_kappa
 from .errors import InputError, _check
 from .measures import (MAX_SUPPORT, REAL_LINE, DiscreteMeasure, GaussianMeasure, ProductSpace,
                        _LabelLine)
-from .transport import wasserstein_1d
 
 PROB_ATOL = 1e-12
-_QUADRATURE_ORDER = 64  # Gauss-Hermite nodes of a Gaussian kernel's law, doubled as a check
 
 
 @dataclass(frozen=True)
@@ -389,134 +383,6 @@ def _simulate_contraction(model: ContractionNoiseModel, n, N, rng):
     for k in range(1, n):
         out[:, k] = model.theta_map(out[:, k - 1]) + np.asarray(model.noise_sampler(rng, N))
     return out
-
-
-def ou_transition(x: float, rho: float, tau: float) -> GaussianMeasure:
-    """One-step law N(theta x, sigma2) of the discretized OU chain."""
-    return kernel_law(OUModel(rho, tau), x)
-
-
-def kernel_law(model: MarkovModel, x):
-    """Law of the next state given the current one, as a 1-D measure."""
-    if isinstance(model, GaussianKernelModel):
-        return GaussianMeasure([model.theta * float(x)], [[model.sigma2]])
-    if isinstance(model, TabularModel):
-        if model.labels is None:
-            raise InputError("tabular kernel laws need real-valued labels")
-        row = model.transition[int(x)]
-        keep = row > 0
-        return DiscreteMeasure(np.asarray(model.labels)[keep], row[keep], space=REAL_LINE)
-    raise InputError(f"kernel law unavailable for model kind {model.kind!r}")
-
-
-def kernel_lipschitz_estimate(model: MarkovModel, probe_pairs: Sequence, s: float) -> float:
-    """max over probe pairs of W_s(p(.|x), p(.|x')) / d(x, x').
-
-    A lower bound on the kernel's true Lipschitz constant; for Gaussian
-    kernels with state-independent variance the ratio is exactly |theta|.
-    """
-    labels = model.labels if isinstance(model, TabularModel) else None
-    ratios = []
-    for x, y in probe_pairs:
-        a, b = kernel_law(model, x), kernel_law(model, y)
-        gap = abs(float(x) - float(y)) if labels is None else abs(labels[int(x)] - labels[int(y)])
-        if gap == 0.0:
-            continue
-        if isinstance(a, GaussianMeasure):
-            # both laws have the kernel's variance: the translation coupling
-            # is optimal, so W_s is the mean gap for every s
-            w = abs(a.mean[0] - b.mean[0])
-        else:
-            w = wasserstein_1d(a, b, s)
-        ratios.append(w / gap)
-    if not ratios:
-        raise InputError("all probe pairs are coincident")
-    return float(max(ratios))
-
-
-def _kernel_nodes(model: MarkovModel, x: float, order: int):
-    """Points and weights of the kernel law at x: Gauss-Hermite nodes of
-    the given order for a Gaussian kernel, the transition row over the
-    labels for a tabular one."""
-    if isinstance(model, GaussianKernelModel):
-        nodes, weights = hermegauss(order)
-        return model.theta * float(x) + math.sqrt(model.sigma2) * nodes, weights / math.sqrt(2.0 * math.pi)
-    if isinstance(model, TabularModel):
-        law = kernel_law(model, x)
-        return law.points, law.weights
-    raise InputError(f"unsupported model kind {model.kind!r}")
-
-
-def ms_estimate(
-    u_gradients: Callable,
-    model: MarkovModel,
-    s: float,
-    probes: Sequence | None = None,
-) -> float:
-    """sup over probed histories of int ||(du/dx_k)_k||^2_{l^s'} p(dy|x).
-
-    ``u_gradients(history, y)`` returns the gradient of the kernel energy
-    with respect to each history coordinate. Gaussian kernels use
-    Gauss-Hermite quadrature (with a doubling check against truncation);
-    tabular kernels sum over states.
-    """
-    _check(s=s)
-    sp = math.inf if s == 1.0 else s / (s - 1.0)
-    if probes is None:
-        probes = [(-2.0,), (-1.0,), (0.0,), (1.0,), (2.0,)]
-    sup = 0.0
-    for hist in probes:
-        x_last = float(np.atleast_1d(hist)[-1])
-
-        def integral(order):
-            ys, ws = _kernel_nodes(model, x_last, order)
-            vals = [np.linalg.norm(np.atleast_1d(u_gradients(hist, y)), sp) ** 2 for y in ys]
-            return float(np.dot(ws, vals))
-
-        lo, hi = integral(_QUADRATURE_ORDER), integral(2 * _QUADRATURE_ORDER)
-        if abs(hi - lo) > 1e-6 * max(1.0, abs(hi)) and hi > 2.0 * lo:
-            raise InputError("quadrature diverged across node doubling")
-        sup = max(sup, hi)
-    return sup
-
-
-def lambda_mgf_estimate(
-    u_gradient: Callable | None,
-    model: MarkovModel,
-    s_grid: Sequence[float],
-    probes: Sequence[float] | None = None,
-) -> tuple[float, dict]:
-    """Least admissible sub-Gaussian parameter of the coupling MGF.
-
-    Returns (kappa_hat, witness) with kappa_hat = max over the grid of
-    2 log Lambda(s|x) / s^2; for Gaussian kernels with ``u_gradient=None``
-    the MGF is Gaussian and evaluated in closed form (theta^2 / sigma2).
-    """
-    if probes is None:
-        probes = [-2.0, -1.0, 0.0, 1.0, 2.0]
-    if u_gradient is None:
-        if not isinstance(model, GaussianKernelModel):
-            raise InputError("closed-form MGF needs a Gaussian kernel")
-        # du/dx = -theta (y - theta x) / sigma2 is N(0, theta^2 / sigma2)
-        kappa = model.theta**2 / model.sigma2
-        return kappa, {"s": None, "x": None, "closed_form": True}
-    best = 0.0
-    witness = {"s": None, "x": None, "closed_form": False}
-    for x in probes:
-        ys, ws = _kernel_nodes(model, x, _QUADRATURE_ORDER)
-        grads = np.array([float(np.atleast_1d(u_gradient((x,), y))[0]) for y in ys])
-        for sv in map(float, s_grid):
-            if sv == 0.0:
-                continue
-            with np.errstate(over="ignore"):
-                lam = float(np.dot(ws, np.exp(sv * grads)))
-            if not math.isfinite(lam):
-                raise InputError(f"divergent MGF at s = {sv}, x = {x}")
-            cand = 2.0 * math.log(lam) / sv**2
-            if cand > best:
-                best = cand
-                witness = {"s": sv, "x": x, "closed_form": False}
-    return best, witness
 
 
 def _linear_moments(A, noise, mean1, cov1, n: int):

@@ -547,6 +547,19 @@ def test_verify_arma_csv_bytes_match_per_cell_oracle(capsys):
     assert out_csv == _per_cell_csv(payload["config"], header, rows)
 
 
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_verify_arma_tolerance_out_of_range_exits_2_with_nothing_written(capsys, tmp_path, tol, fmt):
+    """A tolerance that is not finite and > 0 is an input error, never a
+    verdict: a negative one would otherwise fail every check."""
+    argv = ("verify-arma", "--A", "[[0.5]]", "--n", "2", "--tol", tol, "--format", fmt)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error: tol must be finite and > 0")
+    target = tmp_path / "out"
+    code, out, _ = run(capsys, *argv, "--out", str(target))
+    assert code == 2 and out == "" and not target.exists()
+
+
 def _float_bits(obj):
     if isinstance(obj, float):
         return ("float", obj.hex())  # nan compares by position

@@ -11,15 +11,19 @@ from oracles import abs_moment_quad, all_cells_transport_lp, comonotone_gap_laws
 
 from concentra import (
     REAL_LINE,
+    ARMAModel,
+    ContractionNoiseModel,
     CouplingBound,
     DiscreteMeasure,
     FiniteMetricSpace,
     GaussianKernelModel,
+    GaussianMeasure,
     InputError,
     OUModel,
     ProductSpace,
     TabularModel,
     gaussian_chain_joint,
+    kernel_lipschitz,
     ou_kappa,
     recursive_coupling_bound,
     tabular_joint_law,
@@ -458,3 +462,96 @@ def test_audit_of_a_sparse_chain_on_many_states_stays_small(s):
     qj, pj = tabular_joint_law(q, 2, s), tabular_joint_law(p, 2, s)
     want = _lp_cost(qj.space.pairwise(qj.support, pj.support) ** s, qj.weights, pj.weights, s)[0]
     assert entry["w_exact"] == pytest.approx(max(want, 0.0) ** (1.0 / s), rel=1e-12)
+
+
+@pytest.mark.parametrize("s", [1.0, 1.5, 2.0])
+def test_kernel_lipschitz_of_gaussian_and_ou_chains_is_abs_theta(s):
+    for theta in (0.7, -0.6, 1.3, -2.0, 0.0):
+        assert kernel_lipschitz(GaussianKernelModel(theta, 0.5, 1.0, 2.0), s) == abs(theta)
+    for rho, tau, x0 in ((1.0, 0.5, 0.3), (0.0, 0.7, -1.2), (-0.4, 0.2, 1.0)):
+        ou = OUModel(rho, tau, x0)
+        assert kernel_lipschitz(ou, s) == abs(ou.theta)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_kernel_lipschitz_of_an_arma_chain_is_the_spectral_norm(seed):
+    """||A||_2, attained at A's top right singular vector v: the laws
+    N(A v, B B^T) and N(0, B B^T) are |A v| apart in W_2."""
+    rng = np.random.default_rng(seed)
+    m = 1 + seed
+    model = ARMAModel(rng.normal(size=(m, m)), rng.normal(size=(m, m)))
+    got = kernel_lipschitz(model, 2.0)
+    assert got == np.linalg.norm(model.A, 2)
+    for s in (1.0, 1.5):
+        assert kernel_lipschitz(model, s) == got
+    v = np.linalg.svd(model.A)[2][0]
+    noise = model.B @ model.B.T
+    w2 = wasserstein_gaussian_w2(GaussianMeasure(model.A @ v, noise), GaussianMeasure(np.zeros(m), noise))
+    assert w2 == pytest.approx(got, rel=1e-12)
+
+
+def _lipschitz_chain(kind, k, rng):
+    """A k-state chain with sparse random rows, unlabelled, labelled or on
+    a declared finite space of plane points."""
+    rows = rng.dirichlet(np.ones(k), size=k) * (rng.random((k, k)) < 0.7)
+    rows[np.arange(k), rng.integers(0, k, k)] += 0.1
+    rows /= rows.sum(axis=1, keepdims=True)
+    labels = space = None
+    if kind == "labelled":
+        labels = tuple(rng.permutation(k) + rng.uniform(0.0, 0.9, k))
+    elif kind == "finite":
+        pts = rng.normal(size=(k, 2))
+        space = FiniteMetricSpace(tuple(range(k)), np.linalg.norm(pts[:, None] - pts[None], axis=-1))
+    return TabularModel(np.full(k, 1.0 / k), rows, labels=labels, space=space)
+
+
+def _pair_loop_lipschitz(model, s):
+    """max over state pairs i != j of W_s(P_i, P_j) / d(i, j), one
+    ``wasserstein_exact`` per pair."""
+    space, states = model.state_space, np.arange(model.n_states)
+    ratios = [
+        wasserstein_exact(DiscreteMeasure(states, model.transition[i], space),
+                          DiscreteMeasure(states, model.transition[j], space), s)[0] / space.distance(i, j)
+        for i, j in itertools.permutations(range(model.n_states), 2)
+    ]
+    return max(ratios)
+
+
+@pytest.mark.parametrize("kind", ["unlabelled", "labelled", "finite"])
+@pytest.mark.parametrize("k", range(2, 7))
+@pytest.mark.parametrize("s", [1.0, 1.5, 2.0])
+def test_kernel_lipschitz_of_a_tabular_chain_is_the_pair_loop_max(kind, k, s):
+    """The finite max over every state pair, so no subset of probe pairs
+    can exceed it."""
+    for seed in range(3):
+        model = _lipschitz_chain(kind, k, np.random.default_rng(100 * k + seed))
+        assert kernel_lipschitz(model, s) == pytest.approx(_pair_loop_lipschitz(model, s), rel=1e-12)
+
+
+def test_kernel_lipschitz_edge_and_error_cases():
+    identity = TabularModel([0.5, 0.5], np.eye(2), labels=(0, 1))
+    for s in (1.0, 1.5, 2.0):
+        assert kernel_lipschitz(identity, s) == 1.0
+        # one state: no pair of states, and the constant kernel is 0-Lipschitz
+        assert kernel_lipschitz(TabularModel([1.0], [[1.0]]), s) == 0.0
+    # states 0 and 1 share a label: equal rows, or rows that move mass only
+    # between them, are skipped; rows W_s apart at distance 0 raise
+    rows = [[0.2, 0.3, 0.5], [0.2, 0.3, 0.5], [0.0, 0.0, 1.0]]
+    # pair (0, 2) moves mass 0.5 by 2: W_s = 0.5^(1/s) 2
+    assert kernel_lipschitz(TabularModel(np.full(3, 1 / 3), rows, labels=(0, 0, 2)), 1.5) == pytest.approx(
+        0.5 ** (1 / 1.5), rel=1e-15)
+    rows = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    assert kernel_lipschitz(TabularModel(np.full(3, 1 / 3), rows, labels=(0, 0, 2)), 2.0) == 1.0
+    rows = [[0.2, 0.3, 0.5], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]]
+    pseudo = FiniteMetricSpace("abc", [[0, 0, 1], [0, 0, 1], [1, 1, 0]])
+    for labels, space in (((0, 0, 2), None), (None, pseudo)):
+        with pytest.raises(InputError, match="states 0 and 1 are at distance 0"):
+            kernel_lipschitz(TabularModel(np.full(3, 1 / 3), rows, labels=labels, space=space), 1.0)
+    noise = ContractionNoiseModel(np.tanh, 1.0, lambda rng, size: rng.standard_normal(size),
+                                  lambda rng, size: rng.standard_normal(size))
+    with pytest.raises(InputError, match="contraction_noise"):
+        kernel_lipschitz(noise, 1.0)
+    for bad in (0.5, 2.5, math.nan, math.inf):
+        for model in (identity, GaussianKernelModel(0.5, 1.0), noise):
+            with pytest.raises(InputError, match="^s must be in"):
+                kernel_lipschitz(model, bad)

@@ -20,7 +20,7 @@ from concentra import (
     check_lsi_grid,
     check_transport,
     gaussian_chain_joint,
-    ms_estimate,
+    kernel_lipschitz,
     recursive_coupling_bound,
     simulate_joint,
     tabular_joint_law,
@@ -49,7 +49,7 @@ ENTRY_POINTS = {
     "GaussianKernelModel": (GaussianKernelModel, {"theta": 0.5, "sigma2": 1.0, "init_mean": 0.0, "init_var": 2.0}),
     "ARMAModel": (ARMAModel, {"A": np.array([[0.5, 0.1], [0.0, 0.4]]), "B": np.eye(2)}),
     "simulate_joint": (lambda n, N: simulate_joint(TAB, n, N), {"n": 3, "N": 2}),
-    "ms_estimate": (lambda s: ms_estimate(lambda hist, y: [y], GK, s, probes=[(0.0,)]), {"s": 1.5}),
+    "kernel_lipschitz": (lambda s: kernel_lipschitz(TAB, s), {"s": 1.5}),
     "gaussian_chain_joint": (lambda n: gaussian_chain_joint(GK, n), {"n": 3}),
     "tabular_joint_law": (lambda n, s: tabular_joint_law(TAB, n, s), {"n": 2, "s": 1.0}),
     "TabularModel": (TabularModel, {"init": np.array([0.5, 0.5]), "transition": np.array([[0.9, 0.1], [0.2, 0.8]])}),

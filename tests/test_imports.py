@@ -68,3 +68,21 @@ assert "scipy.optimize" in sys.modules  # the fallback runs the package import
 assert transport._highs is sys.modules["scipy.optimize._highspy._core"]
 {LP_SOLVES}
 """)
+
+
+def test_import_loads_no_numpy_polynomial_module_beyond_numpy_itself():
+    """No route needs ``numpy.polynomial``: the package loads none of its
+    modules beyond those a bare ``import numpy`` loads (none on NumPy 2,
+    all of them on NumPy 1.24, which imports it eagerly)."""
+    _run("""
+import sys
+import numpy
+
+def polynomial():
+    return {m for m in sys.modules if m == "numpy.polynomial" or m.startswith("numpy.polynomial.")}
+
+base = polynomial()
+import concentra, concentra.cli
+extra = sorted(polynomial() - base)
+assert not extra, extra
+""")

@@ -377,6 +377,21 @@ def test_matches_follow_point_key_equality(support, other):
     assert _matches(mu.points, nu.points).tolist() == matches_by_keys(mu.points, nu.points)
 
 
+@pytest.mark.parametrize("queries, other", [
+    ([[0, 1], [2, 2], [0, 1], [1, 0], [2, 2], [0, 1]], [[2, 2], [0, 1], [1, 1]]),
+    ([3, 1.0, 3.0, 2, 1, 1.5, -0.0], [1.0, 0, 3]),
+    ([[1.0, 2.0], [1, 2], [3, 4]], [[1, 2]]),
+    ([[1, 2], [1, 2]], [[1, 2, 3]]),  # another shape never matches
+    ([5, 5, 5], [4]),
+])
+def test_matches_with_repeated_queries_follow_point_key_equality(queries, other):
+    """Queries may repeat (the path rows of a coupling, looked up in a
+    joint law's points): each takes the equal point of ``other``."""
+    points = np.array(queries)
+    table = DiscreteMeasure(other, np.full(len(other), 1.0 / len(other))).points
+    assert _matches(points, table).tolist() == matches_by_keys(points, table)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=60),
        st.sampled_from(["int", "float", "mixed", "pairs", "big"]), st.integers(min_value=0, max_value=3),

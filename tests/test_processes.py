@@ -18,12 +18,7 @@ from concentra import (
     OUModel,
     TabularModel,
     gaussian_chain_joint,
-    kernel_law,
-    kernel_lipschitz_estimate,
-    lambda_mgf_estimate,
-    ms_estimate,
     ou_kappa,
-    ou_transition,
     simulate_joint,
     simulate_path_sums,
     tabular_joint_law,
@@ -48,9 +43,6 @@ def test_ou_kernel_conversion():
     assert g.theta == pytest.approx(0.5, abs=1e-15)
     assert g.init_mean == pytest.approx(0.5, abs=1e-15)
     assert g.init_var == g.sigma2 == pytest.approx(0.75 / math.log(4.0), rel=1e-15)
-    law = ou_transition(1.0, math.log(2.0), 1.0)
-    assert law.mean[0] == pytest.approx(0.5, abs=1e-15)
-    assert law.cov[0, 0] == pytest.approx(g.sigma2, abs=1e-15)
 
 
 @pytest.mark.parametrize("rho, tau, x0", [(1.0, 0.5, 0.3), (0.0, 0.7, -1.2), (2.5, 0.1, 0.0)])
@@ -65,10 +57,6 @@ def test_ou_model_is_its_gaussian_kernel(rho, tau, x0):
     assert np.array_equal(simulate_joint(ou, 6, 50, seed=4).values, simulate_joint(g, 6, 50, seed=4).values)
     a, b = gaussian_chain_joint(ou, 6), gaussian_chain_joint(g, 6)
     assert np.array_equal(a.mean, b.mean) and np.array_equal(a.cov, b.cov)
-    for x in (-1.5, 0.0, 2.0):
-        laws = [kernel_law(ou, x), kernel_law(g, x), ou_transition(x, rho, tau)]
-        assert all(np.array_equal(law.mean, laws[1].mean) and np.array_equal(law.cov, laws[1].cov)
-                   for law in laws)
 
 
 def test_simulation_is_reproducible_and_seed_sensitive():
@@ -334,105 +322,9 @@ def test_contraction_model_simulation():
     assert paths.values[:, 3].var() == pytest.approx(1.3125, abs=0.03)
 
 
-def test_kernel_law_tabular_needs_labels():
-    m = TabularModel(np.array([1.0, 0.0]), np.array([[0.5, 0.5], [0.1, 0.9]]))
-    with pytest.raises(InputError):
-        kernel_law(m, 0)
-    m2 = TabularModel(
-        np.array([1.0, 0.0]), np.array([[0.5, 0.5], [0.1, 0.9]]), labels=(0.0, 2.0)
-    )
-    law = kernel_law(m2, 0)
-    assert law.as_dict() == {0.0: 0.5, 2.0: 0.5}
-
-
-def test_kernel_lipschitz_estimate_gaussian_is_theta():
-    model = GaussianKernelModel(0.7, 2.0)
-    for s in (1.0, 1.5, 2.0):
-        est = kernel_lipschitz_estimate(model, [(-1.0, 1.0), (0.0, 3.0)], s)
-        assert est == pytest.approx(0.7, rel=1e-7)
-    for s in (1.0, 1.5, 2.0):
-        est = kernel_lipschitz_estimate(GaussianKernelModel(-0.6, 0.5), [(-1.0, 1.0), (0.0, 3.0)], s)
-        assert est == pytest.approx(0.6, rel=1e-15)
-    with pytest.raises(InputError):
-        kernel_lipschitz_estimate(model, [(1.0, 1.0)], 2.0)
-
-
-def test_kernel_lipschitz_estimate_tabular():
-    m = TabularModel(
-        np.array([0.5, 0.5]), np.array([[1.0, 0.0], [0.0, 1.0]]), labels=(0.0, 1.0)
-    )
-    # deterministic identity kernel moves mass exactly with the state
-    assert kernel_lipschitz_estimate(m, [(0, 1)], 1.0) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_ms_estimate_gaussian_quadratic_energy():
-    model = GaussianKernelModel(0.5, 1.0)
-    # kernel energy gradient du/dx = -theta (y - theta x) / sigma2
-    grad = lambda hist, y: [-0.5 * (y - 0.5 * hist[-1])]
-    for s in (1.0, 2.0):
-        got = ms_estimate(grad, model, s)
-        assert got == pytest.approx(0.25, rel=1e-9)
-
-
-def test_ms_estimate_holder_norm_direction():
-    model = GaussianKernelModel(0.5, 1.0)
-    grad = lambda hist, y: [1.0, 1.0]  # constant two-coordinate gradient
-    # s = 2 -> dual 2-norm squared = 2; s = 1 -> sup norm squared = 1
-    assert ms_estimate(grad, model, 2.0) == pytest.approx(2.0, rel=1e-9)
-    assert ms_estimate(grad, model, 1.0) == pytest.approx(1.0, rel=1e-9)
-
-
-def test_lambda_mgf_closed_form_and_quadrature_agree():
-    model = GaussianKernelModel(0.5, 2.0)
-    closed, wit = lambda_mgf_estimate(None, model, [])
-    assert wit["closed_form"]
-    assert closed == pytest.approx(0.125, rel=1e-12)
-    grad = lambda hist, y: -0.25 * (y - 0.5 * hist[0])  # du/dx for this kernel
-    est, wit2 = lambda_mgf_estimate(grad, model, np.linspace(-2, 2, 9))
-    assert est == pytest.approx(closed, rel=1e-6)
-    assert not wit2["closed_form"]
-
-
 def _tabular_chain():
     trans = np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5], [0.0, 0.4, 0.6]])
     return TabularModel(np.full(3, 1.0 / 3.0), trans, labels=(-1.0, 0.5, 2.0))
-
-
-def test_ms_estimate_tabular_is_a_sum_over_the_row():
-    model = _tabular_chain()
-    grad = lambda hist, y: [0.3 * y - 0.1 * hist[-1], y * y - 1.0]
-    for s in (1.0, 1.5, 2.0):
-        def norm(v):
-            v = np.abs(v)
-            return v.max() if s == 1.0 else (v ** (s / (s - 1.0))).sum() ** ((s - 1.0) / s)
-
-        direct = max(
-            math.fsum(w * norm(grad((i,), y)) ** 2
-                      for w, y in zip(model.transition[i], model.labels) if w > 0)
-            for i in range(3)
-        )
-        got = ms_estimate(grad, model, s, probes=[(0,), (1,), (2,)])
-        assert got == pytest.approx(direct, rel=1e-14)
-    with pytest.raises(InputError):
-        ms_estimate(grad, ARMAModel(np.array([[0.5]]), np.array([[1.0]])), 2.0)
-
-
-def test_lambda_mgf_estimate_tabular_is_a_sum_over_the_row():
-    model = _tabular_chain()
-    grad = lambda hist, y: 0.4 * y - 0.2 * hist[0]
-    grid = [-1.5, -0.5, 0.0, 0.5, 1.5]
-    cands = {
-        (sv, i): 2.0 * math.log(math.fsum(
-            w * math.exp(sv * grad((i,), y)) for w, y in zip(model.transition[i], model.labels) if w > 0
-        )) / sv**2
-        for i in range(3) for sv in grid if sv != 0.0
-    }
-    (s_best, x_best), best = max(cands.items(), key=lambda kv: kv[1])
-    got, witness = lambda_mgf_estimate(grad, model, grid, probes=[0, 1, 2])
-    assert got == pytest.approx(best, rel=1e-14)
-    assert witness == {"s": s_best, "x": x_best, "closed_form": False}
-    with pytest.raises(InputError):
-        lambda_mgf_estimate(None, model, grid)
 
 
 def test_arma_joint_covariance_properties():
