@@ -117,12 +117,20 @@ def _dumps(value, path: str) -> bytes:
     """``value`` as compact UTF-8 JSON with sorted keys, NumPy scalars and
     arrays included (orjson). orjson writes a non-finite float as ``null``,
     so where the text holds ``null`` the value is searched, and a
-    non-finite float raises ``InputError`` naming its key path."""
-    data = orjson.dumps(value, option=_JSON)
-    if b"null" in data:
+    non-finite float raises ``InputError`` naming its key path. orjson
+    writes no integer beyond 64 bits, such as a ``--seed`` up to
+    2**128 - 1 in a config echo; a value holding one is written by the
+    ``json`` module."""
+    try:
+        data = orjson.dumps(value, option=_JSON)
+    except orjson.JSONEncodeError:
+        data = None
+    if data is None or b"null" in data:
         where = _nonfinite_path(value, path)
         if where is not None:
             raise InputError(f"{where} is not finite, and JSON output has no value for it")
+    if data is None:
+        data = json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
     return data
 
 
@@ -344,6 +352,7 @@ def _cmd_entropy(args) -> int:
 # ------------------------------------------------------------------ certify
 
 def _cmd_certify(args) -> int:
+    _check(seed=args.seed)
     config = _config(args, ("inequality", "constant", "s", "mu", "space", "grid", "seed"))
     if args.inequality in ("gc", "ts"):
         if not args.mu:
@@ -384,6 +393,7 @@ def _cmd_certify(args) -> int:
 # ----------------------------------------------------------------- simulate
 
 def _cmd_simulate(args) -> int:
+    _check(seed=args.seed)
     model = jsonio.model_from_json(_load_json(args.model))
     paths = simulate_joint(model, args.n, args.samples, seed=args.seed)
     flat = paths.values.reshape(paths.n_paths, -1)
@@ -434,6 +444,7 @@ def _normal_sample_checks(sample: np.ndarray, mean: float, var: float) -> list:
 
 
 def _cmd_verify_ou(args) -> int:
+    _check(seed=args.seed)
     if args.samples < 0 or args.samples == 1:
         raise InputError("--samples must be 0 (no sampling) or at least 2")
     x = args.x or 0.0

@@ -107,9 +107,10 @@ def kernel_lipschitz(model, s: float) -> float:
     to |z - w| is the top singular value of A.
 
     Tabular: the max over state pairs i != j of W_s(P_i, P_j) / d(i, j) on
-    ``TabularModel.state_space``, a finite max of exact W_s, from the rows'
-    pair plans (``_pair_plans``: north-west-corner walks on a line, else
-    LPs on one hot-started model); 0.0 for a single state. A pair at
+    ``TabularModel.state_space``, a finite max of exact W_s: on a line from
+    the rows' pair plans (``_pair_plans``, north-west-corner walks), else
+    from S(S - 1)/2 LPs on one hot-started model, one per pair i < j, since
+    W_s is symmetric and 0 on the diagonal; 0.0 for a single state. A pair at
     distance 0 is skipped when its rows are equal; one with W_s > 0 raises
     ``InputError``, since the kernel is not Lipschitz there.
 
@@ -128,8 +129,16 @@ def kernel_lipschitz(model, s: float) -> float:
     states = np.arange(size)
     d = model.state_space.pairwise(states, states)
     cost = d ** s
-    pair, a, b, mass = _pair_plans(rows, rows, model.state_space, cost)
-    ws = np.bincount(pair, weights=mass * cost[a, b], minlength=size * size).reshape(size, size)
+    if isinstance(model.state_space, (RealLine, _LabelLine)):
+        pair, a, b, mass = _pair_plans(rows, rows, model.state_space, cost)
+        ws = np.bincount(pair, weights=mass * cost[a, b], minlength=size * size).reshape(size, size)
+    else:
+        # W_s is symmetric and 0 on the diagonal: one LP per pair i < j
+        ws = np.zeros((size, size))
+        upper = np.triu_indices(size, 1)
+        lp = _TransportModel(cost)
+        ws[upper] = [lp.solve(rows[i], rows[j])[0] for i, j in zip(*upper)]
+        ws += ws.T
     i, j = np.nonzero(d == 0.0)
     moved = (i != j) & (ws[i, j] > 0.0) & np.any(rows[i] != rows[j], axis=1)
     if moved.any():

@@ -5,7 +5,8 @@ parameter is in range; each entry point calls it once, by keyword, on its
 inputs. Rules apply elementwise to arrays and sequences, and NaN and
 +-inf fail every rule: the names in ``_COUNTS`` are integers >= 1 (not
 ``True``; a sequence of them is checked entry by entry, so a bool or a
-float among integers fails), those in
+float among integers fails), ``seed`` is an integer in [0, 2**128) (the
+range NumPy's seed sequences accept), those in
 ``_ORDERS`` lie in [1, 2], those in ``_POSITIVE`` are finite and > 0, those
 in ``_REAL`` are finite, and every other name is finite and >= 0. It stays
 private, so tools that wrap a module's public functions leave it alone.
@@ -38,8 +39,13 @@ def _is_count(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1
 
 
+def _is_seed(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and 0 <= v < 2**128
+
+
 # each rule's text and its elementwise test, which NaN fails
 _COUNT = ("an integer >= 1", _is_count)
+_SEED = ("an integer in [0, 2**128)", _is_seed)
 _IN_ORDER = ("in [1, 2]", lambda v: (1.0 <= v) & (v <= 2.0))
 _FINITE_POSITIVE = ("finite and > 0", lambda v: (0.0 < v) & (v < math.inf))
 _FINITE = ("finite", lambda v: (-math.inf < v) & (v < math.inf))
@@ -49,6 +55,8 @@ _FINITE_NONNEGATIVE = ("finite and >= 0", lambda v: (0.0 <= v) & (v < math.inf))
 def _rule(name: str):
     if name in _COUNTS:
         return _COUNT
+    if name == "seed":
+        return _SEED
     if name in _ORDERS:
         return _IN_ORDER
     if name in _POSITIVE:
@@ -65,7 +73,7 @@ def _check(**params) -> None:
             if not holds(v):
                 raise InputError(f"{name} must be {rule}, got {v!r}")
             continue
-        if holds is _is_count:
+        if holds in (_is_count, _is_seed):
             try:
                 entries = v.ravel().tolist() if isinstance(v, np.ndarray) and v.dtype.kind in "iu" else list(v)
             except TypeError:

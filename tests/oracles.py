@@ -6,7 +6,8 @@ path-major sampler of a linear-Gaussian chain, a
 pair-by-pair recursion for the step-optimal coupling of two tabular
 chains, prefix-marginal differences for the chain rule of relative
 entropy, bisection of a checker's verdicts for the critical
-constants of the certificates, the default LSI test family built
+constants of the certificates, a T_s certificate scored one member at a
+time, the default LSI test family built
 member by member, the transport LP over every cell
 posed through SciPy's ``linprog``, the Kantorovich-Rubinstein dual
 LP over every pair of points, and the Gaussian W2 closed form through
@@ -560,3 +561,26 @@ def joint_charge_by_keys(mu, nu):
     np.add.at(c, [index[p] for p in mu.support], mu.weights)
     np.add.at(c, [index[p] for p in nu.support], -nu.weights)
     return list(index), c
+
+
+def transport_certificate_by_rows(mu, members, alpha, s, tol):
+    """``check_transport``'s numbers over ``members``, one member at a
+    time: W_s(nu, mu) by ``wasserstein_exact`` (on the line, the monotone
+    plan) and Ent(nu | mu) by ``kl_by_keys``; a member whose Ent is
+    infinite scores -inf. Returns the verdict, the worst slack and its
+    first index, the critical constant min 2 Ent / (W_s - tol)^2 over
+    members with W_s > tol, and every member's slack and W_s."""
+    from concentra import wasserstein_exact
+
+    ws, slack, critical = [], [], math.inf
+    for nu in members:
+        ent = kl_by_keys(nu, mu)
+        w = 0.0 if math.isinf(ent) else wasserstein_exact(nu, mu, s)[0]
+        ws.append(w)
+        slack.append(w - math.sqrt(2.0 * ent / alpha))
+        if w > tol:
+            critical = min(critical, 2.0 * ent / (w - tol) ** 2)
+    index = max(range(len(slack)), key=slack.__getitem__)  # the first maximum
+    worst = slack[index]
+    return {"verdict": "pass" if worst <= tol else "fail", "worst_slack": worst, "index": index,
+            "critical": critical, "slacks": slack, "ws": ws}

@@ -22,6 +22,7 @@ from concentra import (
     check_transport,
     replay,
 )
+from concentra import certify, transport
 from concentra.certify import (
     Certificate,
     _line_wasserstein,
@@ -664,20 +665,94 @@ def test_check_transport_member_on_another_space():
     st.integers(min_value=1, max_value=40),
     st.sampled_from([1.0, 1.5, 2.0]),
     st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=-4, max_value=4),
 )
-def test_line_wasserstein_rows_match_wasserstein_1d(n, s, seed):
+def test_line_wasserstein_rows_match_wasserstein_1d(n, s, seed, ulps):
+    """Every route (the CDF identity at s = 1, the walk above it) on an
+    unsorted support with a zero-weight atom, for rows with zero entries
+    whose totals are ``ulps`` units in the last place off 1: each row's
+    W_s is its normalized measure's, and mu's own row scores exactly 0."""
     rng = np.random.default_rng(seed)
     mu = _random_measure(rng, n, "line", zero_atoms=True)
     rows = rng.dirichlet(np.ones(n), size=12)
     rows[rng.random(rows.shape) < 0.2] = 0.0
     rows[:, 0] += 1.0 - rows.sum(axis=1)
-    rows = np.vstack([np.abs(rows), mu.weights])
+    rows = np.abs(rows)
+    rows[np.arange(len(rows)), np.argmax(rows, axis=1)] += ulps * np.finfo(float).eps
+    rows = np.vstack([rows, mu.weights])
     got = _line_wasserstein(rows, mu, s)
     for row, w in zip(rows, got):
         nu = DiscreteMeasure(mu.support, row / row.sum())
         want = wasserstein_1d(nu, mu, s)
         assert w**s == pytest.approx(want**s, rel=0, abs=1e-12)
     assert got[-1] == 0.0
+
+
+def _line_members(rng, mu, count):
+    """mu, ``count`` rows of its default family, two Dirichlet reweightings
+    with zero entries and a member with mass off mu's support."""
+    rows = tilt_family(mu, int(rng.integers(0, 1000)))
+    members = [mu] + [DiscreteMeasure(mu.points, rows[r]) for r in rng.choice(len(rows), count)]
+    for _ in range(2):
+        w = rng.dirichlet(np.ones(len(mu))) * (rng.random(len(mu)) < 0.7)
+        if w.sum() > 0.0:
+            members.append(DiscreteMeasure(mu.points, w / w.sum()))
+    members.append(DiscreteMeasure((float(mu.points[0]), float(mu.points.max()) + 1.0), [0.5, 0.5]))
+    return members
+
+
+def test_check_transport_t1_on_the_line_matches_the_per_row_oracle():
+    """On 300 line measures (2 to 100 points, a third with a zero-weight
+    atom), T_1 certificates scored by the CDF identity match the member
+    by member oracle, whose W_1 is each member's monotone plan: the same
+    verdict, the critical constant to 1e-13, and the worst slack to 1e-13
+    of the witness's W_1 (a slack that cancels to near 0 keeps W_1's
+    absolute rounding). The witness may move only between members whose
+    slacks agree to that rounding, and every witness replays. Every tenth
+    measure runs the default family in full, the others a user family."""
+    verdicts = set()
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        default = seed % 10 == 0
+        n = int(rng.integers(2, 16 if default else 101))
+        mu = _random_measure(rng, n, "line", zero_atoms=seed % 3 == 0)
+        if default:
+            members = [DiscreteMeasure(mu.points, row) for row in tilt_family(mu, seed)]
+            check = lambda alpha: check_transport(mu, alpha, 1.0, seed=seed)
+        else:
+            members = _line_members(rng, mu, 16)
+            check = lambda alpha: check_transport(mu, alpha, 1.0, perturbation_family=members)
+        # the Pinsker constant 4/D^2 passes, twice the critical one fails
+        critical = check(1.0).critical
+        alpha = 4.0 / float(np.ptp(mu.points)) ** 2 if seed % 2 or math.isinf(critical) else 2.0 * critical
+        cert = check(alpha)
+        want = oracles.transport_certificate_by_rows(mu, members, alpha, 1.0, cert.tolerance)
+        verdicts.add(cert.verdict)
+        assert cert.verdict == want["verdict"]
+        assert cert.critical == pytest.approx(want["critical"], rel=1e-13)
+        scale = max(abs(want["worst_slack"]), want["ws"][want["index"]])
+        assert abs(cert.worst_slack - want["worst_slack"]) <= 1e-13 * scale
+        assert abs(want["slacks"][cert.witness["family_index"]] - want["worst_slack"]) <= 1e-13 * scale
+        assert replay(cert, mu=mu) == pytest.approx(cert.worst_slack, abs=1e-9)
+    assert verdicts == {"pass", "fail"}
+
+
+def test_check_transport_t1_on_the_line_never_walks_a_plan(monkeypatch):
+    """At s = 1 on the line, check_transport and check_bg_duality score
+    W_1 by the CDF identity: the north-west-corner merge is never reached,
+    while s > 1 still walks it."""
+    def no_walk(*args):
+        raise AssertionError("north-west-corner walk")
+
+    monkeypatch.setattr(certify, "_northwest_corner", no_walk)
+    monkeypatch.setattr(transport, "_northwest_corner", no_walk)
+    rng = np.random.default_rng(7)
+    mu = _random_measure(rng, 30, "line", zero_atoms=True)
+    check_transport(mu, 1.0, 1.0)
+    check_transport(mu, 1.0, 1.0, perturbation_family=_line_members(rng, mu, 8))
+    check_bg_duality(mu, 0.25)
+    with pytest.raises(AssertionError, match="north-west-corner walk"):
+        check_transport(mu, 1.0, 1.5)
 
 
 def test_mu_witness_replays_exactly():

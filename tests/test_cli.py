@@ -923,6 +923,34 @@ def test_verify_ou_rejects_too_few_samples(capsys, samples):
     assert [c["check"] for c in _strict_json(out)["checks"]] == ["cross-identity", "mean", "variance"]
 
 
+def _seed_out_of_range_exits_2_first(capsys, broken, valid):
+    """A seed outside [0, 2**128) exits 2 naming ``seed`` and its rule,
+    before any other input is read (``broken`` would fail on one), and
+    2**128 - 1 runs and is echoed exactly."""
+    for bad in (-1, 2**128, 2**200):
+        code, out, err = run(capsys, *broken, "--seed", str(bad))
+        assert code == 2 and out == ""
+        assert err == f"error: seed must be an integer in [0, 2**128), got {bad}\n"
+    code, out, _ = run(capsys, *valid, "--seed", str(2**128 - 1))
+    assert code in (0, 1) and _strict_json(out)["config"]["seed"] == 2**128 - 1
+
+
+def test_certify_seed_out_of_range_exits_2(capsys, tmp_path):
+    ts = ("certify", "--inequality", "ts", "--constant", "1", "--s", "1")
+    _seed_out_of_range_exits_2_first(capsys, ts + ("--mu", str(tmp_path / "missing.json")), ts + ("--mu", TWO_POINT))
+
+
+def test_simulate_seed_out_of_range_exits_2(capsys, tmp_path):
+    sim = ("simulate", "--n", "3", "--samples", "4", "--format", "json", "--model")
+    ou = json.dumps({"kind": "ou", "rho": 0.7, "tau": 0.4, "x0": -0.3})
+    _seed_out_of_range_exits_2_first(capsys, sim + (str(tmp_path / "missing.json"),), sim + (ou,))
+
+
+def test_verify_ou_seed_out_of_range_exits_2(capsys):
+    ou = ("verify-ou", "--tau", "0.5", "--n", "3", "--samples", "4", "--rho")
+    _seed_out_of_range_exits_2_first(capsys, ou + ("nan",), ou + ("1",))
+
+
 def test_verify_arma(capsys):
     code, out, _ = run(capsys, "verify-arma", "--A", "[[0.5,0.1],[0.0,0.4]]", "--n", "6")
     assert code == 0

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import abs_moment_quad, all_cells_transport_lp, comonotone_gap_laws, stepwise_coupling_costs
+from oracles import abs_moment_quad, all_cells_transport_lp, comonotone_gap_laws, stepwise_coupling_costs, tabular_state_cost
 
 from concentra import (
     REAL_LINE,
@@ -526,6 +526,28 @@ def test_kernel_lipschitz_of_a_tabular_chain_is_the_pair_loop_max(kind, k, s):
     for seed in range(3):
         model = _lipschitz_chain(kind, k, np.random.default_rng(100 * k + seed))
         assert kernel_lipschitz(model, s) == pytest.approx(_pair_loop_lipschitz(model, s), rel=1e-12)
+
+
+def test_kernel_lipschitz_on_a_finite_space_solves_each_unordered_pair_once(monkeypatch):
+    """W_s is symmetric and 0 on the diagonal, so 30 states need 435 LPs,
+    not 900; the value is the max over every ordered pair of the
+    all-cells LP."""
+    s = 1.5
+    model = _lipschitz_chain("finite", 30, np.random.default_rng(30))
+    solve, calls = _TransportModel.solve, []
+
+    def counted(self, *args, **kwargs):
+        calls.append(None)
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(_TransportModel, "solve", counted)
+    got = kernel_lipschitz(model, s)
+    assert len(calls) == 30 * 29 // 2
+    cost = tabular_state_cost(model, s)
+    d = model.state_space.dist
+    want = max(all_cells_transport_lp(cost, model.transition[i], model.transition[j])[0] ** (1 / s) / d[i, j]
+               for i, j in itertools.permutations(range(30), 2))
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_kernel_lipschitz_edge_and_error_cases():

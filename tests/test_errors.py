@@ -27,6 +27,7 @@ from concentra import (
     wasserstein_1d,
     wasserstein_exact,
 )
+from concentra.errors import _check
 
 MU = DiscreteMeasure((0.0, 1.0, 3.0), [0.2, 0.5, 0.3])
 NU = DiscreteMeasure((0.5, 2.0), [0.6, 0.4])
@@ -99,3 +100,13 @@ def test_tabular_rows_are_checked_together_and_the_first_bad_row_is_named():
         TabularModel([0.5, 0.6], [[0.5, 0.5], [0.5, 0.5]])
     with pytest.raises(InputError, match="^row 0 vector"):
         TabularModel([0.5, 0.5], [[math.inf, 0.5], [math.nan, 0.5]])
+
+
+def test_seed_is_an_integer_below_two_to_the_128():
+    """The range NumPy's seed sequences accept: a Python or NumPy integer in
+    [0, 2**128); a bool, a float, a negative or a wider integer fails."""
+    for ok in (0, 7, np.uint64(2**64 - 1), 2**128 - 1):
+        _check(seed=ok)
+    for bad in (-1, 2**128, True, 3.0, math.nan, None):
+        with pytest.raises(InputError, match=r"^seed must be an integer in \[0, 2\*\*128\), got "):
+            _check(seed=bad)
